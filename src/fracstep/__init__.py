@@ -10,11 +10,10 @@ plus a study harness that reproduces the reference convergence tables.
 from .corrections import (
     CorrectionSet,
     VandermondeDiagnostics,
-    corrected_wsgl_apply,
+    d1_u_weight_table,
+    d1_v_weight_table,
     s_factor,
-    starting_weights_d1_u,
-    starting_weights_d1_v,
-    starting_weights_fractional,
+    starting_weight_table,
     vandermonde_diagnostics,
 )
 from .fode import (
@@ -28,16 +27,7 @@ from .fode import (
     solve_trapezoidal,
     two_term_sigma_rule,
 )
-from .glweights import (
-    GLWeightTable,
-    SampledPath,
-    WSGLWeightTable,
-    apply_shifted_gl,
-    apply_wsgl_pair,
-    gl_weights,
-    rl_deriv_power,
-    wsgl_weights,
-)
+from .glweights import SampledPath, gl_weights, rl_deriv_power, wsgl_weights
 from .harness import ConvergenceTable, StudyConfig, observed_order, parse_config, run_study
 from .sem import AssembledForms, SpectralMesh, assemble, h1_projection, interpolate, lgl_nodes
 from .specfun import gamma, mittag_leffler
@@ -58,11 +48,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CorrectionSet",
     "VandermondeDiagnostics",
-    "corrected_wsgl_apply",
+    "d1_u_weight_table",
+    "d1_v_weight_table",
     "s_factor",
-    "starting_weights_d1_u",
-    "starting_weights_d1_v",
-    "starting_weights_fractional",
+    "starting_weight_table",
     "vandermonde_diagnostics",
     "ConvergenceError",
     "ErrorReport",
@@ -73,11 +62,7 @@ __all__ = [
     "solve_l1",
     "solve_trapezoidal",
     "two_term_sigma_rule",
-    "GLWeightTable",
     "SampledPath",
-    "WSGLWeightTable",
-    "apply_shifted_gl",
-    "apply_wsgl_pair",
     "gl_weights",
     "rl_deriv_power",
     "wsgl_weights",

@@ -14,25 +14,20 @@ corrections) are used by the diffusion-wave scheme.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .glweights import SampledPath, WSGLWeightTable, apply_wsgl_pair, rl_deriv_power
+from .glweights import wsgl_weights
 from .specfun import gamma
 
 __all__ = [
     "CorrectionSet",
     "VandermondeDiagnostics",
-    "starting_weights_fractional",
     "starting_weight_table",
-    "starting_weights_d1_u",
-    "starting_weights_d1_v",
     "d1_u_weight_table",
     "d1_v_weight_table",
-    "corrected_wsgl_apply",
     "vandermonde_diagnostics",
     "s_factor",
 ]
@@ -96,99 +91,39 @@ def _check_condition(A: np.ndarray, sigmas) -> float:
     return cond
 
 
-def _fractional_rhs(alpha: float, sigmas, g: np.ndarray, n_max: int) -> np.ndarray:
+def _fractional_rhs(alpha: float, sigmas, n_max: int) -> np.ndarray:
     """RHS of the exactness system for all n = 0..n_max at once, one row per
     exponent: Gamma(s+1)/Gamma(s+1-alpha) n^(s-alpha) - sum_k g_{n-k} k^s."""
+    g = wsgl_weights(alpha, n_max)
     ns = np.arange(n_max + 1, dtype=float)
     rhs = np.empty((len(sigmas), n_max + 1))
     for r, s in enumerate(sigmas):
         kpow = ns**s
-        conv = np.convolve(g[: n_max + 1], kpow)[: n_max + 1]
+        conv = np.convolve(g, kpow)[: n_max + 1]
         exact = np.zeros(n_max + 1)
         exact[1:] = gamma(s + 1.0) / gamma(s + 1.0 - alpha) * ns[1:] ** (s - alpha)
         rhs[r] = exact - conv
     return rhs
 
 
-def starting_weight_table(
-    alpha: float, cset: CorrectionSet, g: WSGLWeightTable, n_max: int
-) -> np.ndarray:
-    """All starting-weight rows w_{n,1..m} for n = 0..n_max as an
-    (n_max+1, m) array (row 0 is unused and zero).  One LU factorization
-    serves every row."""
+def starting_weight_table(alpha: float, cset: CorrectionSet, n_max: int) -> np.ndarray:
+    """Starting weights w_{n,1..m} of the corrected fractional operator for
+    n = 0..n_max as an (n_max+1, m) array (row 0 is unused and zero).  Row n
+    solves the exactness conditions
+
+        sum_k w_{n,k} k^{s_r} = Gamma(s_r+1)/Gamma(s_r+1-alpha) n^{s_r-alpha}
+                                - sum_{k=0}^n g_{n-k} k^{s_r},
+
+    with the WSGL weights g of order alpha; one LU factorization serves every
+    row."""
     m = cset.m
     if m == 0:
         return np.zeros((n_max + 1, 0))
-    if len(g.g) < n_max + 1:
-        raise ValueError("WSGL table too short for requested range")
     A = _power_matrix(cset.sigmas)
     _check_condition(A, cset.sigmas)
-    rhs = _fractional_rhs(alpha, cset.sigmas, g.g, n_max)
-    W = np.linalg.solve(A, rhs).T
+    W = np.linalg.solve(A, _fractional_rhs(alpha, cset.sigmas, n_max)).T
     W[0] = 0.0
     return W
-
-
-def starting_weights_fractional(
-    alpha: float, cset: CorrectionSet, g: WSGLWeightTable, n: int
-) -> np.ndarray:
-    """Starting weights w_{n,1..m} of the corrected fractional operator at a
-    single step n, from the exactness conditions
-
-        sum_k w_{n,k} k^{s_r} = Gamma(s_r+1)/Gamma(s_r+1-alpha) n^{s_r-alpha}
-                                - sum_{k=0}^n g_{n-k} k^{s_r}.
-    """
-    if cset.m < 1:
-        raise ValueError("needs at least one correction exponent")
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if len(g.g) < n + 1:
-        raise ValueError("WSGL table too short (need g_0..g_n)")
-    A = _power_matrix(cset.sigmas)
-    _check_condition(A, cset.sigmas)
-    ks = np.arange(n + 1, dtype=float)
-    rhs = np.empty(cset.m)
-    for r, s in enumerate(cset.sigmas):
-        conv = float(np.dot(g.g[: n + 1][::-1], ks**s))
-        rhs[r] = gamma(s + 1.0) / gamma(s + 1.0 - alpha) * float(n) ** (s - alpha) - conv
-    return np.linalg.solve(A, rhs)
-
-
-def _d1_rhs(exponents, n: int) -> np.ndarray:
-    rhs = np.empty(len(exponents))
-    for r, s in enumerate(exponents):
-        rhs[r] = s / 2.0 * ((n + 1.0) ** (s - 1.0) + float(n) ** (s - 1.0)) - (
-            (n + 1.0) ** s - float(n) ** s
-        )
-    return rhs
-
-
-def starting_weights_d1_u(cset: CorrectionSet, m1: int, n: int) -> np.ndarray:
-    """Correction weights u_{n,1..m1} making the averaged first difference
-    exact on t^{sigma_r}: the row solves
-
-        sum_k u_{n,k} k^{s_r} = s_r/2 ((n+1)^{s_r-1} + n^{s_r-1})
-                                - ((n+1)^{s_r} - n^{s_r}).
-    """
-    if m1 == 0:
-        return np.zeros(0)
-    expo = cset.truncated(m1).sigmas
-    A = _power_matrix(expo)
-    _check_condition(A, expo)
-    return np.linalg.solve(A, _d1_rhs(expo, n))
-
-
-def starting_weights_d1_v(cset: CorrectionSet, m2: int, n: int) -> np.ndarray:
-    """Same as ``starting_weights_d1_u`` with every exponent lowered by one
-    (the corrections act on the time-derivative field)."""
-    if m2 == 0:
-        return np.zeros(0)
-    expo = tuple(s - 1.0 for s in cset.truncated(m2).sigmas)
-    if any(s <= 0 for s in expo):
-        raise ValueError("d1_v corrections need sigma_r > 1")
-    A = _power_matrix(expo)
-    _check_condition(A, expo)
-    return np.linalg.solve(A, _d1_rhs(expo, n))
 
 
 def _d1_table(exponents, n_max: int) -> np.ndarray:
@@ -205,43 +140,27 @@ def _d1_table(exponents, n_max: int) -> np.ndarray:
 
 
 def d1_u_weight_table(cset: CorrectionSet, m1: int, n_max: int) -> np.ndarray:
-    """Rows of starting_weights_d1_u for n = 0..n_max, shape (n_max+1, m1)."""
+    """Correction weights u_{n,1..m1} for n = 0..n_max, shape (n_max+1, m1),
+    making the averaged first difference exact on t^{sigma_r}: row n solves
+
+        sum_k u_{n,k} k^{s_r} = s_r/2 ((n+1)^{s_r-1} + n^{s_r-1})
+                                - ((n+1)^{s_r} - n^{s_r}).
+    """
     if m1 == 0:
         return np.zeros((n_max + 1, 0))
     return _d1_table(cset.truncated(m1).sigmas, n_max)
 
 
 def d1_v_weight_table(cset: CorrectionSet, m2: int, n_max: int) -> np.ndarray:
-    """Rows of starting_weights_d1_v for n = 0..n_max, shape (n_max+1, m2)."""
+    """Same as ``d1_u_weight_table`` with every exponent lowered by one (the
+    corrections act on the time-derivative field).  Row 0 holds
+    0^(sigma_r - 2), so sigma_r >= 2 is required."""
     if m2 == 0:
         return np.zeros((n_max + 1, 0))
-    expo = tuple(s - 1.0 for s in cset.truncated(m2).sigmas)
-    if any(s <= 0 for s in expo):
-        raise ValueError("d1_v corrections need sigma_r > 1")
-    return _d1_table(expo, n_max)
-
-
-def corrected_wsgl_apply(path: SampledPath, alpha: float, cset: CorrectionSet, n: int) -> float:
-    """Corrected WSGL operator at step n for the shift pair (0, -1):
-
-        A[U](t_n) + tau^(-alpha) * sum_{k=1}^m w_{n,k} U(t_k).
-
-    The caller supplies U already shifted for Caputo usage (U - U(0)) when
-    appropriate; the operator itself is the Riemann-Liouville quadrature.
-    """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    base = apply_wsgl_pair(path, alpha, 0, -1, n)
-    if cset.m == 0:
-        return base
-    if path.n_steps < cset.m:
-        raise ValueError("path too short for the correction stencil")
-    from .glweights import _wsgl_cached
-
-    g = _wsgl_cached(alpha, n)
-    w = starting_weights_fractional(alpha, cset, g, n)
-    corr = float(np.dot(w, path.values[1 : cset.m + 1]))
-    return base + path.tau ** (-alpha) * corr
+    sigmas = cset.truncated(m2).sigmas
+    if any(s < 2.0 for s in sigmas):
+        raise ValueError(f"V-difference corrections need sigma_r >= 2, got sigma = {sigmas}")
+    return _d1_table(tuple(s - 1.0 for s in sigmas), n_max)
 
 
 def vandermonde_diagnostics(alpha: float, cset: CorrectionSet) -> VandermondeDiagnostics:
@@ -251,14 +170,11 @@ def vandermonde_diagnostics(alpha: float, cset: CorrectionSet) -> VandermondeDia
         raise ValueError("needs at least one correction exponent")
     A = _power_matrix(cset.sigmas)
     cond = float(np.linalg.cond(A, 2))
-    from .glweights import _wsgl_cached
-
     n_max = 100
-    g = _wsgl_cached(alpha, n_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        W = starting_weight_table(alpha, cset, g, n_max)
-    rhs = _fractional_rhs(alpha, cset.sigmas, g.g, n_max)
+        W = starting_weight_table(alpha, cset, n_max)
+    rhs = _fractional_rhs(alpha, cset.sigmas, n_max)
     resid = A @ W[1:].T - rhs[:, 1:]
     return VandermondeDiagnostics(cond, float(np.max(np.abs(resid))))
 

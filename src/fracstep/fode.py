@@ -15,12 +15,12 @@ generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corrections import CorrectionSet, starting_weight_table
-from .glweights import SampledPath, _wsgl_cached
+from .glweights import SampledPath, l1_weights, step_count, wsgl_weights
 from .specfun import gamma
 
 __all__ = [
@@ -74,21 +74,18 @@ class MultiTermProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, per-term correction sets and the startup/per-step solver
-    tolerances.  ``corrections`` may be a single CorrectionSet (shared by all
-    terms), a sequence of per-term sets, or None."""
+    """Time step, per-term correction sets and the tolerances of the coupled
+    startup block and per-step solves.  ``corrections`` may be a single
+    CorrectionSet (shared by all terms), a sequence of per-term sets, or None."""
 
     tau: float
     corrections: object = None
-    startup: str = "coupled-picard"
     picard_tol: float = 1e-14
     picard_max_iters: int = 100
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau > 0 required")
-        if self.startup != "coupled-picard":
-            raise ValueError("only the coupled-picard startup is supported")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol > 0 required")
 
@@ -112,13 +109,6 @@ class ErrorReport:
     max_error: float
     final_error: float
     avg_error: float
-
-
-def _check_divides(tau: float, T: float) -> int:
-    n_t = int(round(T / tau))
-    if n_t < 1 or abs(n_t * tau - T) > 1e-10 * max(1.0, T):
-        raise ValueError(f"tau={tau:g} must divide T={T:g}")
-    return n_t
 
 
 def _fd_slope(f, t: float, y: float) -> float:
@@ -164,15 +154,15 @@ def solve_corrected_wsgl(problem: MultiTermProblem, config: SolverConfig) -> Sam
     nonlinearity handled by Newton iteration (finite-difference slope).
     """
     tau = config.tau
-    n_t = _check_divides(tau, problem.T)
+    n_t = step_count(tau, problem.T)
     csets = config.per_term_sets(problem.n_terms)
     m = max(cs.m for cs in csets)
     f = problem.rhs
     y0 = problem.y0
 
-    gs = [_wsgl_cached(a, n_t).g for a in problem.alphas]
+    gs = [wsgl_weights(a, n_t) for a in problem.alphas]
     Ws = [
-        starting_weight_table(a, cs, _wsgl_cached(a, n_t), n_t) if cs.m else None
+        starting_weight_table(a, cs, n_t) if cs.m else None
         for a, cs in zip(problem.alphas, csets)
     ]
     scales = [nu * tau ** (-a) for nu, a in zip(problem.nu, problem.alphas)]
@@ -247,12 +237,9 @@ def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
 
         sum_j nu_j sum_{k=0}^{n-1} b^{(a_j)}_{n-k-1} (y^{k+1} - y^k) = f(t_n, y^n).
     """
-    n_t = _check_divides(tau, problem.T)
+    n_t = step_count(tau, problem.T)
     f = problem.rhs
-    bs = []
-    for a in problem.alphas:
-        k = np.arange(n_t, dtype=float)
-        bs.append(tau ** (-a) / gamma(2.0 - a) * ((k + 1.0) ** (1.0 - a) - k ** (1.0 - a)))
+    bs = [l1_weights(a, n_t, tau) for a in problem.alphas]
     y = np.empty(n_t + 1)
     y[0] = problem.y0
     c_diag = sum(nu * b[0] for nu, b in zip(problem.nu, bs))
@@ -312,7 +299,7 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
     if not a1 > a2:
         raise ValueError("alpha_1 > alpha_2 required")
     delta = a1 - a2
-    n_t = _check_divides(tau, problem.T)
+    n_t = step_count(tau, problem.T)
     f = problem.rhs
     y0 = problem.y0
     cd = _trap_kernel(delta, n_t, tau)

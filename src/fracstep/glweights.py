@@ -8,51 +8,26 @@ alpha on a uniform grid t_n = n*tau as
 with w_k = (-1)^k binom(alpha, k).  Combining two shifts cancels the O(tau)
 error term and yields the second-order weighted-shifted (WSGL) operator; for
 the shift pair (0, -1) it is a pure lower-triangular convolution with weights
-g_k.  Operators here are uncorrected; starting-weight corrections live in
-``corrections``.
+g_k.  The weights are plain read-only arrays; starting-weight corrections
+live in ``corrections``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .specfun import gamma
 
 __all__ = [
-    "GLWeightTable",
-    "WSGLWeightTable",
     "SampledPath",
     "gl_weights",
     "wsgl_weights",
-    "apply_shifted_gl",
-    "apply_wsgl_pair",
+    "l1_weights",
+    "step_count",
     "rl_deriv_power",
 ]
-
-
-@dataclass(frozen=True)
-class GLWeightTable:
-    """Weights w_0..w_K of the power series (1-z)^alpha."""
-
-    alpha: float
-    omega: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.omega)
-
-
-@dataclass(frozen=True)
-class WSGLWeightTable:
-    """Weights g_0..g_K of (1-z)^alpha * (1 + alpha/2 - alpha/2 z)."""
-
-    alpha: float
-    g: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.g)
 
 
 @dataclass(frozen=True)
@@ -70,14 +45,6 @@ class SampledPath:
             raise ValueError("sampled values must be finite")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_function(cls, f, tau: float, T: float) -> "SampledPath":
-        n_t = int(round(T / tau))
-        if abs(n_t * tau - T) > 1e-12 * max(1.0, T):
-            raise ValueError(f"tau={tau:g} does not divide T={T:g}")
-        t = np.arange(n_t + 1) * tau
-        return cls(tau, np.array([f(tk) for tk in t], dtype=float))
-
     @property
     def n_steps(self) -> int:
         return len(self.values) - 1
@@ -87,8 +54,16 @@ class SampledPath:
         return np.arange(len(self.values)) * self.tau
 
 
-def gl_weights(alpha: float, K: int) -> GLWeightTable:
-    """GL weights w_k = (-1)^k binom(alpha, k), k = 0..K.
+def step_count(tau: float, T: float) -> int:
+    """Number of steps n_T = T / tau; tau must divide T."""
+    n_t = int(round(T / tau))
+    if n_t < 1 or abs(n_t * tau - T) > 1e-10 * max(1.0, T):
+        raise ValueError(f"tau={tau:g} must divide T={T:g}")
+    return n_t
+
+
+def gl_weights(alpha: float, K: int) -> np.ndarray:
+    """GL weights w_k = (-1)^k binom(alpha, k), k = 0..K, as a read-only array.
 
     Computed by the stable recurrence w_0 = 1, w_k = (1 - (alpha+1)/k) w_{k-1}.
     """
@@ -100,63 +75,32 @@ def gl_weights(alpha: float, K: int) -> GLWeightTable:
         k = np.arange(1, K + 1, dtype=float)
         omega[1:] = np.cumprod(1.0 - (alpha + 1.0) / k)
     omega.setflags(write=False)
-    return GLWeightTable(alpha, omega)
+    return omega
 
 
-def wsgl_weights(alpha: float, K: int) -> WSGLWeightTable:
-    """Second-order WSGL weights for the shift pair (0, -1):
+def wsgl_weights(alpha: float, K: int) -> np.ndarray:
+    """Second-order WSGL weights g_0..g_K of (1-z)^alpha (1 + alpha/2 - alpha/2 z)
+    for the shift pair (0, -1), as a read-only array:
     g_0 = (2+alpha)/2 w_0 and g_k = (2+alpha)/2 w_k - alpha/2 w_{k-1}.
+
+    Entry k does not depend on K, so a shorter table is a bitwise prefix of a
+    longer one.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    omega = gl_weights(alpha, K).omega
+    omega = gl_weights(alpha, K)
     g = np.empty(K + 1)
     g[0] = (2.0 + alpha) / 2.0 * omega[0]
     g[1:] = (2.0 + alpha) / 2.0 * omega[1:] - alpha / 2.0 * omega[:-1]
     g.setflags(write=False)
-    return WSGLWeightTable(alpha, g)
+    return g
 
 
-@lru_cache(maxsize=256)
-def _gl_cached(alpha: float, K: int) -> GLWeightTable:
-    return gl_weights(alpha, K)
-
-
-@lru_cache(maxsize=256)
-def _wsgl_cached(alpha: float, K: int) -> WSGLWeightTable:
-    return wsgl_weights(alpha, K)
-
-
-def apply_shifted_gl(path: SampledPath, alpha: float, q: int, n: int) -> float:
-    """Shifted GL operator B_q at step n:
-    tau^(-alpha) sum_{k=0}^{n+q} w_k U^{n-k+q}.
-
-    Samples past t_{n_T} are an error, not an extrapolation, so q > 0 needs
-    n + q <= n_T.
-    """
-    if n < abs(q):
-        raise ValueError(f"n >= |q| required (n={n}, q={q})")
-    if n + q > path.n_steps:
-        raise IndexError(
-            f"step n+q={n + q} exceeds available samples (n_T={path.n_steps})"
-        )
-    omega = _gl_cached(alpha, n + q).omega
-    # U^{n-k+q} for k = 0..n+q runs the samples n+q, n+q-1, ..., 0.
-    window = path.values[n + q :: -1]
-    return path.tau ** (-alpha) * float(np.dot(omega, window))
-
-
-def apply_wsgl_pair(path: SampledPath, alpha: float, p: int, q: int, n: int) -> float:
-    """Weighted combination of two shifted GL operators:
-    (alpha-2q)/(2(p-q)) B_p + (2p-alpha)/(2(p-q)) B_q.
-
-    For (p, q) = (0, -1) this equals tau^(-alpha) sum_k g_{n-k} U^k.
-    """
-    if p == q:
-        raise ValueError("shifts p and q must differ")
-    cp = (alpha - 2.0 * q) / (2.0 * (p - q))
-    cq = (2.0 * p - alpha) / (2.0 * (p - q))
-    return cp * apply_shifted_gl(path, alpha, p, n) + cq * apply_shifted_gl(path, alpha, q, n)
+def l1_weights(alpha: float, n: int, tau: float) -> np.ndarray:
+    """L1 kernel weights b_k = tau^(-alpha)/Gamma(2-alpha) ((k+1)^(1-alpha) - k^(1-alpha)),
+    k = 0..n-1, of the Caputo quadrature sum_k b_{n-k-1} (y^{k+1} - y^k)."""
+    k = np.arange(n, dtype=float)
+    return tau ** (-alpha) / gamma(2.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha))
 
 
 def rl_deriv_power(alpha: float, sigma: float, t: float) -> float:

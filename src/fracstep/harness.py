@@ -1,5 +1,5 @@
 """Study orchestration: parse flat key-value configs, run tau-refinement
-sweeps over solver/correction-count columns in a bounded worker pool, compute
+sweeps over solver/correction-count columns one cell after another, compute
 observed orders, and emit CSV tables.
 
 Config files are INI-style: one study per section, one assignment per line.
@@ -10,16 +10,14 @@ of each study kind (fode, wave, subdiff, operator, diagnostics, weights).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import problems
-from .corrections import CorrectionSet, vandermonde_diagnostics
+from .corrections import CorrectionSet, starting_weight_table, vandermonde_diagnostics
 from .fode import (
     MultiTermProblem,
     SolverConfig,
@@ -29,15 +27,13 @@ from .fode import (
     solve_trapezoidal,
     two_term_sigma_rule,
 )
-from .glweights import SampledPath, gl_weights, rl_deriv_power, wsgl_weights, _wsgl_cached
-from .corrections import starting_weight_table
+from .glweights import gl_weights, rl_deriv_power, wsgl_weights
 from .sem import SpectralMesh
 from .tfpde import (
     l2_error,
     solve_subdiffusion,
     solve_subdiffusion_l1_baseline,
     solve_wave,
-    solve_wave_l1_baseline,
 )
 
 __all__ = [
@@ -47,21 +43,10 @@ __all__ = [
     "observed_order",
     "parse_config",
     "run_study",
-    "worker_count",
 ]
 
 CONVERGENCE_KINDS = {"fode", "wave", "subdiff"}
 ALL_KINDS = CONVERGENCE_KINDS | {"operator", "diagnostics", "weights"}
-
-
-def worker_count() -> int:
-    env = os.environ.get("FRACSTEP_WORKERS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("FRACSTEP_WORKERS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def _parse_number(tok: str) -> float:
@@ -206,24 +191,11 @@ def sigma_list(rule: str, m: int, alpha: float, alpha2: float | None = None) -> 
         return two_term_sigma_rule(alpha, alpha2, m).sigmas
     if rule == "k+1":
         return tuple(float(k + 1) for k in range(1, m + 1))
-    offset = 0.0
-    stem = rule
-    if "+" in rule.replace("(k+1)", "(kp1)"):
-        stem, off = rule.replace("(k+1)", "(kp1)").rsplit("+", 1)
-        stem = stem.replace("(kp1)", "(k+1)")
-        offset = _parse_number(off)
-    if stem == "k*alpha":
-        return tuple(k * alpha + offset for k in range(1, m + 1))
-    if stem == "(k+1)*alpha":
-        return tuple((k + 1) * alpha + offset for k in range(1, m + 1))
+    for stem, shift in (("k*alpha", 0), ("(k+1)*alpha", 1)):
+        if rule == stem or rule.startswith(stem + "+"):
+            offset = _parse_number(rule[len(stem) + 1 :]) if rule != stem else 0.0
+            return tuple((k + shift) * alpha + offset for k in range(1, m + 1))
     raise ValueError(f"unknown sigma rule '{rule}'")
-
-
-def _map_cells(fn, cells):
-    """Evaluate fn over the cell list with the bounded worker pool; results
-    come back in cell order regardless of scheduling."""
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(fn, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +223,11 @@ def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact):
         return exact
     method, tau_s = ref.split(":")
     tau = _parse_number(tau_s)
-    cache = cfg.get("cache_file")
-    if cache and Path(cache).exists():
-        data = np.loadtxt(cache, delimiter=",", skiprows=1)
-        return SampledPath(tau, data[:, 1])
     if method == "trapezoidal":
-        path = solve_trapezoidal(problem, tau)
-    elif method == "l1":
-        path = solve_l1(problem, tau)
-    else:
-        raise ValueError(f"unknown reference method '{method}'")
-    if cache:
-        rows = ["t,y"] + [f"{t:.16e},{y:.16e}" for t, y in zip(path.times, path.values)]
-        Path(cache).write_text("\n".join(rows) + "\n")
-    return path
+        return solve_trapezoidal(problem, tau)
+    if method == "l1":
+        return solve_l1(problem, tau)
+    raise ValueError(f"unknown reference method '{method}'")
 
 
 def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
@@ -293,7 +256,7 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
         return {"max": rep.max_error, "final": rep.final_error, "avg": rep.avg_error}
 
     cells = [(col, tau) for col in columns for tau in taus]
-    results = _map_cells(run_cell, cells)
+    results = [run_cell(cell) for cell in cells]
     groups = []
     for ci, col in enumerate(columns):
         label = col if col in ("l1", "trap", "trapezoidal") else f"m{col}"
@@ -337,10 +300,6 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
             return problems.wave_forced_problem(alpha, mesh), None
         raise ValueError(f"unknown wave case '{case}'")
 
-    def sig_for(alpha, m):
-        # the first m exponents of the rule
-        return sigma_list(rule, m, alpha)
-
     def counts(m):
         if apply_to == "m3":
             return 0, 0, m
@@ -352,18 +311,19 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
         alpha, m, tau = cell
         problem, exact = make_problem(alpha)
         m1, m2, m3 = counts(m)
-        hist = solve_wave(problem, tau, sig_for(alpha, m), m1, m2, m3)
+        sigma = sigma_list(rule, m, alpha)
+        hist = solve_wave(problem, tau, sigma, m1, m2, m3)
         ref = exact
         if ref is None:
             ref_spec = cfg.require("reference")
             method, tau_s = ref_spec.split(":")
             if method != "self":
                 raise ValueError("wave studies support reference = exact or self:<tau>")
-            ref = solve_wave(problem, _parse_number(tau_s), sig_for(alpha, m), m1, m2, m3)
+            ref = solve_wave(problem, _parse_number(tau_s), sigma, m1, m2, m3)
         return l2_error(hist, ref, at="average" if norm == "average" else "final")
 
     cells = [(alpha, m, tau) for alpha in alphas for m in columns for tau in taus]
-    results = _map_cells(run_cell, cells)
+    results = [run_cell(cell) for cell in cells]
     groups = []
     idx = 0
     for alpha in alphas:
@@ -404,7 +364,7 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
         return l2_error(hist, refs[col], at="average" if norm == "average" else "final")
 
     cells = [(col, tau) for col in columns for tau in taus]
-    results = _map_cells(run_cell, cells)
+    results = [run_cell(cell) for cell in cells]
     groups = []
     for ci, col in enumerate(columns):
         label = col if col == "l1" else f"m{col}"
@@ -432,17 +392,17 @@ def _run_operator(cfg: StudyConfig) -> RowTable:
     U = sum(c * t**p for c, p in zip(coeffs, expos))
     exact = np.zeros(n_t + 1)
     exact[1:] = sum(c * rl_deriv_power(alpha, p, 1.0) * t[1:] ** (p - alpha) for c, p in zip(coeffs, expos))
-    g = _wsgl_cached(alpha, n_t)
+    g = wsgl_weights(alpha, n_t)
 
     def run_cell(m):
-        base = tau ** (-alpha) * np.convolve(g.g, U)[: n_t + 1]
+        base = tau ** (-alpha) * np.convolve(g, U)[: n_t + 1]
         if m:
             cset = CorrectionSet(sigma_list(rule, m, alpha))
-            W = starting_weight_table(alpha, cset, g, n_t)
+            W = starting_weight_table(alpha, cset, n_t)
             base = base + tau ** (-alpha) * (W @ U[1 : m + 1])
         return np.abs(base - exact)
 
-    errs = _map_cells(run_cell, m_values)
+    errs = [run_cell(m) for m in m_values]
     header = ["t"] + [f"m{m}_error" for m in m_values]
     rows = []
     for n in range(1, n_t + 1):
@@ -461,7 +421,7 @@ def _run_diagnostics(cfg: StudyConfig) -> RowTable:
         return diag
 
     cells = [(alpha, m) for alpha in alphas for m in m_values]
-    results = _map_cells(run_cell, cells)
+    results = [run_cell(cell) for cell in cells]
     rows = []
     for (alpha, m), diag in zip(cells, results):
         rows.append([f"{alpha:g}", f"{m}", f"{diag.condition_number:.4e}", f"{diag.max_residual:.4e}"])
@@ -471,8 +431,8 @@ def _run_diagnostics(cfg: StudyConfig) -> RowTable:
 def _run_weights(cfg: StudyConfig) -> RowTable:
     alpha = _parse_number(cfg.require("alpha"))
     count = int(cfg.require("count"))
-    om = gl_weights(alpha, count).omega
-    g = wsgl_weights(alpha, max(count, 1)).g
+    om = gl_weights(alpha, count)
+    g = wsgl_weights(alpha, max(count, 1))
     rows = [[f"{k}", f"{om[k]:.16e}", f"{g[k]:.16e}"] for k in range(count + 1)]
     return RowTable(["k", "omega", "g"], rows)
 

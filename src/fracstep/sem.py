@@ -206,12 +206,6 @@ class AssembledForms:
         idx = self.mesh.interior
         return self.stiffness[np.ix_(idx, idx)]
 
-    def mass_apply(self, u: np.ndarray) -> np.ndarray:
-        return self.mass_diag * u
-
-    def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
-        return self.stiffness @ u
-
 
 def assemble(mesh: SpectralMesh) -> AssembledForms:
     """Assemble the diagonal quadrature mass and the exact stiffness matrix."""

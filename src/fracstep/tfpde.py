@@ -34,9 +34,8 @@ from .corrections import (
     d1_v_weight_table,
     starting_weight_table,
 )
-from .glweights import _wsgl_cached
-from .sem import SpectralMesh, h1_projection, interpolate
-from .specfun import gamma
+from .glweights import l1_weights, step_count, wsgl_weights
+from .sem import SpectralMesh, h1_projection
 
 __all__ = [
     "WaveProblem",
@@ -118,13 +117,6 @@ class FieldHistory:
         return np.arange(len(self.u)) * self.tau
 
 
-def _n_steps(tau: float, T: float) -> int:
-    n_t = int(round(T / tau))
-    if n_t < 1 or abs(n_t * tau - T) > 1e-10 * max(1.0, T):
-        raise ValueError(f"tau={tau:g} must divide T={T:g}")
-    return n_t
-
-
 def _full(mesh: SpectralMesh, interior_rows: np.ndarray) -> np.ndarray:
     out = np.zeros((interior_rows.shape[0], mesh.n_dofs))
     out[:, mesh.interior] = interior_rows
@@ -171,7 +163,7 @@ def solve_wave(
     _validate_wave_corrections(sigma, m1, m2, m3)
     mesh = problem.mesh
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
-    n_t = _n_steps(tau, problem.T)
+    n_t = step_count(tau, problem.T)
     m = max(m1, m2, m3)
     if m and n_t <= m:
         raise ValueError("horizon too short for the correction stencil")
@@ -182,13 +174,9 @@ def solve_wave(
     S = forms.stiffness0()
     d = len(I)
 
-    g = _wsgl_cached(alpha, n_t + 1).g
+    g = wsgl_weights(alpha, n_t + 1)
     sc = tau ** (-alpha)
-    Wv3 = (
-        starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), _wsgl_cached(alpha, n_t + 1), n_t + 1)
-        if m3
-        else None
-    )
+    Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1) if m3 else None
     Wu1 = d1_u_weight_table(sigma, m1, n_t) if m1 else None
     Wv2 = d1_v_weight_table(sigma, m2, n_t) if m2 else None
 
@@ -341,7 +329,7 @@ def solve_subdiffusion(
         raise ValueError("sigma list shorter than requested correction counts")
     mesh = problem.mesh
     a1, a2, nu, mu = problem.alpha1, problem.alpha2, problem.nu, problem.mu
-    n_t = _n_steps(tau, problem.T)
+    n_t = step_count(tau, problem.T)
     m = max(m1, m2)
     if m and n_t <= m:
         raise ValueError("horizon too short for the correction stencil")
@@ -352,12 +340,12 @@ def solve_subdiffusion(
     S = forms.stiffness0()
     d = len(I)
 
-    g1 = _wsgl_cached(a1, n_t).g
-    g2 = _wsgl_cached(a2, n_t).g
+    g1 = wsgl_weights(a1, n_t)
+    g2 = wsgl_weights(a2, n_t)
     s1 = tau ** (-a1)
     s2 = tau ** (-a2)
-    W1 = starting_weight_table(a1, sigma.truncated(m1), _wsgl_cached(a1, n_t), n_t) if m1 else None
-    W2 = starting_weight_table(a2, sigma.truncated(m2), _wsgl_cached(a2, n_t), n_t) if m2 else None
+    W1 = starting_weight_table(a1, sigma.truncated(m1), n_t) if m1 else None
+    W2 = starting_weight_table(a2, sigma.truncated(m2), n_t) if m2 else None
     cutoff = math.ceil(n_t / 5) if drop_far_field else n_t + 1
 
     u0 = h1_projection(problem.phi0, mesh)[I]
@@ -414,14 +402,13 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     the trapezoid update.  Exact in time for solutions linear in t."""
     mesh = problem.mesh
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
-    n_t = _n_steps(tau, problem.T)
+    n_t = step_count(tau, problem.T)
     forms = mesh.forms()
     I = mesh.interior
     Md = forms.mass0()
     S = forms.stiffness0()
     d = len(I)
-    k = np.arange(n_t, dtype=float)
-    bw = tau ** (-alpha) / gamma(2.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha))
+    bw = l1_weights(alpha, n_t, tau)
     u0 = h1_projection(problem.phi0, mesh)[I]
     v0 = h1_projection(problem.psi0, mesh)[I]
     fr = _source_rows(problem, mesh, n_t, tau)
@@ -451,15 +438,14 @@ def solve_subdiffusion_l1_baseline(problem: SubdiffusionProblem, tau: float) -> 
     kernel (the first-order comparison scheme)."""
     mesh = problem.mesh
     a1, a2, nu, mu = problem.alpha1, problem.alpha2, problem.nu, problem.mu
-    n_t = _n_steps(tau, problem.T)
+    n_t = step_count(tau, problem.T)
     forms = mesh.forms()
     I = mesh.interior
     Md = forms.mass0()
     S = forms.stiffness0()
     d = len(I)
-    k = np.arange(n_t, dtype=float)
-    b1 = tau ** (-a1) / gamma(2.0 - a1) * ((k + 1.0) ** (1.0 - a1) - k ** (1.0 - a1))
-    b2 = tau ** (-a2) / gamma(2.0 - a2) * ((k + 1.0) ** (1.0 - a2) - k ** (1.0 - a2))
+    b1 = l1_weights(a1, n_t, tau)
+    b2 = l1_weights(a2, n_t, tau)
     u0 = h1_projection(problem.phi0, mesh)[I]
     fr = _source_rows(problem, mesh, n_t, tau)
     u = np.zeros((n_t + 1, d))

@@ -1,0 +1,78 @@
+"""Independent pointwise oracles for the weight tables.
+
+Each function evaluates one operator value or one row of starting weights at
+a single step, straight from its defining formula, so the vectorised tables
+and convolutions in ``fracstep`` can be checked against it.
+"""
+
+import numpy as np
+
+from fracstep.glweights import SampledPath, gl_weights, wsgl_weights
+from fracstep.specfun import gamma
+
+
+def sample(f, tau: float, T: float) -> SampledPath:
+    """f sampled at t_k = k*tau, k = 0..T/tau."""
+    n_t = int(round(T / tau))
+    if abs(n_t * tau - T) > 1e-12 * max(1.0, T):
+        raise ValueError(f"tau={tau:g} does not divide T={T:g}")
+    t = np.arange(n_t + 1) * tau
+    return SampledPath(tau, np.array([f(tk) for tk in t], dtype=float))
+
+
+def apply_shifted_gl(path: SampledPath, alpha: float, q: int, n: int) -> float:
+    """Shifted GL operator B_q at step n: tau^(-alpha) sum_{k=0}^{n+q} w_k U^{n-k+q}.
+    Samples past t_{n_T} are an error, not an extrapolation."""
+    if n < abs(q):
+        raise ValueError(f"n >= |q| required (n={n}, q={q})")
+    if n + q > path.n_steps:
+        raise IndexError(f"step n+q={n + q} exceeds available samples (n_T={path.n_steps})")
+    window = path.values[n + q :: -1]
+    return path.tau ** (-alpha) * float(np.dot(gl_weights(alpha, n + q), window))
+
+
+def apply_wsgl_pair(path: SampledPath, alpha: float, p: int, q: int, n: int) -> float:
+    """(alpha-2q)/(2(p-q)) B_p + (2p-alpha)/(2(p-q)) B_q; for (p, q) = (0, -1)
+    this is tau^(-alpha) sum_k g_{n-k} U^k."""
+    if p == q:
+        raise ValueError("shifts p and q must differ")
+    cp = (alpha - 2.0 * q) / (2.0 * (p - q))
+    cq = (2.0 * p - alpha) / (2.0 * (p - q))
+    return cp * apply_shifted_gl(path, alpha, p, n) + cq * apply_shifted_gl(path, alpha, q, n)
+
+
+def _power_rows(exponents) -> np.ndarray:
+    m = len(exponents)
+    return np.array([[float(k) ** s for k in range(1, m + 1)] for s in exponents])
+
+
+def starting_weights_step(alpha: float, cset, n: int) -> np.ndarray:
+    """Starting weights w_{n,1..m} at one step n >= 1 from the exactness
+    conditions sum_k w_{n,k} k^s = Gamma(s+1)/Gamma(s+1-alpha) n^(s-alpha)
+    - sum_{k=0}^n g_{n-k} k^s."""
+    g = wsgl_weights(alpha, n)
+    ks = np.arange(n + 1, dtype=float)
+    rhs = [
+        gamma(s + 1.0) / gamma(s + 1.0 - alpha) * float(n) ** (s - alpha)
+        - float(np.dot(g[::-1], ks**s))
+        for s in cset.sigmas
+    ]
+    return np.linalg.solve(_power_rows(cset.sigmas), rhs)
+
+
+def d1_weights_step(exponents, n: int) -> np.ndarray:
+    """Averaged-first-difference correction weights at one step n:
+    sum_k u_{n,k} k^s = s/2 ((n+1)^(s-1) + n^(s-1)) - ((n+1)^s - n^s)."""
+    x = float(n)
+    rhs = [s / 2.0 * ((x + 1.0) ** (s - 1.0) + x ** (s - 1.0)) - ((x + 1.0) ** s - x**s) for s in exponents]
+    return np.linalg.solve(_power_rows(exponents), rhs)
+
+
+def corrected_wsgl_apply(path: SampledPath, alpha: float, cset, n: int) -> float:
+    """Corrected WSGL operator at step n: the (0, -1) pair plus
+    tau^(-alpha) sum_{k=1}^m w_{n,k} U^k."""
+    base = apply_wsgl_pair(path, alpha, 0, -1, n)
+    if cset.m == 0:
+        return base
+    w = starting_weights_step(alpha, cset, n)
+    return base + path.tau ** (-alpha) * float(np.dot(w, path.values[1 : cset.m + 1]))

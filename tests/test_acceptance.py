@@ -10,7 +10,7 @@ import pytest
 
 from fracstep.corrections import CorrectionSet, starting_weight_table, vandermonde_diagnostics
 from fracstep.fode import MultiTermProblem, SolverConfig, error_report, solve_corrected_wsgl
-from fracstep.glweights import _wsgl_cached, gl_weights, rl_deriv_power, wsgl_weights
+from fracstep.glweights import gl_weights, rl_deriv_power, wsgl_weights
 from fracstep.problems import (
     subdiffusion_forced_problem,
     two_term_ml_exact,
@@ -277,7 +277,7 @@ def test_criterion_subdiffusion_table():
 def test_criterion_property_suite():
     checks = []
     # WSGL weights at order one collapse to BDF2
-    g = wsgl_weights(1.0, 40).g
+    g = wsgl_weights(1.0, 40)
     bdf2 = np.zeros(41)
     bdf2[:3] = [1.5, -2.0, 0.5]
     checks.append((float(np.max(np.abs(g - bdf2))) <= 1e-15, "alpha=1 WSGL = BDF2 weights"))
@@ -287,13 +287,13 @@ def test_criterion_property_suite():
         warnings.simplefilter("ignore")
         for alpha, m in ((0.3, 8), (0.5, 6), (0.7, 4)):
             cset = CorrectionSet(tuple(k * alpha for k in range(1, m + 1)))
-            gt = _wsgl_cached(alpha, 100)
-            W = starting_weight_table(alpha, cset, gt, 100)
+            gt = wsgl_weights(alpha, 100)
+            W = starting_weight_table(alpha, cset, 100)
             ks = np.arange(101, dtype=float)
             worst = 0.0
             for s in cset.sigmas:
                 U = ks**s
-                vals = np.convolve(gt.g, U)[:101] + W @ U[1 : m + 1]
+                vals = np.convolve(gt, U)[:101] + W @ U[1 : m + 1]
                 exact = np.array([rl_deriv_power(alpha, s, n) for n in ks[1:]])
                 rel = np.abs(vals[1:] - exact) / np.maximum(1.0, np.abs(exact))
                 worst = max(worst, float(rel.max()))
@@ -302,15 +302,15 @@ def test_criterion_property_suite():
             )
 
     # first-order error-term cancellation of the shifted GL formula
-    from fracstep.glweights import SampledPath, apply_shifted_gl
     from fracstep.specfun import gamma as _gamma
+    from oracles import apply_shifted_gl, sample
 
     for alpha, sigma, q in ((0.3, 1.5, 0), (0.7, 2.5, -1), (0.3, 1.5, 1)):
         resid = []
         for p in (8, 9, 10):
             tau = 2.0**-p
             n = int(round(1.0 / tau))
-            path = SampledPath.from_function(lambda t: t**sigma, tau, (n + 1) * tau)
+            path = sample(lambda t: t**sigma, tau, (n + 1) * tau)
             B = apply_shifted_gl(path, alpha, q, n)
             corr = tau * (q - alpha / 2.0) * _gamma(sigma + 1.0) / _gamma(sigma - alpha)
             resid.append(abs(B - rl_deriv_power(alpha, sigma, 1.0) - corr))
@@ -393,7 +393,7 @@ def test_criterion_pointwise_operator_improvement():
     n_t = 1000
     t = np.arange(n_t + 1) * tau
     U = t ** (8 * alpha)
-    gt = _wsgl_cached(alpha, n_t)
+    gt = wsgl_weights(alpha, n_t)
     exact = np.zeros(n_t + 1)
     exact[1:] = rl_deriv_power(alpha, 8 * alpha, 1.0) * t[1:] ** (7 * alpha)
     errs = {}
@@ -401,8 +401,8 @@ def test_criterion_pointwise_operator_improvement():
         warnings.simplefilter("ignore")
         for m in (1, 6):
             cset = CorrectionSet(tuple(k * alpha for k in range(1, m + 1)))
-            W = starting_weight_table(alpha, cset, gt, n_t)
-            vals = tau ** (-alpha) * (np.convolve(gt.g, U)[: n_t + 1] + W @ U[1 : m + 1])
+            W = starting_weight_table(alpha, cset, n_t)
+            vals = tau ** (-alpha) * (np.convolve(gt, U)[: n_t + 1] + W @ U[1 : m + 1])
             errs[m] = float(np.max(np.abs(vals - exact)[t >= 0.2]))
     checks = [
         (errs[6] <= 1e-7, f"m=6 pointwise error {errs[6]:.3e} <= 1e-7 for t >= 0.2"),

@@ -6,18 +6,21 @@ import pytest
 
 from fracstep.corrections import (
     CorrectionSet,
-    corrected_wsgl_apply,
     d1_u_weight_table,
     d1_v_weight_table,
     s_factor,
     starting_weight_table,
-    starting_weights_d1_u,
-    starting_weights_d1_v,
-    starting_weights_fractional,
     vandermonde_diagnostics,
 )
-from fracstep.glweights import SampledPath, apply_wsgl_pair, rl_deriv_power, wsgl_weights
+from fracstep.glweights import rl_deriv_power, wsgl_weights
 from fracstep.specfun import gamma
+from oracles import (
+    apply_wsgl_pair,
+    corrected_wsgl_apply,
+    d1_weights_step,
+    sample,
+    starting_weights_step,
+)
 
 
 def test_correction_set_validation():
@@ -34,8 +37,7 @@ def test_correction_set_validation():
 
 def test_single_unknown_starting_weight():
     # m = 1, sigma = alpha = 0.5, n = 1: w = Gamma(1.5) - g_0
-    g = wsgl_weights(0.5, 4)
-    w = starting_weights_fractional(0.5, CorrectionSet((0.5,)), g, 1)
+    w = starting_weight_table(0.5, CorrectionSet((0.5,)), 4)[1]
     assert w[0] == pytest.approx(gamma(1.5) - 1.25, rel=1e-14)
     assert w[0] == pytest.approx(-0.3637731, abs=1e-7)
 
@@ -43,13 +45,12 @@ def test_single_unknown_starting_weight():
 def test_batch_table_matches_per_step_rows():
     alpha = 0.4
     cset = CorrectionSet((0.4, 0.8, 1.2))
-    g = wsgl_weights(alpha, 64)
-    W = starting_weight_table(alpha, cset, g, 64)
+    W = starting_weight_table(alpha, cset, 64)
     # summation order differs between the batch convolution and the per-step
     # dot; agreement is limited by the system's conditioning
     for n in (1, 2, 17, 64):
         np.testing.assert_allclose(
-            W[n], starting_weights_fractional(alpha, cset, g, n), rtol=1e-9, atol=1e-12
+            W[n], starting_weights_step(alpha, cset, n), rtol=1e-9, atol=1e-12
         )
 
 
@@ -57,8 +58,7 @@ def test_bdf2_starting_weight_decay():
     # alpha = 1 reduces to BDF2, so the single starting weight must fall off
     # like n^(sigma-3)
     sigma = 0.8
-    g = wsgl_weights(1.0, 300)
-    W = starting_weight_table(1.0, CorrectionSet((sigma,)), g, 300)
+    W = starting_weight_table(1.0, CorrectionSet((sigma,)), 300)
     ns = np.arange(8, 257)
     ratios = np.abs(W[8:257, 0]) / ns ** (sigma - 3.0)
     assert np.all(np.abs(W[9:257, 0]) < np.abs(W[8:256, 0]))
@@ -74,11 +74,11 @@ def test_corrected_operator_exactness(alpha, m):
     g = wsgl_weights(alpha, 100)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        W = starting_weight_table(alpha, cset, g, 100)
+        W = starting_weight_table(alpha, cset, 100)
     ks = np.arange(101, dtype=float)
     for s in cset.sigmas:
         U = ks**s
-        vals = np.convolve(g.g, U)[:101] + W @ U[1 : m + 1]
+        vals = np.convolve(g, U)[:101] + W @ U[1 : m + 1]
         exact = np.array([rl_deriv_power(alpha, s, n) for n in ks[1:]])
         rel = np.abs(vals[1:] - exact) / np.maximum(1.0, np.abs(exact))
         assert rel.max() <= 1e-9
@@ -88,8 +88,7 @@ def test_starting_weight_decay_rate():
     # rows decay like the sum of n^(sigma_k - 2 - alpha) tails
     alpha = 0.5
     cset = CorrectionSet((0.5, 1.0, 1.5))
-    g = wsgl_weights(alpha, 300)
-    W = starting_weight_table(alpha, cset, g, 300)
+    W = starting_weight_table(alpha, cset, 300)
     ns = np.arange(16, 257, dtype=float)
     bound = sum(ns ** (s - 2.0 - alpha) for s in cset.sigmas)
     for r in range(cset.m):
@@ -101,20 +100,20 @@ def test_d1_u_exact_for_matching_powers():
     cset2 = CorrectionSet((2.0,))
     cset1 = CorrectionSet((1.0,))
     for n in (1, 4, 9):
-        assert starting_weights_d1_u(cset2, 1, n)[0] == pytest.approx(0.0, abs=1e-13)
-        assert starting_weights_d1_u(cset1, 1, n)[0] == pytest.approx(0.0, abs=1e-13)
+        assert d1_u_weight_table(cset2, 1, n)[n, 0] == pytest.approx(0.0, abs=1e-13)
+        assert d1_u_weight_table(cset1, 1, n)[n, 0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_d1_u_fractional_power_value():
     # direct arithmetic oracle for sigma = 2.5, n = 4
     expected = 1.25 * (5.0**1.5 + 4.0**1.5) - (5.0**2.5 - 4.0**2.5)
-    w = starting_weights_d1_u(CorrectionSet((2.5,)), 1, 4)
+    w = d1_u_weight_table(CorrectionSet((2.5,)), 1, 4)[4]
     assert w[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_d1_v_exact_for_matching_powers():
     for sigma in (3.0, 2.0):  # effective exponents 2 and 1
-        w = starting_weights_d1_v(CorrectionSet((sigma,)), 1, 5)
+        w = d1_v_weight_table(CorrectionSet((sigma,)), 1, 5)[5]
         assert w[0] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -123,7 +122,7 @@ def test_d1_v_fractional_power_value():
     s = 2.5
     n = 4
     expected = s / 2.0 * ((n + 1.0) ** (s - 1.0) + n ** (s - 1.0)) - ((n + 1.0) ** s - n**s)
-    w = starting_weights_d1_v(CorrectionSet((3.5,)), 1, n)
+    w = d1_v_weight_table(CorrectionSet((3.5,)), 1, n)[n]
     assert w[0] == pytest.approx(expected, rel=1e-13)
 
 
@@ -132,8 +131,8 @@ def test_d1_tables_match_rows():
     Wu = d1_u_weight_table(cset, 3, 20)
     Wv = d1_v_weight_table(cset, 2, 20)
     for n in (0, 3, 20):
-        np.testing.assert_allclose(Wu[n], starting_weights_d1_u(cset, 3, n), atol=1e-14)
-        np.testing.assert_allclose(Wv[n], starting_weights_d1_v(cset, 2, n), atol=1e-14)
+        np.testing.assert_allclose(Wu[n], d1_weights_step((2.0, 2.5, 3.5), n), atol=1e-14)
+        np.testing.assert_allclose(Wv[n], d1_weights_step((1.0, 1.5), n), atol=1e-14)
 
 
 def test_d1_corrections_keep_native_t2_exactness():
@@ -150,7 +149,7 @@ def test_d1_corrections_keep_native_t2_exactness():
 
 
 def test_corrected_apply_empty_set_is_plain_operator():
-    path = SampledPath.from_function(lambda t: t**1.7, 0.05, 1.0)
+    path = sample(lambda t: t**1.7, 0.05, 1.0)
     empty = CorrectionSet(())
     for n in (1, 5, 20):
         assert corrected_wsgl_apply(path, 0.5, empty, n) == apply_wsgl_pair(path, 0.5, 0, -1, n)
@@ -160,7 +159,7 @@ def test_corrected_apply_reproduces_power_derivative():
     alpha = 0.5
     cset = CorrectionSet((0.5, 1.0))
     tau = 0.02
-    path = SampledPath.from_function(lambda t: t**0.5, tau, 1.0)
+    path = sample(lambda t: t**0.5, tau, 1.0)
     for n in (2, 10, 50):
         val = corrected_wsgl_apply(path, alpha, cset, n)
         exact = rl_deriv_power(alpha, 0.5, n * tau)
@@ -170,13 +169,12 @@ def test_corrected_apply_reproduces_power_derivative():
 def _operator_error_profile(alpha, m, tau, n_t, exponent):
     t = np.arange(n_t + 1) * tau
     U = t**exponent
-    g = wsgl_weights(alpha, n_t)
-    vals = tau ** (-alpha) * np.convolve(g.g, U)[: n_t + 1]
+    vals = tau ** (-alpha) * np.convolve(wsgl_weights(alpha, n_t), U)[: n_t + 1]
     if m:
         cset = CorrectionSet(tuple(k * alpha for k in range(1, m + 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            W = starting_weight_table(alpha, cset, g, n_t)
+            W = starting_weight_table(alpha, cset, n_t)
         vals = vals + tau ** (-alpha) * (W @ U[1 : m + 1])
     exact = np.zeros(n_t + 1)
     exact[1:] = rl_deriv_power(alpha, exponent, 1.0) * t[1:] ** (exponent - alpha)
@@ -234,9 +232,8 @@ def test_condition_number_monotone_in_m():
 
 def test_ill_conditioning_warning():
     cset = CorrectionSet(tuple(0.05 * k for k in range(1, 9)))  # cond ~ 2e14
-    g = wsgl_weights(0.05, 8)
     with pytest.warns(UserWarning):
-        starting_weights_fractional(0.05, cset, g, 4)
+        starting_weight_table(0.05, cset, 4)
 
 
 def test_s_factor_values():

@@ -15,7 +15,7 @@ from fracstep.fode import (
     two_term_sigma_rule,
     _trap_a0,
 )
-from fracstep.glweights import SampledPath, _wsgl_cached
+from fracstep.glweights import SampledPath, wsgl_weights
 from fracstep.corrections import starting_weight_table
 from fracstep.problems import (
     nonlinear_cubic_problem,
@@ -97,8 +97,8 @@ def test_startup_block_is_fixed_point():
     for n in range(1, m + 1):
         lhs = 0.0
         for nu, a in zip(prob.nu, prob.alphas):
-            g = _wsgl_cached(a, n_t).g
-            W = starting_weight_table(a, cset, _wsgl_cached(a, n_t), n_t)
+            g = wsgl_weights(a, n_t)
+            W = starting_weight_table(a, cset, n_t)
             conv = float(np.dot(g[: n + 1][::-1], yhat[: n + 1]))
             corr = float(np.dot(W[n], yhat[1 : m + 1]))
             lhs += nu * tau ** (-a) * (conv + corr)

@@ -3,30 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from fracstep.glweights import (
-    SampledPath,
-    apply_shifted_gl,
-    apply_wsgl_pair,
-    gl_weights,
-    rl_deriv_power,
-    wsgl_weights,
-)
+from fracstep.glweights import SampledPath, gl_weights, rl_deriv_power, wsgl_weights
 from fracstep.specfun import gamma
+from oracles import apply_shifted_gl, apply_wsgl_pair, sample
 
 
 def test_gl_weights_alpha_one_is_first_difference():
-    np.testing.assert_allclose(gl_weights(1.0, 3).omega, [1.0, -1.0, 0.0, 0.0], atol=0.0)
+    np.testing.assert_allclose(gl_weights(1.0, 3), [1.0, -1.0, 0.0, 0.0], atol=0.0)
 
 
 def test_gl_weights_examples():
-    np.testing.assert_allclose(gl_weights(0.5, 2).omega, [1.0, -0.5, -0.125], rtol=1e-15)
-    np.testing.assert_allclose(gl_weights(0.3, 2).omega, [1.0, -0.3, -0.105], rtol=1e-14)
+    np.testing.assert_allclose(gl_weights(0.5, 2), [1.0, -0.5, -0.125], rtol=1e-15)
+    np.testing.assert_allclose(gl_weights(0.3, 2), [1.0, -0.3, -0.105], rtol=1e-14)
 
 
 def test_gl_weights_recurrence_and_signs():
     rng = np.random.default_rng(11)
     for alpha in rng.uniform(0.05, 0.99, size=20):
-        om = gl_weights(alpha, 50).omega
+        om = gl_weights(alpha, 50)
         assert om[0] == 1.0
         for k in range(1, 51):
             assert om[k] == pytest.approx((1.0 - (alpha + 1.0) / k) * om[k - 1], rel=1e-15)
@@ -37,19 +31,19 @@ def test_gl_weights_recurrence_and_signs():
 
 def test_gl_partial_sums_positive_decreasing():
     for alpha in (0.1, 0.5, 0.9):
-        sums = np.cumsum(gl_weights(alpha, 400).omega)
+        sums = np.cumsum(gl_weights(alpha, 400))
         assert np.all(sums > 0)
         assert np.all(np.diff(sums) < 0)
 
 
 def test_wsgl_weights_examples():
-    np.testing.assert_allclose(wsgl_weights(1.0, 2).g, [1.5, -2.0, 0.5], atol=1e-15)
-    np.testing.assert_allclose(wsgl_weights(0.5, 2).g, [1.25, -0.875, -0.03125], rtol=1e-15)
-    np.testing.assert_allclose(wsgl_weights(0.0, 2).g, [1.0, 0.0, 0.0], atol=0.0)
+    np.testing.assert_allclose(wsgl_weights(1.0, 2), [1.5, -2.0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(wsgl_weights(0.5, 2), [1.25, -0.875, -0.03125], rtol=1e-15)
+    np.testing.assert_allclose(wsgl_weights(0.0, 2), [1.0, 0.0, 0.0], atol=0.0)
 
 
 def test_wsgl_alpha_one_equals_bdf2_weights():
-    g = wsgl_weights(1.0, 30).g
+    g = wsgl_weights(1.0, 30)
     expected = np.zeros(31)
     expected[:3] = [1.5, -2.0, 0.5]
     assert np.max(np.abs(g - expected)) <= 1e-15
@@ -61,11 +55,13 @@ def test_wsgl_generating_function_convolution_bitwise():
     rng = np.random.default_rng(101)
     for alpha in rng.uniform(1e-6, 1.0, size=100):
         K = 64
-        om = gl_weights(alpha, K).omega
+        om = gl_weights(alpha, K)
         factor = np.array([(2.0 + alpha) / 2.0, -alpha / 2.0])
         conv = np.convolve(om, factor)[: K + 1]
-        g = wsgl_weights(alpha, K).g
+        g = wsgl_weights(alpha, K)
         assert np.array_equal(conv, g)
+        # a longer table is a bitwise extension of a shorter one
+        assert np.array_equal(wsgl_weights(alpha, 4 * K)[: K + 1], g)
 
 
 def test_apply_shifted_gl_constant_path():
@@ -76,7 +72,7 @@ def test_apply_shifted_gl_constant_path():
 
 def test_apply_shifted_gl_linear_alpha_one():
     tau = 0.125
-    path = SampledPath.from_function(lambda t: t, tau, 1.0)
+    path = sample(lambda t: t, tau, 1.0)
     for n in (1, 4, 8):
         assert apply_shifted_gl(path, 1.0, 0, n) == pytest.approx(1.0, rel=1e-12)
 
@@ -107,7 +103,7 @@ def test_apply_wsgl_pair_matches_g_convolution():
     vals[0] = 0.0
     path = SampledPath(tau, vals)
     alpha = 0.6
-    g = wsgl_weights(alpha, 20).g
+    g = wsgl_weights(alpha, 20)
     for n in (1, 7, 20):
         direct = tau ** (-alpha) * np.dot(g[: n + 1][::-1], vals[: n + 1])
         assert apply_wsgl_pair(path, alpha, 0, -1, n) == pytest.approx(direct, rel=1e-13)
@@ -116,7 +112,7 @@ def test_apply_wsgl_pair_matches_g_convolution():
 def test_apply_wsgl_pair_power_oracle():
     # t^2.5 at t=1: second-order quadrature against the closed form
     tau = 1.0 / 1024.0
-    path = SampledPath.from_function(lambda t: t**2.5, tau, 1.0)
+    path = sample(lambda t: t**2.5, tau, 1.0)
     val = apply_wsgl_pair(path, 0.5, 0, -1, 1024)
     exact = rl_deriv_power(0.5, 2.5, 1.0)
     assert exact == pytest.approx(gamma(3.5) / gamma(3.0), rel=1e-15)
@@ -131,7 +127,7 @@ def test_apply_wsgl_pair_zero_path():
 def test_wsgl_alpha_one_exact_on_quadratic():
     tau = 2.0**-6
     T = 1.0
-    path = SampledPath.from_function(lambda t: t * t, tau, T)
+    path = sample(lambda t: t * t, tau, T)
     val = apply_wsgl_pair(path, 1.0, 0, -1, path.n_steps)
     assert val == pytest.approx(2.0 * T, rel=1e-12)  # BDF2 exact for quadratics
 
@@ -154,7 +150,7 @@ def test_shifted_gl_leading_error_cancellation(sigma, alpha, q):
     for p in (8, 9, 10):
         tau = 2.0**-p
         n = int(round(1.0 / tau))
-        path = SampledPath.from_function(lambda t: t**sigma, tau, (n + 1) * tau)
+        path = sample(lambda t: t**sigma, tau, (n + 1) * tau)
         B = apply_shifted_gl(path, alpha, q, n)
         correction = tau * (q - alpha / 2.0) * gamma(sigma + 1.0) / gamma(sigma - alpha)
         resid.append(abs(B - rl_deriv_power(alpha, sigma, 1.0) - correction))

@@ -1,9 +1,11 @@
+import ast
 import math
-import os
+import pathlib
 
 import numpy as np
 import pytest
 
+import fracstep
 from fracstep.cli import main as cli_main
 from fracstep.harness import (
     ConvergenceTable,
@@ -11,7 +13,6 @@ from fracstep.harness import (
     parse_config,
     run_study,
     sigma_list,
-    worker_count,
 )
 
 
@@ -96,17 +97,8 @@ def test_csv_deterministic_and_consistent(tmp_path):
     (study,) = parse_config(path)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    old = os.environ.get("FRACSTEP_WORKERS")
-    try:
-        os.environ["FRACSTEP_WORKERS"] = "1"
-        run_study(study, str(out1))
-        os.environ["FRACSTEP_WORKERS"] = "4"
-        run_study(study, str(out2))
-    finally:
-        if old is None:
-            os.environ.pop("FRACSTEP_WORKERS", None)
-        else:
-            os.environ["FRACSTEP_WORKERS"] = old
+    run_study(study, str(out1))
+    run_study(study, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
     # orders recomputed from the emitted errors match the emitted orders
     lines = out1.read_text().strip().splitlines()
@@ -170,16 +162,6 @@ def test_operator_study(tmp_path):
     assert len(table.rows) == 100
     tail = np.array([[float(r[1]), float(r[2])] for r in table.rows if float(r[0]) >= 0.2])
     assert tail[:, 1].max() < tail[:, 0].max()
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("FRACSTEP_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("FRACSTEP_WORKERS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("FRACSTEP_WORKERS")
-    assert worker_count() >= 1
 
 
 def test_cli_roundtrip(tmp_path, capsys):
@@ -246,24 +228,19 @@ def test_wave_forced_study_self_reference(tmp_path):
     assert len(table.errors("a0.5_m1", "final")) == 2
 
 
-def test_fode_reference_cache_roundtrip(tmp_path):
-    cache = tmp_path / "ref.csv"
-    base = (
-        "[c]\nkind = fode\nproblem = nonlinear_cubic\nalphas = 0.7 0.5\nt_end = 1\n"
-        "taus = 2^-4\ncolumns = 0\nsigma_rule = twoterm\nnorms = final\n"
-        f"reference = trapezoidal:2^-8\ncache_file = {cache}\n"
-    )
-    path = _write(tmp_path, "cache.ini", base)
-    (study,) = parse_config(path)
-    t1 = run_study(study)
-    assert cache.exists()
-    t2 = run_study(study)  # second run loads the cache
-    assert t1.errors("m0", "final") == pytest.approx(t2.errors("m0", "final"), rel=1e-12)
+def test_package_has_no_cross_module_private_imports():
+    # weights and helpers are shared through public names only, and every
+    # exported name resolves
+    offenders = []
+    for path in sorted(pathlib.Path(fracstep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+    assert [name for name in fracstep.__all__ if not hasattr(fracstep, name)] == []
 
 
 def test_shipped_study_configs_parse():
-    import pathlib
-
     here = pathlib.Path(__file__).resolve().parent.parent / "studies"
     files = sorted(here.glob("*.ini"))
     assert files, "study configs missing"

@@ -9,7 +9,7 @@ from fracstep.corrections import (
     d1_v_weight_table,
     starting_weight_table,
 )
-from fracstep.glweights import _wsgl_cached
+from fracstep.glweights import wsgl_weights
 from fracstep.problems import (
     subdiffusion_forced_problem,
     two_zone_unit_mesh,
@@ -117,11 +117,9 @@ def test_wave_scheme_equation_residual():
     u = hist.u[:, I]
     v = hist.v[:, I]
     alpha, nu, mu = prob.alpha, prob.nu, prob.mu
-    g = _wsgl_cached(alpha, n_t + 1).g
+    g = wsgl_weights(alpha, n_t + 1)
     sc = tau**-alpha
-    Wv3 = starting_weight_table(
-        alpha, sigma.truncated(m3).shifted(-1.0), _wsgl_cached(alpha, n_t + 1), n_t + 1
-    )
+    Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1)
     Wu1 = d1_u_weight_table(sigma, m1, n_t)
     Wv2 = d1_v_weight_table(sigma, m2, n_t)
     x = mesh.nodes[I]
@@ -178,6 +176,13 @@ def test_wave_precondition_errors(small_mesh):
         solve_wave(prob, 2.0**-4, (2.0, 3.1), 2, 0, 0)  # sigma_m1 > 3
     with pytest.raises(ValueError):
         solve_wave(prob, 0.3, ())  # tau does not divide T
+
+
+def test_wave_v_corrections_need_sigma_at_least_two():
+    # the V-difference rows use exponents sigma_r - 1, and row 0 holds
+    # 0^(sigma_r - 2): sigma_r < 2 must fail before any inf reaches a solve
+    with pytest.raises(ValueError, match="sigma_r >= 2"):
+        solve_wave(wave_forced_problem(0.5), 2**-4, (1.5, 2.0), 2, 2, 2)
 
 
 def test_wave_l1_baseline_exact_for_linear_time():
@@ -250,10 +255,10 @@ def test_subdiffusion_scheme_equation_residual():
     S = forms.stiffness0()
     n_t = hist.n_steps
     uh = hist.u[:, I] - hist.u[0, I]
-    g1 = _wsgl_cached(0.75, n_t).g
-    g2 = _wsgl_cached(0.5, n_t).g
-    W1 = starting_weight_table(0.75, sig, _wsgl_cached(0.75, n_t), n_t)
-    W2 = starting_weight_table(0.5, sig, _wsgl_cached(0.5, n_t), n_t)
+    g1 = wsgl_weights(0.75, n_t)
+    g2 = wsgl_weights(0.5, n_t)
+    W1 = starting_weight_table(0.75, sig, n_t)
+    W2 = starting_weight_table(0.5, sig, n_t)
     s1, s2 = tau**-0.75, tau**-0.5
     x = mesh.nodes[I]
     scale = max(1.0, float(np.max(np.abs(hist.u))) * max(s1, s2))
