@@ -42,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     kind = _SUBCOMMANDS[args.command]
+    where = args.config
     try:
         studies = [s for s in parse_config(args.config) if s.kind == kind]
         if not studies:
@@ -49,11 +50,12 @@ def main(argv=None) -> int:
             return 2
         out = Path(args.out)
         for study in studies:
+            where = f"study [{study.name}]"
             target = out if len(studies) == 1 else out.with_name(f"{out.stem}-{study.name}{out.suffix}")
             run_study(study, str(target))
             print(f"{study.name}: wrote {target}")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error in study run: {exc}", file=sys.stderr)
+        print(f"error in {where}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -145,10 +145,15 @@ def d1_u_weight_table(cset: CorrectionSet, m1: int, n_max: int) -> np.ndarray:
 
         sum_k u_{n,k} k^{s_r} = s_r/2 ((n+1)^{s_r-1} + n^{s_r-1})
                                 - ((n+1)^{s_r} - n^{s_r}).
+
+    Row 0 holds 0^(sigma_r - 1), so sigma_r >= 1 is required.
     """
     if m1 == 0:
         return np.zeros((n_max + 1, 0))
-    return _d1_table(cset.truncated(m1).sigmas, n_max)
+    sigmas = cset.truncated(m1).sigmas
+    if any(s < 1.0 for s in sigmas):
+        raise ValueError(f"U-difference corrections need sigma_r >= 1, got sigma = {sigmas}")
+    return _d1_table(sigmas, n_max)
 
 
 def d1_v_weight_table(cset: CorrectionSet, m2: int, n_max: int) -> np.ndarray:

@@ -9,7 +9,8 @@ operator applied to y - y0 per term, solved implicitly step by step.  The
 first m steps couple through the starting weights and are solved as one block
 (Newton on the nonlinearity, direct solve of the linear part).  L1 and
 product-trapezoidal discretizations are provided as baselines and reference
-generators.
+generators.  The corrected-WSGL and L1 schemes share one march over the
+memory terms of ``fracstep.memory``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .corrections import CorrectionSet, starting_weight_table
 from .glweights import SampledPath, l1_weights, step_count, wsgl_weights
+from .memory import Term, diagonal, history, startup_matrix
 from .specfun import gamma
 
 __all__ = [
@@ -74,20 +76,21 @@ class MultiTermProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, per-term correction sets and the tolerances of the coupled
-    startup block and per-step solves.  ``corrections`` may be a single
-    CorrectionSet (shared by all terms), a sequence of per-term sets, or None."""
+    """Time step, per-term correction sets, the Newton tolerance of the
+    coupled startup block and the Newton iteration cap of the startup block
+    and the per-step solves.  ``corrections`` may be a single CorrectionSet
+    (shared by all terms), a sequence of per-term sets, or None."""
 
     tau: float
     corrections: object = None
-    picard_tol: float = 1e-14
-    picard_max_iters: int = 100
+    newton_tol: float = 1e-14
+    newton_max_iters: int = 100
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau > 0 required")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol > 0 required")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol > 0 required")
 
     def per_term_sets(self, n_terms: int) -> list[CorrectionSet]:
         empty = CorrectionSet(())
@@ -116,33 +119,82 @@ def _fd_slope(f, t: float, y: float) -> float:
     return (f(t, y + h) - f(t, y - h)) / (2.0 * h)
 
 
-def _newton_scalar(resfun, dres_dy, y_start: float, tol: float, max_iters: int,
-                   picard=None) -> float:
-    """Scalar Newton with an optional Picard fallback."""
-    y = y_start
+def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, guess: float,
+                   max_iters: int) -> float:
+    """Solve a*x + known = b*f(t_n, y0 + x) for x: Newton with a
+    finite-difference slope from ``guess``, then Picard iteration from
+    ``guess`` if Newton fails."""
+    tol = 1e-13
+    x = guess
     for _ in range(max_iters):
-        r = resfun(y)
-        if abs(r) <= tol * max(1.0, abs(y)):
-            return y
-        d = dres_dy(y)
+        r = a * x + known - b * f(t_n, y0 + x)
+        if abs(r) <= tol * max(1.0, abs(x)):
+            return x
+        d = a - b * _fd_slope(f, t_n, y0 + x)
         if d == 0.0:
             break
-        y_new = y - r / d
-        if not math.isfinite(y_new):
+        x_new = x - r / d
+        if not math.isfinite(x_new):
             break
-        if abs(y_new - y) <= tol * max(1.0, abs(y_new)):
-            return y_new
-        y = y_new
-    if picard is not None:
-        y = y_start
-        for _ in range(max_iters):
-            y_new = picard(y)
-            if not math.isfinite(y_new):
-                break
-            if abs(y_new - y) <= tol * max(1.0, abs(y_new)):
-                return y_new
-            y = y_new
-    raise ConvergenceError("implicit step solve did not converge")
+        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
+            return x_new
+        x = x_new
+    x = guess
+    for _ in range(max_iters):
+        x_new = (b * f(t_n, y0 + x) - known) / a
+        if not math.isfinite(x_new):
+            break
+        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
+            return x_new
+        x = x_new
+    raise ConvergenceError("implicit step did not converge")
+
+
+def _startup_block(f, y0: float, tau: float, L: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+    """Newton iteration on the coupled steps 1..m: L x = f(t_r, y0 + x_r)."""
+    m = len(L)
+    ts = np.arange(1, m + 1) * tau
+    x = np.zeros(m)
+    for _ in range(max_iters):
+        res = L @ x - np.array([f(ts[i], y0 + x[i]) for i in range(m)])
+        if np.max(np.abs(res)) <= tol * max(1.0, float(np.max(np.abs(x)))):
+            return x
+        J = L - np.diag([_fd_slope(f, ts[i], y0 + x[i]) for i in range(m)])
+        try:
+            dx = np.linalg.solve(J, res)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("singular startup Jacobian") from exc
+        x = x - dx
+        if not np.all(np.isfinite(x)):
+            raise ConvergenceError("startup iteration diverged")
+        if np.max(np.abs(dx)) <= tol * max(1.0, float(np.max(np.abs(x)))):
+            return x
+    raise ConvergenceError(f"startup block did not converge in {max_iters} iterations")
+
+
+def _march(problem: MultiTermProblem, tau: float, terms, m: int, tol: float, max_iters: int,
+           solver: str) -> SampledPath:
+    """March yhat = y - y0 through  a yhat^n + history = f(t_n, y0 + yhat^n),
+    with the memory ``terms`` of sum_j nu_j D^{alpha_j}.  Steps 1..m couple
+    through the starting weights and are solved as one block."""
+    n_t = step_count(tau, problem.T)
+    f, y0 = problem.rhs, problem.y0
+    yhat = np.zeros(n_t + 1)
+    if m >= 1:
+        if n_t < m:
+            raise ValueError("horizon too short for the correction stencil")
+        try:
+            yhat[1 : m + 1] = _startup_block(f, y0, tau, startup_matrix(terms, m)[1:], tol, max_iters)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: {exc}") from exc
+    a = diagonal(terms)
+    try:
+        for n in range(m + 1, n_t + 1):
+            known = history(terms, yhat, n)
+            yhat[n] = _implicit_step(f, n * tau, y0, a, known, 1.0, yhat[n - 1], max_iters)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc
+    return SampledPath(tau, yhat + y0)
 
 
 def solve_corrected_wsgl(problem: MultiTermProblem, config: SolverConfig) -> SampledPath:
@@ -156,79 +208,13 @@ def solve_corrected_wsgl(problem: MultiTermProblem, config: SolverConfig) -> Sam
     tau = config.tau
     n_t = step_count(tau, problem.T)
     csets = config.per_term_sets(problem.n_terms)
-    m = max(cs.m for cs in csets)
-    f = problem.rhs
-    y0 = problem.y0
-
-    gs = [wsgl_weights(a, n_t) for a in problem.alphas]
-    Ws = [
-        starting_weight_table(a, cs, n_t) if cs.m else None
-        for a, cs in zip(problem.alphas, csets)
+    terms = [
+        Term(nu * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, cs, n_t) if cs.m else None)
+        for nu, a, cs in zip(problem.nu, problem.alphas, csets)
     ]
-    scales = [nu * tau ** (-a) for nu, a in zip(problem.nu, problem.alphas)]
-    c_diag = sum(s * g[0] for s, g in zip(scales, gs))
-
-    yhat = np.zeros(n_t + 1)
-
-    if m >= 1:
-        if n_t < m:
-            raise ValueError("horizon too short for the correction stencil")
-        # linear part of the coupled startup block: rows n = 1..m
-        L = np.zeros((m, m))
-        for g, W, s, cs in zip(gs, Ws, scales, csets):
-            for n in range(1, m + 1):
-                for r in range(1, m + 1):
-                    if W is not None and r <= cs.m:
-                        L[n - 1, r - 1] += s * W[n, r - 1]
-                    if r <= n:
-                        L[n - 1, r - 1] += s * g[n - r]
-        ts = np.arange(1, m + 1) * tau
-        x = np.zeros(m)
-        tol = config.picard_tol
-        converged = False
-        for _ in range(config.picard_max_iters):
-            res = L @ x - np.array([f(ts[i], y0 + x[i]) for i in range(m)])
-            if np.max(np.abs(res)) <= tol * max(1.0, float(np.max(np.abs(x)))):
-                converged = True
-                break
-            J = L - np.diag([_fd_slope(f, ts[i], y0 + x[i]) for i in range(m)])
-            try:
-                dx = np.linalg.solve(J, res)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("singular startup Jacobian") from exc
-            x = x - dx
-            if not np.all(np.isfinite(x)):
-                raise ConvergenceError("startup iteration diverged")
-            if np.max(np.abs(dx)) <= tol * max(1.0, float(np.max(np.abs(x)))):
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"startup block did not converge in {config.picard_max_iters} iterations"
-            )
-        yhat[1 : m + 1] = x
-
-    for n in range(m + 1, n_t + 1):
-        known = 0.0
-        for g, W, s, cs in zip(gs, Ws, scales, csets):
-            known += s * float(np.dot(g[1 : n + 1][::-1], yhat[:n]))
-            if W is not None and cs.m:
-                known += s * float(np.dot(W[n], yhat[1 : cs.m + 1]))
-        tn = n * tau
-
-        def res(x):
-            return c_diag * x + known - f(tn, y0 + x)
-
-        def slope(x):
-            return c_diag - _fd_slope(f, tn, y0 + x)
-
-        def picard(x):
-            return (f(tn, y0 + x) - known) / c_diag
-
-        guess = yhat[n - 1]
-        yhat[n] = _newton_scalar(res, slope, guess, 1e-13, config.picard_max_iters, picard)
-
-    return SampledPath(tau, yhat + y0)
+    m = max(cs.m for cs in csets)
+    return _march(problem, tau, terms, m, config.newton_tol, config.newton_max_iters,
+                  "solve_corrected_wsgl")
 
 
 def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
@@ -238,30 +224,8 @@ def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
         sum_j nu_j sum_{k=0}^{n-1} b^{(a_j)}_{n-k-1} (y^{k+1} - y^k) = f(t_n, y^n).
     """
     n_t = step_count(tau, problem.T)
-    f = problem.rhs
-    bs = [l1_weights(a, n_t, tau) for a in problem.alphas]
-    y = np.empty(n_t + 1)
-    y[0] = problem.y0
-    c_diag = sum(nu * b[0] for nu, b in zip(problem.nu, bs))
-    for n in range(1, n_t + 1):
-        d = np.diff(y[:n])
-        hist = sum(
-            nu * float(np.dot(b[1:n][::-1], d)) for nu, b in zip(problem.nu, bs)
-        )
-        tn = n * tau
-        prev = y[n - 1]
-
-        def res(x):
-            return c_diag * (x - prev) + hist - f(tn, x)
-
-        def slope(x):
-            return c_diag - _fd_slope(f, tn, x)
-
-        def picard(x):
-            return prev + (f(tn, x) - hist) / c_diag
-
-        y[n] = _newton_scalar(res, slope, prev, 1e-13, 200, picard)
-    return SampledPath(tau, y)
+    terms = [Term(nu, l1_weights(a, n_t, tau)) for nu, a in zip(problem.nu, problem.alphas)]
+    return _march(problem, tau, terms, 0, 1e-13, 200, "solve_l1")
 
 
 def _trap_kernel(alpha: float, n_t: int, tau: float) -> np.ndarray:
@@ -304,28 +268,23 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
     y0 = problem.y0
     cd = _trap_kernel(delta, n_t, tau)
     cf = _trap_kernel(a1, n_t, tau)
-    ann_d = tau**delta / gamma(2.0 + delta)
-    ann_f = tau**a1 / gamma(2.0 + a1)
-    y = np.empty(n_t + 1)
-    y[0] = y0
+    a = 1.0 + tau**delta / gamma(2.0 + delta)
+    b = tau**a1 / gamma(2.0 + a1)
+    yhat = np.zeros(n_t + 1)
     fvals = np.empty(n_t + 1)
     fvals[0] = f(0.0, y0)
-    for n in range(1, n_t + 1):
-        # known history: k = 1..n-1 via the convolution kernels, k = 0 via a0
-        hist_d = float(np.dot(cd[1:n][::-1], y[1:n] - y0))
-        hist_f = float(np.dot(cf[1:n][::-1], fvals[1:n])) + _trap_a0(a1, n, tau) * fvals[0]
-        # a0-term of the y-history vanishes since y^0 - y0 = 0
-        tn = n * tau
-
-        def res(x):
-            return (x - y0) + hist_d + ann_d * (x - y0) - hist_f - ann_f * f(tn, x)
-
-        def slope(x):
-            return 1.0 + ann_d - ann_f * _fd_slope(f, tn, x)
-
-        y[n] = _newton_scalar(res, slope, y[n - 1], 1e-13, 200, None)
-        fvals[n] = f(tn, y[n])
-    return SampledPath(tau, y)
+    try:
+        for n in range(1, n_t + 1):
+            # known history: k = 1..n-1 via the convolution kernels, k = 0 via
+            # a0 (the k = 0 term of the yhat-history vanishes since yhat^0 = 0)
+            hist_d = float(np.dot(cd[1:n][::-1], yhat[1:n]))
+            hist_f = float(np.dot(cf[1:n][::-1], fvals[1:n])) + _trap_a0(a1, n, tau) * fvals[0]
+            tn = n * tau
+            yhat[n] = _implicit_step(f, tn, y0, a, hist_d - hist_f, b, yhat[n - 1], 200)
+            fvals[n] = f(tn, y0 + yhat[n])
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"solve_trapezoidal: step {n}, t = {n * tau:g}: {exc}") from exc
+    return SampledPath(tau, yhat + y0)
 
 
 def error_report(path: SampledPath, exact) -> ErrorReport:

@@ -97,10 +97,15 @@ def wsgl_weights(alpha: float, K: int) -> np.ndarray:
 
 
 def l1_weights(alpha: float, n: int, tau: float) -> np.ndarray:
-    """L1 kernel weights b_k = tau^(-alpha)/Gamma(2-alpha) ((k+1)^(1-alpha) - k^(1-alpha)),
-    k = 0..n-1, of the Caputo quadrature sum_k b_{n-k-1} (y^{k+1} - y^k)."""
-    k = np.arange(n, dtype=float)
-    return tau ** (-alpha) / gamma(2.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha))
+    """L1 convolution weights c_0..c_n in value form: c_0 = b_0 and
+    c_j = b_j - b_{j-1}, where b_k = tau^(-alpha)/Gamma(2-alpha)
+    ((k+1)^(1-alpha) - k^(1-alpha)).  Summation by parts turns the Caputo
+    quadrature sum_k b_{n-k-1} (y^{k+1} - y^k) into sum_{k=1}^n c_{n-k} (y^k - y^0)."""
+    k = np.arange(n + 1, dtype=float)
+    b = tau ** (-alpha) / gamma(2.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha))
+    c = b.copy()
+    c[1:] -= b[:-1]
+    return c
 
 
 def rl_deriv_power(alpha: float, sigma: float, t: float) -> float:

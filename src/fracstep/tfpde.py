@@ -17,6 +17,8 @@ Both start from the H1 projection of the initial data; the first
 max(m1, m2, m3) steps couple through the starting weights and are solved as a
 single dense block (the equations are linear in the unknowns).  L1-in-time
 baselines with the same spatial kernel are included for comparison studies.
+Every fractional term, WSGL or L1, is a ``fracstep.memory`` term; the two
+subdiffusion schemes share one march.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .corrections import (
     starting_weight_table,
 )
 from .glweights import l1_weights, step_count, wsgl_weights
+from .memory import Term, diagonal, history, startup_matrix
 from .sem import SpectralMesh, h1_projection
 
 __all__ = [
@@ -123,6 +126,12 @@ def _full(mesh: SpectralMesh, interior_rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _space(mesh: SpectralMesh):
+    """Diagonal mass, stiffness matrix and interior indices of the mesh."""
+    forms = mesh.forms()
+    return forms.mass0(), forms.stiffness0(), mesh.interior
+
+
 def _source_rows(problem, mesh: SpectralMesh, n_t: int, tau: float) -> np.ndarray:
     x = mesh.nodes[mesh.interior]
     rows = np.empty((n_t + 1, len(x)))
@@ -167,149 +176,135 @@ def solve_wave(
     m = max(m1, m2, m3)
     if m and n_t <= m:
         raise ValueError("horizon too short for the correction stencil")
-
-    forms = mesh.forms()
-    I = mesh.interior
-    Md = forms.mass0()
-    S = forms.stiffness0()
-    d = len(I)
+    Md, S, I = _space(mesh)
 
     g = wsgl_weights(alpha, n_t + 1)
     sc = tau ** (-alpha)
     Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1) if m3 else None
-    Wu1 = d1_u_weight_table(sigma, m1, n_t) if m1 else None
-    Wv2 = d1_v_weight_table(sigma, m2, n_t) if m2 else None
-
-    u0 = h1_projection(problem.phi0, mesh)[I]
-    v0 = h1_projection(problem.psi0, mesh)[I]
+    mem = [Term(sc, g, Wv3)]
+    Wu1 = d1_u_weight_table(sigma, m1, n_t)
+    Wv2 = d1_v_weight_table(sigma, m2, n_t)
     fr = _source_rows(problem, mesh, n_t, tau)
 
-    u = np.zeros((n_t + 1, d))
-    v = np.zeros((n_t + 1, d))
-    u[0], v[0] = u0, v0
-
-    step_mat = np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S
-    step_fac = cho_factor(step_mat)
-
-    def u_corr(n):
-        """Correction sum of the trapezoid U-update at step n."""
-        if not m1:
-            return 0.0
-        acc = np.zeros(d)
-        for r in range(1, m1 + 1):
-            acc += Wu1[n, r - 1] * (u[r] - u[0] - (r * tau) * v[0])
-        return acc
-
-    def frac_terms(n, vhat):
-        """Known parts of (A^{n+1} + A^n) applied to vhat, excluding the
-        implicit g_0 * vhat^{n+1} contribution."""
-        acc_n = sc * (vhat[:n].T @ g[n:0:-1]) + sc * g[0] * vhat[n]
-        acc_n1 = sc * (vhat[: n + 1].T @ g[n + 1 : 0 : -1])
-        if m3:
-            w = Wv3[n] + Wv3[n + 1]
-            acc = acc_n + acc_n1 + sc * (vhat[1 : m3 + 1].T @ w)
-        else:
-            acc = acc_n + acc_n1
-        return acc
-
-    def rhs_vector(n):
-        vhat = v - v[0]
-        acc = frac_terms(n, vhat)
-        out = Md * (v[n] / tau) - 0.5 * nu * Md * acc
-        # the implicit g_0 * vhat^{n+1} term sits in the step matrix acting on
-        # v^{n+1}; compensate its v^0 part here
-        out += 0.5 * nu * sc * g[0] * Md * v[0]
-        if m2:
-            vc = np.zeros(d)
-            for r in range(1, m2 + 1):
-                vc += Wv2[n, r - 1] * (v[r] - v[0])
-            out -= Md * (vc / tau)
-        out += Md * 0.5 * (fr[n] + fr[n + 1])
-        out -= mu * (S @ u[n]) + (mu * tau / 4.0) * (S @ v[n])
-        out += 0.5 * mu * (S @ u_corr(n)) if m1 else 0.0
-        return out
-
+    u = np.zeros((n_t + 1, len(I)))
+    v = np.zeros((n_t + 1, len(I)))
+    u[0] = h1_projection(problem.phi0, mesh)[I]
+    v[0] = h1_projection(problem.psi0, mesh)[I]
     if m >= 1:
-        _wave_startup_block(
-            u, v, m, m1, m2, m3, tau, nu, mu, sc, g, Wv3, Wu1, Wv2, Md, S, fr, d
-        )
+        _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr)
+    vh = v - v[0]  # the memory acts on v - v^0; levels above m are filled as they are solved
+    # the U-correction acts on u^r - u^0 - t_r v^0, r = 1..m1
+    uc = u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0])
 
-    for n in range(m, n_t):
-        v[n + 1] = cho_solve(step_fac, rhs_vector(n))
-        u[n + 1] = u[n] + (tau / 2.0) * (v[n + 1] + v[n]) - u_corr(n)
-
+    step_fac = cho_factor(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S)
+    try:
+        for n in range(m, n_t):
+            # known parts of (A^{n+1} + A^n) vh; the implicit g_0 vh^{n+1}
+            # sits in the step matrix acting on v^{n+1}, whose v^0 part is
+            # compensated below
+            frac = history(mem, vh, n) + sc * g[0] * vh[n] + history(mem, vh, n + 1)
+            u_corr = uc.T @ Wu1[n]
+            rhs = (
+                Md * (v[n] / tau)
+                - 0.5 * nu * Md * frac
+                + 0.5 * nu * sc * g[0] * Md * v[0]
+                - Md * ((vh[1 : m2 + 1].T @ Wv2[n]) / tau)
+                + Md * 0.5 * (fr[n] + fr[n + 1])
+                - (mu * (S @ u[n]) + (mu * tau / 4.0) * (S @ v[n]))
+                + 0.5 * mu * (S @ u_corr)
+            )
+            v[n + 1] = cho_solve(step_fac, rhs)
+            vh[n + 1] = v[n + 1] - v[0]
+            u[n + 1] = u[n] + (tau / 2.0) * (v[n + 1] + v[n]) - u_corr
+    except ValueError as exc:
+        raise ValueError(f"solve_wave: step {n + 1}, t = {(n + 1) * tau:g}: {exc}") from exc
+    del vh, fr  # release the working histories before the full-width copies
     return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
 
 
-def _wave_startup_block(u, v, m, m1, m2, m3, tau, nu, mu, sc, g, Wv3, Wu1, Wv2, Md, S, fr, d):
+def _levels(W: np.ndarray, m: int) -> np.ndarray:
+    """Weights W[n, r-1] on x^r - x^0 (r = 1..k) as coefficients of the
+    levels x^0..x^m."""
+    C = np.zeros((m, m + 1))
+    C[:, 1 : W.shape[1] + 1] = W
+    C[:, 0] = -W.sum(axis=1)
+    return C
+
+
+def _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr):
     """Solve steps 1..m of the wave scheme as one linear system in the
     stacked unknowns (u^1..u^m, v^1..v^m); the scheme is linear, so the
-    coupled block has an exact direct solution."""
-    nn = 2 * m * d
-    A = np.zeros((nn, nn))
-    b = np.zeros(nn)
-    eye = np.eye(d)
-    Mdd = np.diag(Md)
+    coupled block has an exact direct solution.
 
-    def ublk(r):
-        return slice((r - 1) * d, r * d)
+    Each equation row n (step n -> n+1, n = 0..m-1) is a level-coefficient
+    matrix over the levels 0..m, times Md, mu S or the identity; the known
+    level-0 columns move to the right-hand side."""
+    d = len(Md)
+    step = np.eye(m, m + 1, 1) - np.eye(m, m + 1)  # x^{n+1} - x^n
+    avg = 0.5 * (np.eye(m, m + 1, 1) + np.eye(m, m + 1))  # (x^{n+1} + x^n) / 2
+    P = startup_matrix(mem, m)
+    # V-equation: V step, memory at both levels and V-correction (times Md),
+    # and the averaged stiffness term (times mu S)
+    v_on_v = step / tau + 0.5 * nu * _levels(P[:-1] + P[1:], m) + _levels(Wv2[:m], m) / tau
+    v_on_u = avg
+    # U-trapezoid: u^{n+1} - u^n + U-correction = tau (v^{n+1} + v^n) / 2
+    # + sum_r u_{n,r} t_r v^0
+    u_on_u = step + _levels(Wu1[:m], m)
+    u_on_v = -tau * avg
+    u_on_v[:, 0] -= Wu1[:m] @ (np.arange(1, Wu1.shape[1] + 1) * tau)
 
-    def vblk(r):
-        return slice((m + r - 1) * d, (m + r) * d)
-
-    for n in range(m):
-        r1 = slice(n * d, (n + 1) * d)
-        # V-equation at step n -> n+1
-        A[r1, vblk(n + 1)] += Mdd / tau
-        if n >= 1:
-            A[r1, vblk(n)] -= Mdd / tau
-        else:
-            b[r1] += Md * v[0] / tau
-        b[r1] += Md * 0.5 * (fr[n] + fr[n + 1])
-        # fractional history, both levels; vhat^k = v^k - v^0
-        for k in range(1, n + 2):
-            A[r1, vblk(k)] += 0.5 * nu * sc * g[n + 1 - k] * Mdd
-            b[r1] += 0.5 * nu * sc * g[n + 1 - k] * Md * v[0]
-        for k in range(1, n + 1):
-            A[r1, vblk(k)] += 0.5 * nu * sc * g[n - k] * Mdd
-            b[r1] += 0.5 * nu * sc * g[n - k] * Md * v[0]
-        if m3:
-            for r in range(1, m3 + 1):
-                wsum = Wv3[n + 1, r - 1] + Wv3[n, r - 1]
-                A[r1, vblk(r)] += 0.5 * nu * sc * wsum * Mdd
-                b[r1] += 0.5 * nu * sc * wsum * Md * v[0]
-        if m2:
-            for r in range(1, m2 + 1):
-                A[r1, vblk(r)] += Wv2[n, r - 1] / tau * Mdd
-                b[r1] += Wv2[n, r - 1] / tau * Md * v[0]
-        A[r1, ublk(n + 1)] += 0.5 * mu * S
-        if n >= 1:
-            A[r1, ublk(n)] += 0.5 * mu * S
-        else:
-            b[r1] -= 0.5 * mu * (S @ u[0])
-        # U-update identity at step n -> n+1
-        r2 = slice((m + n) * d, (m + n + 1) * d)
-        A[r2, ublk(n + 1)] += eye
-        if n >= 1:
-            A[r2, ublk(n)] -= eye
-        else:
-            b[r2] += u[0]
-        A[r2, vblk(n + 1)] -= (tau / 2.0) * eye
-        if n >= 1:
-            A[r2, vblk(n)] -= (tau / 2.0) * eye
-        else:
-            b[r2] += (tau / 2.0) * v[0]
-        if m1:
-            for r in range(1, m1 + 1):
-                A[r2, ublk(r)] += Wu1[n, r - 1] * eye
-                b[r2] += Wu1[n, r - 1] * (u[0] + (r * tau) * v[0])
+    md = m * d
+    A = np.empty((2 * md, 2 * md))
+    A[:md, :md] = np.kron(v_on_u[:, 1:], mu * S)
+    A[:md, md:] = np.kron(v_on_v[:, 1:], np.diag(Md))
+    A[md:, :md] = np.kron(u_on_u[:, 1:], np.eye(d))
+    A[md:, md:] = np.kron(u_on_v[:, 1:], np.eye(d))
+    b_v = Md * 0.5 * (fr[:m] + fr[1 : m + 1]) - np.outer(v_on_v[:, 0], Md * v[0]) - np.outer(
+        v_on_u[:, 0], mu * (S @ u[0])
+    )
+    b_u = -np.outer(u_on_u[:, 0], u[0]) - np.outer(u_on_v[:, 0], v[0])
     try:
-        X = np.linalg.solve(A, b)
+        X = np.linalg.solve(A, np.concatenate([b_v.ravel(), b_u.ravel()]))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("wave startup block is singular") from exc
-    for r in range(1, m + 1):
-        u[r] = X[(r - 1) * d : r * d]
-        v[r] = X[(m + r - 1) * d : (m + r) * d]
+    _check_startup("solve_wave", X, m, tau)
+    u[1 : m + 1] = X[:md].reshape(m, d)
+    v[1 : m + 1] = X[md:].reshape(m, d)
+
+
+def _check_startup(solver: str, X: np.ndarray, m: int, tau: float) -> None:
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
+
+
+def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int, solver: str):
+    """March uh = U - U(0) through  Md (a uh^n + history) + mu S uh^n
+    = Md f^n - mu S U(0), with the memory ``terms`` of both fractional
+    terms; steps 1..m couple through the starting weights and are solved as
+    one block."""
+    mesh, mu = problem.mesh, problem.mu
+    n_t = step_count(tau, problem.T)
+    Md, S, I = _space(mesh)
+    u0 = h1_projection(problem.phi0, mesh)[I]
+    rhs = Md * _source_rows(problem, mesh, n_t, tau) - mu * (S @ u0)
+
+    uh = np.zeros((n_t + 1, len(I)))
+    if m >= 1:
+        A = np.kron(startup_matrix(terms, m)[1:], np.diag(Md)) + np.kron(np.eye(m), mu * S)
+        try:
+            X = np.linalg.solve(A, rhs[1 : m + 1].ravel())
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("subdiffusion startup block is singular") from exc
+        _check_startup(solver, X, m, tau)
+        uh[1 : m + 1] = X.reshape(m, -1)
+
+    step_fac = cho_factor(np.diag(diagonal(terms) * Md) + mu * S)
+    try:
+        for n in range(m + 1, n_t + 1):
+            uh[n] = cho_solve(step_fac, rhs[n] - Md * history(terms, uh, n))
+    except ValueError as exc:
+        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc
+    return FieldHistory(mesh, tau, _full(mesh, uh + u0))
 
 
 def solve_subdiffusion(
@@ -327,73 +322,17 @@ def solve_subdiffusion(
     sigma = sigma if isinstance(sigma, CorrectionSet) else CorrectionSet(tuple(sigma))
     if max(m1, m2) > sigma.m:
         raise ValueError("sigma list shorter than requested correction counts")
-    mesh = problem.mesh
-    a1, a2, nu, mu = problem.alpha1, problem.alpha2, problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
     m = max(m1, m2)
     if m and n_t <= m:
         raise ValueError("horizon too short for the correction stencil")
-
-    forms = mesh.forms()
-    I = mesh.interior
-    Md = forms.mass0()
-    S = forms.stiffness0()
-    d = len(I)
-
-    g1 = wsgl_weights(a1, n_t)
-    g2 = wsgl_weights(a2, n_t)
-    s1 = tau ** (-a1)
-    s2 = tau ** (-a2)
-    W1 = starting_weight_table(a1, sigma.truncated(m1), n_t) if m1 else None
-    W2 = starting_weight_table(a2, sigma.truncated(m2), n_t) if m2 else None
-    cutoff = math.ceil(n_t / 5) if drop_far_field else n_t + 1
-
-    u0 = h1_projection(problem.phi0, mesh)[I]
-    fr = _source_rows(problem, mesh, n_t, tau)
-
-    uh = np.zeros((n_t + 1, d))  # u - u0
-    c_diag = s1 * g1[0] + nu * s2 * g2[0]
-    step_mat = np.diag(c_diag * Md) + mu * S
-    step_fac = cho_factor(step_mat)
-
-    if m >= 1:
-        nn = m * d
-        A = np.zeros((nn, nn))
-        b = np.zeros(nn)
-        Mdd = np.diag(Md)
-        for n in range(1, m + 1):
-            rows = slice((n - 1) * d, n * d)
-            for k in range(1, n + 1):
-                A[rows, (k - 1) * d : k * d] += (s1 * g1[n - k] + nu * s2 * g2[n - k]) * Mdd
-            if n < cutoff:
-                for r in range(1, m + 1):
-                    w = 0.0
-                    if m1 and r <= m1:
-                        w += s1 * W1[n, r - 1]
-                    if m2 and r <= m2:
-                        w += nu * s2 * W2[n, r - 1]
-                    A[rows, (r - 1) * d : r * d] += w * Mdd
-            A[rows, rows] += mu * S
-            b[rows] = Md * fr[n] - mu * (S @ u0)
-        try:
-            X = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("subdiffusion startup block is singular") from exc
-        for r in range(1, m + 1):
-            uh[r] = X[(r - 1) * d : r * d]
-
-    for n in range(m + 1, n_t + 1):
-        hist = s1 * (uh[:n].T @ g1[n:0:-1]) + nu * s2 * (uh[:n].T @ g2[n:0:-1])
-        corr = np.zeros(d)
-        if n < cutoff:
-            if m1:
-                corr += s1 * (uh[1 : m1 + 1].T @ W1[n])
-            if m2:
-                corr += nu * s2 * (uh[1 : m2 + 1].T @ W2[n])
-        rhs = Md * fr[n] - mu * (S @ u0) - Md * (hist + corr)
-        uh[n] = cho_solve(step_fac, rhs)
-
-    return FieldHistory(mesh, tau, _full(mesh, uh + u0))
+    terms = []
+    for scale, a, k in ((1.0, problem.alpha1, m1), (problem.nu, problem.alpha2, m2)):
+        W = starting_weight_table(a, sigma.truncated(k), n_t) if k else None
+        if W is not None and drop_far_field:
+            W[math.ceil(n_t / 5) :] = 0.0
+        terms.append(Term(scale * tau ** (-a), wsgl_weights(a, n_t), W))
+    return _march_subdiffusion(problem, tau, terms, m, "solve_subdiffusion")
 
 
 def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
@@ -403,61 +342,45 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     mesh = problem.mesh
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
-    forms = mesh.forms()
-    I = mesh.interior
-    Md = forms.mass0()
-    S = forms.stiffness0()
-    d = len(I)
-    bw = l1_weights(alpha, n_t, tau)
-    u0 = h1_projection(problem.phi0, mesh)[I]
-    v0 = h1_projection(problem.psi0, mesh)[I]
+    Md, S, I = _space(mesh)
+    mem = [Term(nu, l1_weights(alpha, n_t, tau))]
+    c0 = diagonal(mem)
     fr = _source_rows(problem, mesh, n_t, tau)
-    u = np.zeros((n_t + 1, d))
-    v = np.zeros((n_t + 1, d))
-    u[0], v[0] = u0, v0
-    step_mat = np.diag((1.0 / tau + nu * bw[0]) * Md) + (mu * tau / 2.0) * S
-    step_fac = cho_factor(step_mat)
-    for n in range(1, n_t + 1):
-        dv = np.diff(v[:n], axis=0)
-        hist = dv.T @ bw[1:n][::-1] if n > 1 else np.zeros(d)
-        rhs = (
-            Md * (v[n - 1] / tau)
-            - nu * Md * hist
-            + nu * bw[0] * Md * v[n - 1]
-            + Md * fr[n]
-            - mu * (S @ u[n - 1])
-            - (mu * tau / 2.0) * (S @ v[n - 1])
-        )
-        v[n] = cho_solve(step_fac, rhs)
-        u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
+    u = np.zeros((n_t + 1, len(I)))
+    v = np.zeros((n_t + 1, len(I)))
+    u[0] = h1_projection(problem.phi0, mesh)[I]
+    v[0] = h1_projection(problem.psi0, mesh)[I]
+    vh = np.zeros_like(v)  # v - v^0
+    step_fac = cho_factor(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S)
+    try:
+        for n in range(1, n_t + 1):
+            # the implicit c_0 vh^n sits in the step matrix acting on v^n;
+            # its v^0 part is compensated here
+            rhs = (
+                Md * (v[n - 1] / tau)
+                - Md * history(mem, vh, n)
+                + c0 * Md * v[0]
+                + Md * fr[n]
+                - mu * (S @ u[n - 1])
+                - (mu * tau / 2.0) * (S @ v[n - 1])
+            )
+            v[n] = cho_solve(step_fac, rhs)
+            vh[n] = v[n] - v[0]
+            u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
+    except ValueError as exc:
+        raise ValueError(f"solve_wave_l1_baseline: step {n}, t = {n * tau:g}: {exc}") from exc
     return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
 
 
 def solve_subdiffusion_l1_baseline(problem: SubdiffusionProblem, tau: float) -> FieldHistory:
     """L1-in-time discretization of both Caputo terms with the same spatial
     kernel (the first-order comparison scheme)."""
-    mesh = problem.mesh
-    a1, a2, nu, mu = problem.alpha1, problem.alpha2, problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
-    forms = mesh.forms()
-    I = mesh.interior
-    Md = forms.mass0()
-    S = forms.stiffness0()
-    d = len(I)
-    b1 = l1_weights(a1, n_t, tau)
-    b2 = l1_weights(a2, n_t, tau)
-    u0 = h1_projection(problem.phi0, mesh)[I]
-    fr = _source_rows(problem, mesh, n_t, tau)
-    u = np.zeros((n_t + 1, d))
-    u[0] = u0
-    c0 = b1[0] + nu * b2[0]
-    step_fac = cho_factor(np.diag(c0 * Md) + mu * S)
-    for n in range(1, n_t + 1):
-        du = np.diff(u[:n], axis=0)
-        hist = (du.T @ b1[1:n][::-1] + nu * (du.T @ b2[1:n][::-1])) if n > 1 else np.zeros(d)
-        rhs = Md * fr[n] - Md * hist + c0 * Md * u[n - 1]
-        u[n] = cho_solve(step_fac, rhs)
-    return FieldHistory(mesh, tau, _full(mesh, u))
+    terms = [
+        Term(1.0, l1_weights(problem.alpha1, n_t, tau)),
+        Term(problem.nu, l1_weights(problem.alpha2, n_t, tau)),
+    ]
+    return _march_subdiffusion(problem, tau, terms, 0, "solve_subdiffusion_l1_baseline")
 
 
 def l2_error(history: FieldHistory, reference, at="final"):

@@ -104,6 +104,15 @@ def test_d1_u_exact_for_matching_powers():
         assert d1_u_weight_table(cset1, 1, n)[n, 0] == pytest.approx(0.0, abs=1e-13)
 
 
+def test_d1_u_rejects_sigma_below_one():
+    # row 0 holds 0^(sigma - 1), which is inf for sigma < 1
+    with pytest.raises(ValueError, match=r"sigma_r >= 1.*0\.5"):
+        d1_u_weight_table(CorrectionSet((0.5,)), 1, 3)
+    with pytest.raises(ValueError, match="sigma_r >= 1"):
+        d1_u_weight_table(CorrectionSet((0.5, 2.0)), 2, 3)
+    assert np.all(np.isfinite(d1_u_weight_table(CorrectionSet((1.0, 2.0)), 2, 3)))
+
+
 def test_d1_u_fractional_power_value():
     # direct arithmetic oracle for sigma = 2.5, n = 4
     expected = 1.25 * (5.0**1.5 + 4.0**1.5) - (5.0**2.5 - 4.0**2.5)

@@ -120,9 +120,24 @@ def test_nonlinear_solver_converges():
 def test_startup_failure_raises():
     prob = nonlinear_cubic_problem(0.7, 0.5, T=1.0)
     cset = two_term_sigma_rule(0.7, 0.5, 2)
-    cfg = SolverConfig(tau=2.0**-4, corrections=cset, picard_max_iters=1, picard_tol=1e-15)
+    cfg = SolverConfig(tau=2.0**-4, corrections=cset, newton_max_iters=1, newton_tol=1e-15)
     with pytest.raises(ConvergenceError):
         solve_corrected_wsgl(prob, cfg)
+
+
+def test_nan_rhs_names_solver_step_and_time():
+    def rhs(t, y):
+        return math.nan if t >= 0.5 else -y
+
+    prob = MultiTermProblem((1.0, 1.0), (0.7, 0.5), rhs, 1.0, 1.0)
+    tau = 2.0**-5
+    cfg = SolverConfig(tau=tau, corrections=CorrectionSet((0.5, 0.7)))
+    with pytest.raises(ConvergenceError, match=r"solve_corrected_wsgl: step 16, t = 0\.5"):
+        solve_corrected_wsgl(prob, cfg)
+    with pytest.raises(ConvergenceError, match=r"solve_l1: step 16, t = 0\.5"):
+        solve_l1(prob, tau)
+    with pytest.raises(ConvergenceError, match=r"solve_trapezoidal: step 16, t = 0\.5"):
+        solve_trapezoidal(prob, tau)
 
 
 def test_linear_decay_is_monotone_and_bounded():

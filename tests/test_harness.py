@@ -186,6 +186,19 @@ def test_cli_error_path(tmp_path):
     assert code == 1
 
 
+def test_cli_error_names_the_study(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "two.ini",
+        "[fine]\nkind = weights\nalpha = 0.5\ncount = 3\n"
+        "[broken]\nkind = weights\nalpha = 0.5\n",
+    )
+    code = cli_main(["weights", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[broken]" in err and "count" in err
+
+
 def test_wave_study_smoke(tmp_path):
     cfg = _write(
         tmp_path,
@@ -226,6 +239,29 @@ def test_wave_forced_study_self_reference(tmp_path):
     (study,) = parse_config(cfg)
     table = run_study(study)
     assert len(table.errors("a0.5_m1", "final")) == 2
+
+
+def test_wave_self_reference_solved_once_per_column(tmp_path, monkeypatch):
+    from fracstep import harness
+
+    taus_solved = []
+    solve = harness.solve_wave
+
+    def counting_solve(problem, tau, *args):
+        taus_solved.append(tau)
+        return solve(problem, tau, *args)
+
+    monkeypatch.setattr(harness, "solve_wave", counting_solve)
+    cfg = _write(
+        tmp_path,
+        "wf.ini",
+        "[wf]\nkind = wave\ncase = forced\nalpha = 0.5\ntaus = 2^-4 2^-5\n"
+        "columns = 0 1\nsigma_rule = list: 2.0 2.5\nreference = self:2^-7\n"
+        "mesh = -1 0 1\ndegrees = 8 8\n",
+    )
+    (study,) = parse_config(cfg)
+    run_study(study)
+    assert sorted(taus_solved) == [2.0**-7] * 2 + [2.0**-5] * 2 + [2.0**-4] * 2
 
 
 def test_package_has_no_cross_module_private_imports():

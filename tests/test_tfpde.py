@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -60,6 +61,34 @@ def test_zero_subdiffusion_history(unit_mesh):
     hist = solve_subdiffusion(prob, 2.0**-4, (0.75, 1.0), 2, 2)
     assert np.all(hist.u == 0.0)
     assert np.all(solve_subdiffusion_l1_baseline(prob, 2.0**-4).u == 0.0)
+
+
+def _nan_after_half(x, t):
+    x = np.asarray(x, dtype=float)
+    return np.full_like(x, np.nan) if t >= 0.5 else np.sin(np.pi * x)
+
+
+def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
+    tau = 2.0**-5
+    where = r"step 16, t = 0\.5"
+    sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, _nan_after_half, _zero, 1.0, unit_mesh)
+    with pytest.raises(ValueError, match="solve_subdiffusion: " + where):
+        solve_subdiffusion(sub, tau, (0.75, 1.0), 2, 2)
+    with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
+        solve_subdiffusion_l1_baseline(sub, tau)
+    wave = WaveProblem(1.0, 1.0, _nan_after_half, _zero, _zero, 0.5, 1.0, small_mesh)
+    for counts in ((0, 0, 0), (2, 2, 2)):
+        with pytest.raises(ValueError, match="solve_wave: " + where):
+            solve_wave(wave, tau, (2.0, 2.5), *counts)
+    with pytest.raises(ValueError, match="solve_wave_l1_baseline: " + where):
+        solve_wave_l1_baseline(wave, tau)
+    # a bad source inside the coupled startup block names the block's steps
+    nan = lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan)
+    startup = r"steps 1\.\.2, t <= 0\.0625"
+    with pytest.raises(ValueError, match="solve_subdiffusion: " + startup):
+        solve_subdiffusion(dataclasses.replace(sub, source=nan), tau, (0.75, 1.0), 2, 2)
+    with pytest.raises(ValueError, match="solve_wave: " + startup):
+        solve_wave(dataclasses.replace(wave, source=nan), tau, (2.0, 2.5), 2, 2, 2)
 
 
 def test_boundary_dofs_exactly_zero():
