@@ -290,7 +290,8 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
 def error_report(path: SampledPath, exact) -> ErrorReport:
     """Max, final-time and averaged (tau * sum_{n>=1} |e^n|^2)^(1/2) errors
     against an exact callable or a finer reference path (whose resolution
-    must be an integer multiple of the path's)."""
+    must be an integer multiple of the path's).  The callable is called once
+    with the array of times; a scalar result is broadcast."""
     if isinstance(exact, SampledPath):
         ratio = path.tau / exact.tau
         r = int(round(ratio))
@@ -300,7 +301,7 @@ def error_report(path: SampledPath, exact) -> ErrorReport:
             raise ValueError("reference path too short")
         ref = exact.values[:: r][: len(path.values)]
     else:
-        ref = np.array([exact(t) for t in path.times])
+        ref = np.broadcast_to(np.asarray(exact(path.times), dtype=float), path.values.shape)
     e = np.abs(path.values - ref)
     avg = math.sqrt(path.tau * float(np.sum(e[1:] ** 2)))
     return ErrorReport(float(np.max(e)), float(e[-1]), avg)

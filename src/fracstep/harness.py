@@ -27,7 +27,7 @@ from .fode import (
     solve_trapezoidal,
     two_term_sigma_rule,
 )
-from .glweights import gl_weights, rl_deriv_power, wsgl_weights
+from .glweights import gl_weights, rl_deriv_power, step_count, wsgl_weights
 from .sem import SpectralMesh
 from .tfpde import (
     FieldHistory,
@@ -382,7 +382,7 @@ def _run_operator(cfg: StudyConfig) -> RowTable:
     coeffs = [_parse_number(t) for t in _parse_list(cfg.get("u_coefficients", ""))] or [1.0] * len(
         expos
     )
-    n_t = int(round(T / tau))
+    n_t = step_count(tau, T)
     t = np.arange(n_t + 1) * tau
     U = sum(c * t**p for c, p in zip(coeffs, expos))
     exact = np.zeros(n_t + 1)

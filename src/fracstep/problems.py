@@ -46,13 +46,19 @@ def two_term_ml_problem(alpha: float, T: float = 1.0) -> MultiTermProblem:
 
 
 def two_term_ml_exact(alpha: float):
-    """Exact solution of ``two_term_ml_problem``."""
+    """Exact solution of ``two_term_ml_problem``; ``Y(t)`` takes a float or
+    an array of times and returns the same shape (exactly 1.0 at t = 0)."""
 
-    def Y(t: float) -> float:
-        if t == 0.0:
-            return 1.0
-        z = t**alpha
-        return 2.0 * mittag_leffler(alpha, -z / 2.0) - mittag_leffler(alpha, -z)
+    def Y(t):
+        t = np.asarray(t, dtype=float)
+        # Python's scalar pow, not numpy's: numpy's SIMD power can differ in
+        # the last bit, which would move Y off its point-by-point values
+        z = np.array([tk**alpha for tk in t.ravel().tolist()])
+        # one series sum for both arguments, passed as a tuple so the call
+        # stays hashable for perfbench's per-argument call counting
+        e = mittag_leffler(alpha, tuple(np.concatenate((-z / 2.0, -z)).tolist()))
+        y = 2.0 * e[: z.size] - e[z.size :]
+        return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
 
     return Y
 

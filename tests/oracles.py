@@ -1,9 +1,12 @@
-"""Independent pointwise oracles for the weight tables.
+"""Independent pointwise oracles for the weight tables and special functions.
 
-Each function evaluates one operator value or one row of starting weights at
-a single step, straight from its defining formula, so the vectorised tables
-and convolutions in ``fracstep`` can be checked against it.
+Each function evaluates one operator value, one row of starting weights at a
+single step or one series sum at a single point, straight from its defining
+formula, so the vectorised tables, convolutions and sums in ``fracstep`` can
+be checked against it.
 """
+
+import math
 
 import numpy as np
 
@@ -76,3 +79,36 @@ def corrected_wsgl_apply(path: SampledPath, alpha: float, cset, n: int) -> float
         return base
     w = starting_weights_step(alpha, cset, n)
     return base + path.tau ** (-alpha) * float(np.dot(w, path.values[1 : cset.m + 1]))
+
+
+def ml_series_scalar(alpha: float, z: float):
+    """Double-precision Taylor sum of E_alpha(z) at one point, term by term:
+    t_{k+1} = t_k z Gamma(k alpha + 1) / Gamma((k+1) alpha + 1), stopping once
+    a term falls below 1e-16 of the running sum twice in a row.
+
+    Returns (value, condition, terms, last_ratio) where condition is
+    sum|t_k| / |sum t_k| and last_ratio is |t_last| / |partial sum| at
+    termination.
+    """
+    total = 1.0
+    abs_total = 1.0
+    term = 1.0
+    small_runs = 0
+    k = 0
+    last_ratio = 0.0
+    while k < 200_000:
+        term *= z * math.exp(math.lgamma(k * alpha + 1.0) - math.lgamma((k + 1) * alpha + 1.0))
+        k += 1
+        total += term
+        abs_total += abs(term)
+        last_ratio = abs(term) / abs(total) if total != 0.0 else math.inf
+        if abs(term) < 1e-16 * abs(total):
+            small_runs += 1
+            if small_runs >= 2:
+                break
+        else:
+            small_runs = 0
+    else:
+        raise ArithmeticError(f"series did not converge (alpha={alpha:g}, z={z:g})")
+    cond = abs_total / abs(total) if total != 0.0 else math.inf
+    return total, cond, k, last_ratio

@@ -48,16 +48,12 @@ def _within(value: float, target: float, rel: float) -> bool:
 @pytest.fixture(scope="module")
 def ml_exact_grid_half():
     """Exact two-term solution for alpha = 0.5 on the 2^-12 grid."""
-    Y = two_term_ml_exact(0.5)
-    t = np.arange(2**12 + 1) / 2**12
-    return np.array([Y(tk) for tk in t])
+    return two_term_ml_exact(0.5)(np.arange(2**12 + 1) / 2**12)
 
 
 @pytest.fixture(scope="module")
 def ml_exact_grid_tenth():
-    Y = two_term_ml_exact(0.1)
-    t = np.arange(2**12 + 1) / 2**12
-    return np.array([Y(tk) for tk in t])
+    return two_term_ml_exact(0.1)(np.arange(2**12 + 1) / 2**12)
 
 
 def _solve_two_term(alpha, tau, sigmas):

@@ -50,7 +50,7 @@ def test_two_term_benchmark_row():
     # frozen published row: alpha = 0.5, sigma_k = (k+1) alpha, tau = 2^-8
     alpha = 0.5
     prob = two_term_ml_problem(alpha)
-    exact = two_term_ml_exact(alpha)
+    exact = SampledPath(2.0**-8, two_term_ml_exact(alpha)(np.arange(2**8 + 1) / 2**8))
     expected = {0: 8.1812e-4, 1: 6.5427e-5, 2: 3.2368e-6, 3: 1.0496e-6}
     for m, target in expected.items():
         cset = CorrectionSet(tuple((k + 1) * alpha for k in range(1, m + 1)))
@@ -73,7 +73,8 @@ def test_max_norm_order_law():
     # observed max-norm order approaches min(2, (m+2) alpha) for alpha = 1/2
     alpha = 0.5
     prob = two_term_ml_problem(alpha)
-    exact = two_term_ml_exact(alpha)
+    # exact solution evaluated once on the finest grid, subsampled for 2^-11
+    exact = SampledPath(2.0**-12, two_term_ml_exact(alpha)(np.arange(2**12 + 1) / 2**12))
     for m in range(4):
         cset = CorrectionSet(tuple((k + 1) * alpha for k in range(1, m + 1)))
         errs = []
@@ -294,6 +295,40 @@ def test_error_report_norm_inequality():
     path = SampledPath(2.0**-6, rng.normal(size=65))
     rep = error_report(path, lambda t: 0.0)
     assert rep.avg_error <= math.sqrt(1.0) * rep.max_error + 1e-15
+
+
+def test_error_report_calls_exact_once_with_the_times():
+    path = SampledPath(0.25, np.array([1.0, 0.5, 0.0, -0.5, -1.0]))
+    calls = []
+
+    def exact(t):
+        calls.append(t)
+        return 1.0 - 2.0 * t
+
+    rep = error_report(path, exact)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], path.times)
+    assert rep.max_error == 0.0
+    # a scalar-returning callable is broadcast over the path
+    rep0 = error_report(path, lambda t: 0.0)
+    assert rep0.max_error == 1.0 and rep0.final_error == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+def test_two_term_exact_on_arrays(alpha):
+    # the array form is 2 E(-t^a/2) - E(-t^a) from the scalar series at every
+    # point, bit for bit, and exactly 1 at t = 0
+    from oracles import ml_series_scalar
+
+    Y = two_term_ml_exact(alpha)
+    t = np.arange(33) / 32
+    got = Y(t)
+    assert got.shape == t.shape
+    assert got[0] == 1.0 and Y(0.0) == 1.0 and type(Y(0.0)) is float
+    for tk, yk in zip(t.tolist(), got.tolist()):
+        z = tk**alpha
+        want = 2.0 * ml_series_scalar(alpha, -z / 2.0)[0] - ml_series_scalar(alpha, -z)[0]
+        assert yk == want and Y(tk) == want
 
 
 def test_two_term_sigma_rule_values():

@@ -164,6 +164,24 @@ def test_operator_study(tmp_path):
     assert tail[:, 1].max() < tail[:, 0].max()
 
 
+def test_operator_study_rejects_tau_not_dividing_t_end(tmp_path, capsys):
+    # tau = 0.3 used to stop silently at t = 0.9
+    path = _write(
+        tmp_path,
+        "op.ini",
+        "[op-short]\nkind = operator\nalpha = 0.5\ntau = 0.3\nt_end = 1\ncolumns = 1\n"
+        "u_exponents = 0.5\n",
+    )
+    (study,) = parse_config(path)
+    with pytest.raises(ValueError, match=r"tau=0\.3 must divide T=1"):
+        run_study(study)
+    code = cli_main(["operator-study", "--config", str(path), "--out", str(tmp_path / "op.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[op-short]" in err and "tau=0.3" in err and "T=1" in err
+    assert not (tmp_path / "op.csv").exists()
+
+
 def test_cli_roundtrip(tmp_path, capsys):
     cfg = _write(tmp_path, "w.ini", "[w]\nkind = weights\nalpha = 0.5\ncount = 3\n")
     out = tmp_path / "weights.csv"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracstep.specfun import _series_double, gamma, mittag_leffler
+from fracstep.specfun import _ML_COND_LIMIT, gamma, mittag_leffler
+from oracles import ml_series_scalar
 
 
 def test_gamma_integer_values():
@@ -77,9 +78,66 @@ def test_ml_domain_errors():
         mittag_leffler(1.2, 0.5)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_ml_rejects_non_finite_z(z):
+    # fails up front, naming alpha and z, instead of summing 200k terms
+    with pytest.raises(ValueError, match=r"alpha=0\.5.*finite z.*z=-?(nan|inf)"):
+        mittag_leffler(0.5, z)
+
+
+def test_ml_array_rejects_first_bad_point():
+    with pytest.raises(ValueError, match=r"alpha=0\.3.*\|z\| <= 5.*z=-6"):
+        mittag_leffler(0.3, np.array([0.0, -1.0, -6.0, 7.0]))
+    with pytest.raises(ValueError, match=r"alpha=0\.3.*finite z.*z=nan"):
+        mittag_leffler(0.3, np.array([[0.5, -0.5], [np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 0.9, 1.0])
+def test_ml_array_bitwise_equals_scalar_series(alpha):
+    # one array call reproduces the term-by-term scalar series bit for bit;
+    # z = 0 and, at alpha = 1/2, the high-precision points z = -5 and -4.5
+    # ride in the same array.  For alpha <= 0.1 the double series overflows
+    # past |z| ~ 1.5 (see test_ml_overflow_raises), so the grid stops at 1.
+    zmax = 5.0 if alpha >= 0.5 else 1.0
+    z = np.concatenate((np.linspace(-zmax, zmax, 81), [0.0, -0.0, 1e-300, -1e-12]))
+    got = mittag_leffler(alpha, z)
+    assert got.shape == z.shape and got.dtype == np.float64
+    resummed = 0
+    for zk, gk in zip(z.tolist(), got.tolist()):
+        value, cond, _, _ = ml_series_scalar(alpha, zk)
+        if cond > _ML_COND_LIMIT:
+            resummed += 1
+            assert gk == mittag_leffler(alpha, zk)
+        else:
+            assert gk == value, (alpha, zk)
+    if alpha == 0.5:
+        assert resummed >= 2
+    assert got[81] == 1.0 and got[82] == 1.0
+
+
+@pytest.mark.parametrize("z", [-5.0, -2.0, 2.0, 5.0])
+def test_ml_overflow_raises(z):
+    # at alpha = 0.05 the terms z^k / Gamma(k/20 + 1) leave the double range;
+    # the sum fails at once instead of running out its 200k-term budget
+    with pytest.raises(OverflowError, match=r"alpha=0\.05"):
+        mittag_leffler(0.05, np.array([-0.5, z, 0.5]))
+
+
+def test_ml_float_in_float_out_and_shape_kept():
+    assert type(mittag_leffler(0.4, -0.3)) is float
+    assert type(mittag_leffler(0.4, np.float64(-0.3))) is float
+    z = np.array([[-0.3, 0.2], [0.0, -1.0]])
+    got = mittag_leffler(0.4, z)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == mittag_leffler(0.4, -0.3)
+    assert mittag_leffler(0.4, np.array([])).shape == (0,)
+
+
 @pytest.mark.parametrize("alpha,z", [(0.3, -1.0), (0.7, -0.5), (1.0, 2.5), (0.1, -1.0)])
 def test_ml_stopping_rule(alpha, z):
-    # terminating term must sit below 1e-16 of the running sum
-    _, _, terms, last_ratio = _series_double(alpha, z)
+    # terminating term must sit below 1e-16 of the running sum, and the
+    # library value is that sum
+    value, _, terms, last_ratio = ml_series_scalar(alpha, z)
     assert terms >= 2
     assert last_ratio < 1e-16
+    assert mittag_leffler(alpha, z) == value
