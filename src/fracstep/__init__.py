@@ -35,7 +35,6 @@ from .tfpde import (
     FieldHistory,
     SubdiffusionProblem,
     WaveProblem,
-    export_history_csv,
     l2_error,
     solve_subdiffusion,
     solve_subdiffusion_l1_baseline,
@@ -82,7 +81,6 @@ __all__ = [
     "FieldHistory",
     "SubdiffusionProblem",
     "WaveProblem",
-    "export_history_csv",
     "l2_error",
     "solve_subdiffusion",
     "solve_subdiffusion_l1_baseline",

@@ -9,8 +9,8 @@ operator applied to y - y0 per term, solved implicitly step by step.  The
 first m steps couple through the starting weights and are solved as one block
 (Newton on the nonlinearity, direct solve of the linear part).  L1 and
 product-trapezoidal discretizations are provided as baselines and reference
-generators.  The corrected-WSGL and L1 schemes share one march over the
-memory terms of ``fracstep.memory``.
+generators.  All three schemes share one march over the memory terms of
+``fracstep.memory``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .corrections import CorrectionSet, starting_weight_table
 from .glweights import SampledPath, l1_weights, step_count, wsgl_weights
-from .memory import Term, diagonal, history, startup_matrix
+from .memory import History, Term, startup_matrix
 from .specfun import gamma
 
 __all__ = [
@@ -74,23 +74,23 @@ class MultiTermProblem:
         return len(self.nu)
 
 
+_STARTUP_TOL, _STEP_TOL = 1e-14, 1e-13  # Newton: the coupled startup block, each step
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, per-term correction sets, the Newton tolerance of the
-    coupled startup block and the Newton iteration cap of the startup block
-    and the per-step solves.  ``corrections`` may be a single CorrectionSet
-    (shared by all terms), a sequence of per-term sets, or None."""
+    """Time step, per-term correction sets and the Newton iteration cap of
+    the startup block and the per-step solves.  ``corrections`` may be a
+    single CorrectionSet (shared by all terms), a sequence of per-term sets,
+    or None."""
 
     tau: float
     corrections: object = None
-    newton_tol: float = 1e-14
     newton_max_iters: int = 100
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau > 0 required")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol > 0 required")
 
     def per_term_sets(self, n_terms: int) -> list[CorrectionSet]:
         empty = CorrectionSet(())
@@ -124,11 +124,10 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     """Solve a*x + known = b*f(t_n, y0 + x) for x: Newton with a
     finite-difference slope from ``guess``, then Picard iteration from
     ``guess`` if Newton fails."""
-    tol = 1e-13
     x = guess
     for _ in range(max_iters):
         r = a * x + known - b * f(t_n, y0 + x)
-        if abs(r) <= tol * max(1.0, abs(x)):
+        if abs(r) <= _STEP_TOL * max(1.0, abs(x)):
             return x
         d = a - b * _fd_slope(f, t_n, y0 + x)
         if d == 0.0:
@@ -136,7 +135,7 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
         x_new = x - r / d
         if not math.isfinite(x_new):
             break
-        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
+        if abs(x_new - x) <= _STEP_TOL * max(1.0, abs(x_new)):
             return x_new
         x = x_new
     x = guess
@@ -144,20 +143,20 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
         x_new = (b * f(t_n, y0 + x) - known) / a
         if not math.isfinite(x_new):
             break
-        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
+        if abs(x_new - x) <= _STEP_TOL * max(1.0, abs(x_new)):
             return x_new
         x = x_new
     raise ConvergenceError("implicit step did not converge")
 
 
-def _startup_block(f, y0: float, tau: float, L: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+def _startup_block(f, y0: float, tau: float, L: np.ndarray, max_iters: int) -> np.ndarray:
     """Newton iteration on the coupled steps 1..m: L x = f(t_r, y0 + x_r)."""
     m = len(L)
     ts = np.arange(1, m + 1) * tau
     x = np.zeros(m)
     for _ in range(max_iters):
         res = L @ x - np.array([f(ts[i], y0 + x[i]) for i in range(m)])
-        if np.max(np.abs(res)) <= tol * max(1.0, float(np.max(np.abs(x)))):
+        if np.max(np.abs(res)) <= _STARTUP_TOL * max(1.0, float(np.max(np.abs(x)))):
             return x
         J = L - np.diag([_fd_slope(f, ts[i], y0 + x[i]) for i in range(m)])
         try:
@@ -167,16 +166,17 @@ def _startup_block(f, y0: float, tau: float, L: np.ndarray, tol: float, max_iter
         x = x - dx
         if not np.all(np.isfinite(x)):
             raise ConvergenceError("startup iteration diverged")
-        if np.max(np.abs(dx)) <= tol * max(1.0, float(np.max(np.abs(x)))):
+        if np.max(np.abs(dx)) <= _STARTUP_TOL * max(1.0, float(np.max(np.abs(x)))):
             return x
     raise ConvergenceError(f"startup block did not converge in {max_iters} iterations")
 
 
-def _march(problem: MultiTermProblem, tau: float, terms, m: int, tol: float, max_iters: int,
-           solver: str) -> SampledPath:
-    """March yhat = y - y0 through  a yhat^n + history = f(t_n, y0 + yhat^n),
-    with the memory ``terms`` of sum_j nu_j D^{alpha_j}.  Steps 1..m couple
-    through the starting weights and are solved as one block."""
+def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int, solver: str,
+           f_terms=None) -> SampledPath:
+    """March yhat = y - y0 through  a yhat^n + known = b f^n + known_f  with
+    the memory ``terms`` on yhat and ``f_terms`` on f^n = f(t_n, y0 + yhat^n)
+    (b = 1, known_f = 0 when None).  Steps 1..m couple through the starting
+    weights and are solved as one block."""
     n_t = step_count(tau, problem.T)
     f, y0 = problem.rhs, problem.y0
     yhat = np.zeros(n_t + 1)
@@ -184,14 +184,26 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, tol: float, max
         if n_t < m:
             raise ValueError("horizon too short for the correction stencil")
         try:
-            yhat[1 : m + 1] = _startup_block(f, y0, tau, startup_matrix(terms, m)[1:], tol, max_iters)
+            yhat[1 : m + 1] = _startup_block(f, y0, tau, startup_matrix(terms, m)[1:], max_iters)
         except ConvergenceError as exc:
             raise ConvergenceError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: {exc}") from exc
-    a = diagonal(terms)
+    mem = History(terms, yhat)
+    a, b = mem.c[0], 1.0
+    for k in range(m + 1):
+        mem.feed(k)
+    if f_terms is not None:
+        fv = np.full(n_t + 1, f(0.0, y0))  # f^0, then each f^n as it is solved
+        fmem = History(f_terms, fv)
+        b = fmem.c[0]
+        fmem.feed(0)
     try:
         for n in range(m + 1, n_t + 1):
-            known = history(terms, yhat, n)
-            yhat[n] = _implicit_step(f, n * tau, y0, a, known, 1.0, yhat[n - 1], max_iters)
+            known = mem.known(n) if f_terms is None else mem.known(n) - fmem.known(n)
+            yhat[n] = _implicit_step(f, n * tau, y0, a, known, b, yhat[n - 1], max_iters)
+            mem.feed(n)
+            if f_terms is not None:
+                fv[n] = f(n * tau, y0 + yhat[n])
+                fmem.feed(n)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc
     return SampledPath(tau, yhat + y0)
@@ -213,8 +225,7 @@ def solve_corrected_wsgl(problem: MultiTermProblem, config: SolverConfig) -> Sam
         for nu, a, cs in zip(problem.nu, problem.alphas, csets)
     ]
     m = max(cs.m for cs in csets)
-    return _march(problem, tau, terms, m, config.newton_tol, config.newton_max_iters,
-                  "solve_corrected_wsgl")
+    return _march(problem, tau, terms, m, config.newton_max_iters, "solve_corrected_wsgl")
 
 
 def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
@@ -225,14 +236,14 @@ def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
     """
     n_t = step_count(tau, problem.T)
     terms = [Term(nu, l1_weights(a, n_t, tau)) for nu, a in zip(problem.nu, problem.alphas)]
-    return _march(problem, tau, terms, 0, 1e-13, 200, "solve_l1")
+    return _march(problem, tau, terms, 0, 200, "solve_l1")
 
 
 def _trap_kernel(alpha: float, n_t: int, tau: float) -> np.ndarray:
-    """Interior convolution weights c_j = a_{n,n-j} (1 <= j <= n-1) of the
-    product-trapezoidal rule; index j = n - k."""
+    """Convolution weights c_j = a_{n,n-j} (0 <= j <= n-1) of the
+    product-trapezoidal rule for I^alpha; index j = n - k."""
     j = np.arange(n_t + 1, dtype=float)
-    c = np.zeros(n_t + 1)
+    c = np.ones(n_t + 1)
     c[1:] = (j[1:] + 1.0) ** (alpha + 1.0) - 2.0 * j[1:] ** (alpha + 1.0) + (j[1:] - 1.0) ** (
         alpha + 1.0
     )
@@ -262,29 +273,14 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
     a1, a2 = problem.alphas
     if not a1 > a2:
         raise ValueError("alpha_1 > alpha_2 required")
-    delta = a1 - a2
     n_t = step_count(tau, problem.T)
-    f = problem.rhs
-    y0 = problem.y0
-    cd = _trap_kernel(delta, n_t, tau)
+    cd = _trap_kernel(a1 - a2, n_t, tau)
+    cd[0] += 1.0  # the identity term (y - y0)
     cf = _trap_kernel(a1, n_t, tau)
-    a = 1.0 + tau**delta / gamma(2.0 + delta)
-    b = tau**a1 / gamma(2.0 + a1)
-    yhat = np.zeros(n_t + 1)
-    fvals = np.empty(n_t + 1)
-    fvals[0] = f(0.0, y0)
-    try:
-        for n in range(1, n_t + 1):
-            # known history: k = 1..n-1 via the convolution kernels, k = 0 via
-            # a0 (the k = 0 term of the yhat-history vanishes since yhat^0 = 0)
-            hist_d = float(np.dot(cd[1:n][::-1], yhat[1:n]))
-            hist_f = float(np.dot(cf[1:n][::-1], fvals[1:n])) + _trap_a0(a1, n, tau) * fvals[0]
-            tn = n * tau
-            yhat[n] = _implicit_step(f, tn, y0, a, hist_d - hist_f, b, yhat[n - 1], 200)
-            fvals[n] = f(tn, y0 + yhat[n])
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"solve_trapezoidal: step {n}, t = {n * tau:g}: {exc}") from exc
-    return SampledPath(tau, yhat + y0)
+    # a_{n,0} replaces c_n on f^0; it cancels to O(n^-2), so it keeps libm's scalar pow
+    origin = np.zeros(n_t + 1)
+    origin[1:] = [_trap_a0(a1, n, tau) for n in range(1, n_t + 1)] - cf[1:]
+    return _march(problem, tau, [Term(1.0, cd)], 0, 200, "solve_trapezoidal", [Term(1.0, cf, origin=origin)])
 
 
 def error_report(path: SampledPath, exact) -> ErrorReport:

@@ -8,10 +8,10 @@ starting weights, has one shape at time level n,
 a lower-triangular Toeplitz convolution with kernel c plus m starting-weight
 columns (Lubich 1986), acting on a scalar history x^0, x^1, ... of shape
 (levels,) or a field history of shape (levels, d).  The WSGL weights with
-their starting-weight tables and the L1 weights in value form are all held
-as such terms, so a stepper needs three things from them: the implicit
-diagonal, the known part at level n, and the coefficients of the coupled
-startup block.
+their starting-weight tables, the L1 weights in value form and the
+product-trapezoidal weights are all held as such terms, so a stepper needs
+three things from them: the implicit diagonal and the known part at level n
+(both from a ``History``), and the coefficients of the coupled startup block.
 """
 
 from __future__ import annotations
@@ -20,33 +20,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Term", "diagonal", "history", "startup_matrix"]
+__all__ = ["Term", "History", "startup_matrix"]
+
+_BASE = 32  # lags summed directly; longer lags go through the FFT far field
+_CHUNK = 1 << 16  # elements of a far-field block transformed at once
 
 
 @dataclass(frozen=True)
 class Term:
-    """scale * (kernel convolution + starting-weight table); ``table`` has
-    one row per level and one column per corrected level 1..m, or is None."""
+    """scale * (kernel convolution + starting-weight table + level-0 column);
+    ``table`` has one row per level and one column per corrected level 1..m,
+    ``origin`` one x^0 coefficient per level on top of the kernel's."""
 
     scale: float
     kernel: np.ndarray
     table: np.ndarray | None = None
+    origin: np.ndarray | None = None
 
 
-def diagonal(terms) -> float:
-    """Coefficient of the newest level x^n: sum of scale * c_0."""
-    return sum(t.scale * t.kernel[0] for t in terms)
+class History:
+    """Known parts of ``terms`` on a history ``x`` that a march fills level
+    by level: call ``feed(n)`` once x[n] is final, and ``known(n)``, every
+    contribution at level n except c_0 x^n, once x[0..n-1] are fed.
 
+    The kernels are summed into one, c (c[0] is the implicit diagonal).
+    Level n sums the lags 1.._BASE-1, which carry the largest weights,
+    directly and reads the rest from a far field: once the left half [s, s+L)
+    of a dyadic node [s, s+2L), L >= _BASE, is complete, one cyclic FFT of
+    length 2L adds its convolution with the lags >= _BASE of c to the targets
+    [s+L, s+2L).  A march of N levels costs O(N log^2 N) (Hairer, Lubich &
+    Schlichte 1985)."""
 
-def history(terms, x, n: int):
-    """Known part at level n: every contribution except c_0 x^n.  Reads the
-    levels x[0..n-1] and the corrected levels x[1..m]."""
-    acc = 0.0
-    for t in terms:
-        acc = acc + t.scale * (x[:n].T @ t.kernel[n:0:-1])
-        if t.table is not None:
-            acc = acc + t.scale * (x[1 : t.table.shape[1] + 1].T @ t.table[n])
-    return acc
+    def __init__(self, terms, x: np.ndarray):
+        self.x = x
+        self.c = sum(t.scale * t.kernel for t in terms)
+        self.terms = terms
+        self.far = np.zeros_like(x)
+        self._far2d = self.far.reshape(len(x), -1)
+        self._kernel_fft = {}
+
+    def feed(self, n: int) -> None:
+        L = (n + 1) & -(n + 1)  # x[n] completes the left half [n+1-L, n+1)
+        out = self._far2d[n + 1 : n + 1 + L]
+        if L < _BASE or not len(out):
+            return
+        if L not in self._kernel_fft:  # lags >= _BASE, shifted: target s+L+i comes out at L-_BASE+i
+            self._kernel_fft[L] = np.fft.rfft(self.c[_BASE : 2 * L], 2 * L)[:, None]
+        src = self.x[n + 1 - L : n + 1].reshape(L, -1)
+        step = max(1, _CHUNK // (2 * L))  # column chunks bound the transient memory
+        for j in range(0, src.shape[1], step):
+            spectrum = np.fft.rfft(src[:, j : j + step], 2 * L, axis=0)
+            spectrum *= self._kernel_fft[L]
+            out[:, j : j + step] += np.fft.irfft(spectrum, 2 * L, axis=0)[L - _BASE : L - _BASE + len(out)]
+
+    def known(self, n: int):
+        x = self.x
+        b = max(n - _BASE + 1, 0)
+        acc = self.far[n] + x[b:n].T @ self.c[n - b : 0 : -1]
+        for t in self.terms:
+            if t.table is not None:
+                acc = acc + t.scale * (x[1 : t.table.shape[1] + 1].T @ t.table[n])
+            if t.origin is not None:
+                acc = acc + t.scale * t.origin[n] * x[0]
+        return acc
 
 
 def startup_matrix(terms, m: int) -> np.ndarray:

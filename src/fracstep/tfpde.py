@@ -23,7 +23,6 @@ subdiffusion schemes share one march.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .corrections import (
     starting_weight_table,
 )
 from .glweights import l1_weights, step_count, wsgl_weights
-from .memory import Term, diagonal, history, startup_matrix
+from .memory import History, Term, startup_matrix
 from .sem import SpectralMesh, h1_projection
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "solve_wave_l1_baseline",
     "solve_subdiffusion_l1_baseline",
     "l2_error",
-    "export_history_csv",
 ]
 
 
@@ -197,27 +195,30 @@ def solve_wave(
     uc = u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0])
 
     step_fac = cho_factor(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S)
-    try:
-        for n in range(m, n_t):
-            # known parts of (A^{n+1} + A^n) vh; the implicit g_0 vh^{n+1}
-            # sits in the step matrix acting on v^{n+1}, whose v^0 part is
-            # compensated below
-            frac = history(mem, vh, n) + sc * g[0] * vh[n] + history(mem, vh, n + 1)
-            u_corr = uc.T @ Wu1[n]
-            rhs = (
-                Md * (v[n] / tau)
-                - 0.5 * nu * Md * frac
-                + 0.5 * nu * sc * g[0] * Md * v[0]
-                - Md * ((vh[1 : m2 + 1].T @ Wv2[n]) / tau)
-                + Md * 0.5 * (fr[n] + fr[n + 1])
-                - (mu * (S @ u[n]) + (mu * tau / 4.0) * (S @ v[n]))
-                + 0.5 * mu * (S @ u_corr)
-            )
-            v[n + 1] = cho_solve(step_fac, rhs)
-            vh[n + 1] = v[n + 1] - v[0]
-            u[n + 1] = u[n] + (tau / 2.0) * (v[n + 1] + v[n]) - u_corr
-    except ValueError as exc:
-        raise ValueError(f"solve_wave: step {n + 1}, t = {(n + 1) * tau:g}: {exc}") from exc
+    hist = History(mem, vh)
+    for k in range(m + 1):
+        hist.feed(k)
+    known_next = hist.known(m)
+    for n in range(m, n_t):
+        # known parts of (A^{n+1} + A^n) vh, the one at n read last step; the
+        # implicit g_0 vh^{n+1} sits in the step matrix acting on v^{n+1},
+        # whose v^0 part is compensated below
+        known_n, known_next = known_next, hist.known(n + 1)
+        frac = known_n + sc * g[0] * vh[n] + known_next
+        u_corr = uc.T @ Wu1[n]
+        rhs = (
+            Md * (v[n] / tau)
+            - 0.5 * nu * Md * frac
+            + 0.5 * nu * sc * g[0] * Md * v[0]
+            - Md * ((vh[1 : m2 + 1].T @ Wv2[n]) / tau)
+            + Md * 0.5 * (fr[n] + fr[n + 1])
+            - (mu * (S @ u[n]) + (mu * tau / 4.0) * (S @ v[n]))
+            + 0.5 * mu * (S @ u_corr)
+        )
+        v[n + 1] = _step_solve(step_fac, rhs, "solve_wave", n + 1, tau)
+        vh[n + 1] = v[n + 1] - v[0]
+        hist.feed(n + 1)
+        u[n + 1] = u[n] + (tau / 2.0) * (v[n + 1] + v[n]) - u_corr
     del vh, fr  # release the working histories before the full-width copies
     return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
 
@@ -277,6 +278,13 @@ def _check_startup(solver: str, X: np.ndarray, m: int, tau: float) -> None:
         raise ValueError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
 
 
+def _step_solve(fac, rhs: np.ndarray, solver: str, n: int, tau: float) -> np.ndarray:
+    x = cho_solve(fac, rhs, check_finite=False)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
+    return x
+
+
 def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int, solver: str):
     """March uh = U - U(0) through  Md (a uh^n + history) + mu S uh^n
     = Md f^n - mu S U(0), with the memory ``terms`` of both fractional
@@ -298,12 +306,13 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
         _check_startup(solver, X, m, tau)
         uh[1 : m + 1] = X.reshape(m, -1)
 
-    step_fac = cho_factor(np.diag(diagonal(terms) * Md) + mu * S)
-    try:
-        for n in range(m + 1, n_t + 1):
-            uh[n] = cho_solve(step_fac, rhs[n] - Md * history(terms, uh, n))
-    except ValueError as exc:
-        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc
+    hist = History(terms, uh)
+    step_fac = cho_factor(np.diag(hist.c[0] * Md) + mu * S)
+    for k in range(m + 1):
+        hist.feed(k)
+    for n in range(m + 1, n_t + 1):
+        uh[n] = _step_solve(step_fac, rhs[n] - Md * hist.known(n), solver, n, tau)
+        hist.feed(n)
     return FieldHistory(mesh, tau, _full(mesh, uh + u0))
 
 
@@ -343,32 +352,31 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
     Md, S, I = _space(mesh)
-    mem = [Term(nu, l1_weights(alpha, n_t, tau))]
-    c0 = diagonal(mem)
     fr = _source_rows(problem, mesh, n_t, tau)
     u = np.zeros((n_t + 1, len(I)))
     v = np.zeros((n_t + 1, len(I)))
     u[0] = h1_projection(problem.phi0, mesh)[I]
     v[0] = h1_projection(problem.psi0, mesh)[I]
     vh = np.zeros_like(v)  # v - v^0
+    hist = History([Term(nu, l1_weights(alpha, n_t, tau))], vh)
+    c0 = hist.c[0]
     step_fac = cho_factor(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S)
-    try:
-        for n in range(1, n_t + 1):
-            # the implicit c_0 vh^n sits in the step matrix acting on v^n;
-            # its v^0 part is compensated here
-            rhs = (
-                Md * (v[n - 1] / tau)
-                - Md * history(mem, vh, n)
-                + c0 * Md * v[0]
-                + Md * fr[n]
-                - mu * (S @ u[n - 1])
-                - (mu * tau / 2.0) * (S @ v[n - 1])
-            )
-            v[n] = cho_solve(step_fac, rhs)
-            vh[n] = v[n] - v[0]
-            u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
-    except ValueError as exc:
-        raise ValueError(f"solve_wave_l1_baseline: step {n}, t = {n * tau:g}: {exc}") from exc
+    hist.feed(0)
+    for n in range(1, n_t + 1):
+        # the implicit c_0 vh^n sits in the step matrix acting on v^n; its
+        # v^0 part is compensated here
+        rhs = (
+            Md * (v[n - 1] / tau)
+            - Md * hist.known(n)
+            + c0 * Md * v[0]
+            + Md * fr[n]
+            - mu * (S @ u[n - 1])
+            - (mu * tau / 2.0) * (S @ v[n - 1])
+        )
+        v[n] = _step_solve(step_fac, rhs, "solve_wave_l1_baseline", n, tau)
+        vh[n] = v[n] - v[0]
+        hist.feed(n)
+        u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
     return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
 
 
@@ -419,11 +427,3 @@ def l2_error(history: FieldHistory, reference, at="final"):
         return step_error(at)
     raise ValueError(f"unknown error mode {at!r}")
 
-
-def export_history_csv(history: FieldHistory, path) -> None:
-    """Write (t, nodal values...) rows; one row per stored step."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x={x:.12g}" for x in history.mesh.nodes])
-        for n in range(history.n_steps + 1):
-            writer.writerow([f"{n * history.tau:.12g}"] + [f"{val:.16e}" for val in history.u[n]])

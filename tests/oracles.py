@@ -1,9 +1,10 @@
-"""Independent pointwise oracles for the weight tables and special functions.
+"""Independent pointwise oracles for the weight tables, the memory core and
+the special functions.
 
 Each function evaluates one operator value, one row of starting weights at a
-single step or one series sum at a single point, straight from its defining
-formula, so the vectorised tables, convolutions and sums in ``fracstep`` can
-be checked against it.
+single step, one known part of a memory at a single level or one series sum
+at a single point, straight from its defining formula, so the vectorised
+tables, convolutions and sums in ``fracstep`` can be checked against it.
 """
 
 import math
@@ -42,6 +43,35 @@ def apply_wsgl_pair(path: SampledPath, alpha: float, p: int, q: int, n: int) -> 
     cp = (alpha - 2.0 * q) / (2.0 * (p - q))
     cq = (2.0 * p - alpha) / (2.0 * (p - q))
     return cp * apply_shifted_gl(path, alpha, p, n) + cq * apply_shifted_gl(path, alpha, q, n)
+
+
+def history(terms, x, n: int):
+    """Known part of the memory ``terms`` (``fracstep.memory.Term``) at level
+    n by the direct sum: every contribution except c_0 x^n.  Reads the levels
+    x[0..n-1] and the corrected levels x[1..m]."""
+    acc = 0.0
+    for t in terms:
+        acc = acc + t.scale * (x[:n].T @ t.kernel[n:0:-1])
+        if t.table is not None:
+            acc = acc + t.scale * (x[1 : t.table.shape[1] + 1].T @ t.table[n])
+        if t.origin is not None:
+            acc = acc + t.scale * t.origin[n] * x[0]
+    return acc
+
+
+class DirectHistory:
+    """``fracstep.memory.History`` by the direct sum, to march a solver
+    without the FFT far field."""
+
+    def __init__(self, terms, x):
+        self.terms, self.x = terms, x
+        self.c = sum(t.scale * t.kernel for t in terms)  # c[0] is the implicit diagonal
+
+    def feed(self, n: int) -> None:
+        pass
+
+    def known(self, n: int):
+        return history(self.terms, self.x, n)
 
 
 def _power_rows(exponents) -> np.ndarray:

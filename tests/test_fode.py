@@ -121,7 +121,7 @@ def test_nonlinear_solver_converges():
 def test_startup_failure_raises():
     prob = nonlinear_cubic_problem(0.7, 0.5, T=1.0)
     cset = two_term_sigma_rule(0.7, 0.5, 2)
-    cfg = SolverConfig(tau=2.0**-4, corrections=cset, newton_max_iters=1, newton_tol=1e-15)
+    cfg = SolverConfig(tau=2.0**-4, corrections=cset, newton_max_iters=1)
     with pytest.raises(ConvergenceError):
         solve_corrected_wsgl(prob, cfg)
 

@@ -1,19 +1,42 @@
-"""Oracles for the shared memory core: every stepper is exact, to rounding,
-on solutions spanned by its corrected powers, and loses that exactness
-without the corrections."""
+"""Oracles for the shared memory core: the online FFT history agrees with the
+direct sum, and every stepper is exact, to rounding, on solutions spanned by
+its corrected powers, and loses that exactness without the corrections."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fracstep.corrections import CorrectionSet
-from fracstep.fode import MultiTermProblem, SolverConfig, solve_corrected_wsgl
-from fracstep.glweights import l1_weights, rl_deriv_power
-from fracstep.memory import Term, diagonal, history, startup_matrix
-from fracstep.problems import two_zone_unit_mesh
+from fracstep import fode, memory, tfpde
+from fracstep.corrections import CorrectionSet, starting_weight_table
+from fracstep.fode import (
+    MultiTermProblem,
+    SolverConfig,
+    _trap_a0,
+    _trap_kernel,
+    solve_corrected_wsgl,
+    solve_l1,
+    solve_trapezoidal,
+)
+from fracstep.glweights import l1_weights, rl_deriv_power, wsgl_weights
+from fracstep.memory import History, Term, startup_matrix
+from fracstep.problems import (
+    nonlinear_cubic_problem,
+    subdiffusion_forced_problem,
+    two_term_ml_problem,
+    two_zone_unit_mesh,
+    wave_forced_problem,
+)
 from fracstep.sem import SpectralMesh
-from fracstep.tfpde import SubdiffusionProblem, WaveProblem, solve_subdiffusion, solve_wave
+from fracstep.tfpde import (
+    SubdiffusionProblem,
+    WaveProblem,
+    solve_subdiffusion,
+    solve_subdiffusion_l1_baseline,
+    solve_wave,
+    solve_wave_l1_baseline,
+)
+from oracles import DirectHistory, history
 
 TAUS = (2.0**-5, 2.0**-6, 2.0**-7)
 
@@ -128,7 +151,86 @@ def test_startup_matrix_and_history_are_one_operator():
             dense[n, : n + 1] += t.scale * t.kernel[n::-1]
             if t.table is not None:
                 dense[n, 1:3] += t.scale * t.table[n]
+    hist = History(terms, x)
     for n in range(1, n_t + 1):
-        assert diagonal(terms) * x[n] + history(terms, x, n) == pytest.approx(dense[n] @ x, rel=1e-13)
+        hist.feed(n - 1)
+        assert hist.c[0] * x[n] + hist.known(n) == pytest.approx(dense[n] @ x, rel=1e-13)
     np.testing.assert_allclose(startup_matrix(terms, m), dense[: m + 1, 1 : m + 1], rtol=1e-15)
     assert startup_matrix(terms, m).shape == (m + 1, m)
+
+
+def _memory(kind, n_t):
+    tau = 2.0**-6
+    if kind == "wsgl":
+        cset = CorrectionSet((0.6, 1.2, 1.8))
+        return 3, [
+            Term(tau**-0.6, wsgl_weights(0.6, n_t), starting_weight_table(0.6, cset, n_t)),
+            Term(0.5 * tau**-0.3, wsgl_weights(0.3, n_t), starting_weight_table(0.3, cset.truncated(2), n_t)),
+        ]
+    if kind == "l1":
+        return 0, [Term(1.0, l1_weights(0.35, n_t, tau)), Term(2.0, l1_weights(0.7, n_t, tau))]
+    # the trapezoid f-history: its endpoint weight a_{n,0} is a level-0 column
+    cf = _trap_kernel(0.7, n_t, tau)
+    origin = np.zeros(n_t + 1)
+    origin[1:] = [_trap_a0(0.7, n, tau) for n in range(1, n_t + 1)] - cf[1:]
+    return 0, [Term(1.0, cf, origin=origin)]
+
+
+def _magnitude(t):
+    def mag(a):
+        return None if a is None else np.abs(a)
+
+    return Term(abs(t.scale), np.abs(t.kernel), mag(t.table), mag(t.origin))
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
+@pytest.mark.parametrize("n_t", [31, 32, 33, 1023, 1025, 5000])
+@pytest.mark.parametrize("kind", ["wsgl", "l1", "trapezoid"])
+def test_history_matches_direct_sum(kind, n_t, shape, monkeypatch):
+    # levels not yet fed are NaN, so a read of one shows; each level is read
+    # as a march reads it, before it is solved, and as the wave march reads
+    # it, right after the level below it is fed.  Small column chunks split
+    # the field's 3 columns 2 + 1 at L = 32 and 1 + 1 + 1 above.
+    monkeypatch.setattr(memory, "_CHUNK", 128)
+    m, terms = _memory(kind, n_t)
+    values = np.random.default_rng(n_t).standard_normal((n_t + 1, *shape))
+    x = np.full_like(values, np.nan)
+    hist = History(terms, x)
+    magnitude = [_magnitude(t) for t in terms]
+    for n in range(n_t + 1):
+        if n > m:
+            before = hist.known(n)
+        x[n] = values[n]
+        hist.feed(n)
+        reads = [(n, before)] if n > m else []
+        if m <= n < n_t:
+            reads.append((n + 1, hist.known(n + 1)))
+        for level, got in reads:
+            want = history(terms, values, level)
+            scale = history(magnitude, np.abs(values), level)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (level, got, want)
+
+
+SOLVES = {
+    # alpha_1 = 1: the BDF2 weights tau^-1 (3/2, -2, 1/2) dwarf the far field
+    "wsgl": lambda: solve_corrected_wsgl(
+        two_term_ml_problem(0.5), SolverConfig(2.0**-12, CorrectionSet((0.5, 1.0)))
+    ).values,
+    "l1": lambda: solve_l1(nonlinear_cubic_problem(0.2, 0.1), 10.0 * 2.0**-12).values,
+    "trapezoidal": lambda: solve_trapezoidal(nonlinear_cubic_problem(0.2, 0.1), 10.0 * 2.0**-12).values,
+    "subdiffusion": lambda: solve_subdiffusion(subdiffusion_forced_problem(), 2.0**-10, (0.75, 1.0), 2, 2).u,
+    "subdiffusion_l1": lambda: solve_subdiffusion_l1_baseline(subdiffusion_forced_problem(), 2.0**-10).u,
+    "wave": lambda: solve_wave(wave_forced_problem(0.5), 2.0**-9, (2.0, 2.5, 3.0), 2, 3, 2).u,
+    "wave_l1": lambda: solve_wave_l1_baseline(wave_forced_problem(0.5), 2.0**-9).u,
+}
+
+
+@pytest.mark.parametrize("solver", SOLVES)
+def test_march_matches_direct_sum_march(solver, monkeypatch):
+    # the scalar steps stop Newton at 1e-13, so a rounding change in the
+    # known part can move a nonlinear march by up to about that much
+    fast = SOLVES[solver]()
+    monkeypatch.setattr(fode, "History", DirectHistory)
+    monkeypatch.setattr(tfpde, "History", DirectHistory)
+    direct = SOLVES[solver]()
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))

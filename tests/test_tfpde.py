@@ -24,7 +24,6 @@ from fracstep.tfpde import (
     FieldHistory,
     SubdiffusionProblem,
     WaveProblem,
-    export_history_csv,
     l2_error,
     solve_subdiffusion,
     solve_subdiffusion_l1_baseline,
@@ -311,12 +310,3 @@ def test_l2_error_modes_and_projected_exact(small_mesh):
         l2_error(hist, FieldHistory(small_mesh, 0.3, proj))
     with pytest.raises(ValueError):
         l2_error(hist, U, at="bogus")
-
-
-def test_history_csv_export(tmp_path, small_mesh):
-    hist = FieldHistory(small_mesh, 0.5, np.ones((3, small_mesh.n_dofs)))
-    out = tmp_path / "hist.csv"
-    export_history_csv(hist, out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("t,")
