@@ -188,18 +188,19 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
         except ConvergenceError as exc:
             raise ConvergenceError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: {exc}") from exc
     mem = History(terms, yhat)
-    a, b = mem.c[0], 1.0
+    a, b = float(mem.c[0]), 1.0  # Python floats: the scalar Newton step runs in the interpreter
     for k in range(m + 1):
         mem.feed(k)
     if f_terms is not None:
         fv = np.full(n_t + 1, f(0.0, y0))  # f^0, then each f^n as it is solved
         fmem = History(f_terms, fv)
-        b = fmem.c[0]
+        b = float(fmem.c[0])
         fmem.feed(0)
     try:
         for n in range(m + 1, n_t + 1):
-            known = mem.known(n) if f_terms is None else mem.known(n) - fmem.known(n)
-            yhat[n] = _implicit_step(f, n * tau, y0, a, known, b, yhat[n - 1], max_iters)
+            known = float(mem.known(n) if f_terms is None else mem.known(n) - fmem.known(n))
+            guess = float(2.0 * yhat[n - 1] - yhat[n - 2] if n >= 2 else yhat[n - 1])  # linear extrapolation
+            yhat[n] = _implicit_step(f, n * tau, y0, a, known, b, guess, max_iters)
             mem.feed(n)
             if f_terms is not None:
                 fv[n] = f(n * tau, y0 + yhat[n])

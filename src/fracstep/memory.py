@@ -41,7 +41,9 @@ class Term:
 class History:
     """Known parts of ``terms`` on a history ``x`` that a march fills level
     by level: call ``feed(n)`` once x[n] is final, and ``known(n)``, every
-    contribution at level n except c_0 x^n, once x[0..n-1] are fed.
+    contribution at level n except c_0 x^n, once x[0..n-1] are fed.  With m
+    the widest starting-weight table (0 when there is none), ``known(n)``
+    holds for n > m, and for n = m once ``feed(m)`` has run.
 
     The kernels are summed into one, c (c[0] is the implicit diagonal).
     Level n sums the lags 1.._BASE-1, which carry the largest weights,
@@ -49,17 +51,26 @@ class History:
     of a dyadic node [s, s+2L), L >= _BASE, is complete, one cyclic FFT of
     length 2L adds its convolution with the lags >= _BASE of c to the targets
     [s+L, s+2L).  A march of N levels costs O(N log^2 N) (Hairer, Lubich &
-    Schlichte 1985)."""
+    Schlichte 1985).  The starting-weight columns on x[1..m] and the level-0
+    columns on x[0] are fixed once x[0..m] are, so ``feed(m)`` adds them to
+    the far field of every level at once."""
 
     def __init__(self, terms, x: np.ndarray):
         self.x = x
         self.c = sum(t.scale * t.kernel for t in terms)
         self.terms = terms
+        self.m = max((t.table.shape[1] for t in terms if t.table is not None), default=0)
         self.far = np.zeros_like(x)
         self._far2d = self.far.reshape(len(x), -1)
         self._kernel_fft = {}
 
     def feed(self, n: int) -> None:
+        if n == self.m:  # x[0..m] are final: fold the fixed columns into the far field
+            for t in self.terms:
+                if t.table is not None:
+                    self.far += t.table[: len(self.x)] @ (t.scale * self.x[1 : t.table.shape[1] + 1])
+                if t.origin is not None:
+                    self.far += np.multiply.outer(t.origin[: len(self.x)], t.scale * self.x[0])
         L = (n + 1) & -(n + 1)  # x[n] completes the left half [n+1-L, n+1)
         out = self._far2d[n + 1 : n + 1 + L]
         if L < _BASE or not len(out):
@@ -74,15 +85,8 @@ class History:
             out[:, j : j + step] += np.fft.irfft(spectrum, 2 * L, axis=0)[L - _BASE : L - _BASE + len(out)]
 
     def known(self, n: int):
-        x = self.x
         b = max(n - _BASE + 1, 0)
-        acc = self.far[n] + x[b:n].T @ self.c[n - b : 0 : -1]
-        for t in self.terms:
-            if t.table is not None:
-                acc = acc + t.scale * (x[1 : t.table.shape[1] + 1].T @ t.table[n])
-            if t.origin is not None:
-                acc = acc + t.scale * t.origin[n] * x[0]
-        return acc
+        return self.far[n] + self.x[b:n].T @ self.c[n - b : 0 : -1]
 
 
 def startup_matrix(terms, m: int) -> np.ndarray:

@@ -175,17 +175,19 @@ class SpectralMesh:
             self._dense_rules = rules
         return self._dense_rules
 
-    def l2_norm_against(self, coeffs: np.ndarray, exact=None) -> float:
+    def l2_norm_against(self, coeffs: np.ndarray, exact=None):
         """L2 norm of (interpolant - exact) by dense per-element quadrature;
-        with exact=None, the norm of the interpolant itself."""
+        with exact=None, the norm of the interpolant itself.  A stack of
+        coefficient vectors (levels, n_dofs) gives one norm per level, with
+        ``exact(x)`` then of shape (levels, len(x))."""
         coeffs = np.asarray(coeffs, dtype=float)
-        total = 0.0
+        total = np.zeros(coeffs.shape[:-1])
         for i, (xp, wp, E) in enumerate(self._dense_quadrature()):
-            vals = E @ coeffs[self.element_dofs[i]]
+            vals = coeffs[..., self.element_dofs[i]] @ E.T
             if exact is not None:
                 vals = vals - exact(xp)
-            total += float(np.dot(wp, vals * vals))
-        return float(np.sqrt(total))
+            total += (vals * vals) @ wp
+        return np.sqrt(total) if coeffs.ndim > 1 else float(np.sqrt(total))
 
 
 @dataclass(frozen=True)

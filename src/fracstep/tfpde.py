@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .corrections import (
     CorrectionSet,
@@ -113,10 +114,6 @@ class FieldHistory:
     def n_steps(self) -> int:
         return len(self.u) - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.u)) * self.tau
-
 
 def _full(mesh: SpectralMesh, interior_rows: np.ndarray) -> np.ndarray:
     out = np.zeros((interior_rows.shape[0], mesh.n_dofs))
@@ -192,7 +189,13 @@ def solve_wave(
         _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr)
     vh = v - v[0]  # the memory acts on v - v^0; levels above m are filled as they are solved
     # the U-correction acts on u^r - u^0 - t_r v^0, r = 1..m1
-    uc = u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0])
+    u_corr = Wu1 @ (u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0]))
+    # the averaged source, the V-correction, the v^0 compensation of the
+    # implicit g_0 vh^{n+1} (see the loop) and the stiffness term of the
+    # U-correction are fixed after the startup block
+    fixed = Md * (0.5 * (fr[:-1] + fr[1:]) - (Wv2[:n_t] @ vh[1 : m2 + 1]) / tau + 0.5 * nu * sc * g[0] * v[0])
+    fixed += 0.5 * mu * (u_corr[:n_t] @ S.T)
+    del fr
 
     step_fac = cho_factor(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S)
     hist = History(mem, vh)
@@ -202,24 +205,15 @@ def solve_wave(
     for n in range(m, n_t):
         # known parts of (A^{n+1} + A^n) vh, the one at n read last step; the
         # implicit g_0 vh^{n+1} sits in the step matrix acting on v^{n+1},
-        # whose v^0 part is compensated below
+        # whose v^0 part is compensated in ``fixed``
         known_n, known_next = known_next, hist.known(n + 1)
         frac = known_n + sc * g[0] * vh[n] + known_next
-        u_corr = uc.T @ Wu1[n]
-        rhs = (
-            Md * (v[n] / tau)
-            - 0.5 * nu * Md * frac
-            + 0.5 * nu * sc * g[0] * Md * v[0]
-            - Md * ((vh[1 : m2 + 1].T @ Wv2[n]) / tau)
-            + Md * 0.5 * (fr[n] + fr[n + 1])
-            - (mu * (S @ u[n]) + (mu * tau / 4.0) * (S @ v[n]))
-            + 0.5 * mu * (S @ u_corr)
-        )
+        rhs = Md * (v[n] / tau - 0.5 * nu * frac) + fixed[n] - S @ (mu * u[n] + (mu * tau / 4.0) * v[n])
         v[n + 1] = _step_solve(step_fac, rhs, "solve_wave", n + 1, tau)
         vh[n + 1] = v[n + 1] - v[0]
         hist.feed(n + 1)
-        u[n + 1] = u[n] + (tau / 2.0) * (v[n + 1] + v[n]) - u_corr
-    del vh, fr  # release the working histories before the full-width copies
+        u[n + 1] = u[n] + (tau / 2.0) * (v[n + 1] + v[n]) - u_corr[n]
+    del vh, fixed, u_corr  # release the working histories before the full-width copies
     return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
 
 
@@ -279,7 +273,11 @@ def _check_startup(solver: str, X: np.ndarray, m: int, tau: float) -> None:
 
 
 def _step_solve(fac, rhs: np.ndarray, solver: str, n: int, tau: float) -> np.ndarray:
-    x = cho_solve(fac, rhs, check_finite=False)
+    """Solve with the ``cho_factor`` factor of the step matrix by LAPACK
+    directly (the same bits as ``cho_solve``, without its per-call checks)."""
+    x, info = dpotrs(fac[0], rhs, lower=fac[1])
+    if info != 0:
+        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: LAPACK dpotrs failed (info = {info})")
     if not np.isfinite(x).all():
         raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
     return x
@@ -352,7 +350,6 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
     Md, S, I = _space(mesh)
-    fr = _source_rows(problem, mesh, n_t, tau)
     u = np.zeros((n_t + 1, len(I)))
     v = np.zeros((n_t + 1, len(I)))
     u[0] = h1_projection(problem.phi0, mesh)[I]
@@ -361,18 +358,13 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     hist = History([Term(nu, l1_weights(alpha, n_t, tau))], vh)
     c0 = hist.c[0]
     step_fac = cho_factor(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S)
+    # the implicit c_0 vh^n sits in the step matrix acting on v^n; its
+    # v^0 part is compensated here
+    fixed = Md * (_source_rows(problem, mesh, n_t, tau) + c0 * v[0])
     hist.feed(0)
     for n in range(1, n_t + 1):
-        # the implicit c_0 vh^n sits in the step matrix acting on v^n; its
-        # v^0 part is compensated here
-        rhs = (
-            Md * (v[n - 1] / tau)
-            - Md * hist.known(n)
-            + c0 * Md * v[0]
-            + Md * fr[n]
-            - mu * (S @ u[n - 1])
-            - (mu * tau / 2.0) * (S @ v[n - 1])
-        )
+        stiff = S @ (mu * u[n - 1] + (mu * tau / 2.0) * v[n - 1])
+        rhs = Md * (v[n - 1] / tau - hist.known(n)) + fixed[n] - stiff
         v[n] = _step_solve(step_fac, rhs, "solve_wave_l1_baseline", n, tau)
         vh[n] = v[n] - v[0]
         hist.feed(n)
@@ -398,8 +390,16 @@ def l2_error(history: FieldHistory, reference, at="final"):
     at = "final" gives the error at t = T, an integer gives the error at that
     step, and "average" gives (tau * sum_{n=0}^{n_T} ||e^n||^2)^(1/2).
     """
-    mesh = history.mesh
+    if at == "final":
+        steps = [history.n_steps]
+    elif at == "average":
+        steps = list(range(history.n_steps + 1))
+    elif isinstance(at, int):
+        steps = [at]
+    else:
+        raise ValueError(f"unknown error mode {at!r}")
 
+    # one quadrature pass over the (levels, dofs) stack of the steps
     if isinstance(reference, FieldHistory):
         ratio = history.tau / reference.tau
         r = int(round(ratio))
@@ -407,23 +407,14 @@ def l2_error(history: FieldHistory, reference, at="final"):
             raise ValueError("reference resolution must be an integer multiple")
         if history.n_steps * r > reference.n_steps:
             raise ValueError("reference history too short")
-
-        def step_error(n):
-            diff = history.u[n] - reference.u[n * r]
-            return mesh.l2_norm_against(diff)
-
+        errors = history.mesh.l2_norm_against(history.u[steps] - reference.u[[n * r for n in steps]])
     else:
+        times = [n * history.tau for n in steps]
+        errors = history.mesh.l2_norm_against(
+            history.u[steps], lambda x: np.array([reference(x, t) for t in times])
+        )
 
-        def step_error(n):
-            t = n * history.tau
-            return mesh.l2_norm_against(history.u[n], lambda x: reference(x, t))
-
-    if at == "final":
-        return step_error(history.n_steps)
     if at == "average":
-        total = sum(step_error(n) ** 2 for n in range(history.n_steps + 1))
-        return math.sqrt(history.tau * total)
-    if isinstance(at, int):
-        return step_error(at)
-    raise ValueError(f"unknown error mode {at!r}")
+        return math.sqrt(history.tau * float(np.sum(errors**2)))
+    return float(errors[0])
 

@@ -82,7 +82,7 @@ def _subdiffusion_power_span_error(tau, m):
     problem = SubdiffusionProblem(a1, a2, nu, mu, source, _zero, 1.0, mesh)
     hist = solve_subdiffusion(problem, tau, powers, m, m)
     x = mesh.nodes
-    exact = np.array([time_part(t) * x * (1.0 - x) for t in hist.times])
+    exact = np.array([time_part(t) * x * (1.0 - x) for t in np.arange(len(hist.u)) * hist.tau])
     return float(np.max(np.abs(hist.u - exact)))
 
 
@@ -107,7 +107,7 @@ def _wave_power_span_error(tau, counts):
     problem = WaveProblem(nu, mu, source, _zero, _zero, alpha, 1.0, mesh)
     hist = solve_wave(problem, tau, (2.0, 2.5, 3.0), *counts)
     x = mesh.nodes
-    exact = np.array([time_part(t) * (1.0 - x**2) for t in hist.times])
+    exact = np.array([time_part(t) * (1.0 - x**2) for t in np.arange(len(hist.u)) * hist.tau])
     return float(np.max(np.abs(hist.u - exact)))
 
 
@@ -137,7 +137,8 @@ def test_l1_value_form_matches_difference_form():
 
 def test_startup_matrix_and_history_are_one_operator():
     # the startup coefficients, the diagonal and the history all evaluate
-    # the same scale * (Toeplitz convolution + starting weights)
+    # the same scale * (Toeplitz convolution + starting weights); the
+    # history holds above the startup levels 0..m, which startup_matrix covers
     rng = np.random.default_rng(3)
     m, n_t = 3, 12
     terms = [
@@ -154,7 +155,8 @@ def test_startup_matrix_and_history_are_one_operator():
     hist = History(terms, x)
     for n in range(1, n_t + 1):
         hist.feed(n - 1)
-        assert hist.c[0] * x[n] + hist.known(n) == pytest.approx(dense[n] @ x, rel=1e-13)
+        if n > m:
+            assert hist.c[0] * x[n] + hist.known(n) == pytest.approx(dense[n] @ x, rel=1e-13)
     np.testing.assert_allclose(startup_matrix(terms, m), dense[: m + 1, 1 : m + 1], rtol=1e-15)
     assert startup_matrix(terms, m).shape == (m + 1, m)
 
@@ -209,6 +211,32 @@ def test_history_matches_direct_sum(kind, n_t, shape, monkeypatch):
             want = history(terms, values, level)
             scale = history(magnitude, np.abs(values), level)
             assert np.all(np.abs(got - want) <= 1e-13 * scale), (level, got, want)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
+@pytest.mark.parametrize("kind", ["wsgl", "trapezoid"])
+def test_fixed_columns_are_read_once(kind, shape):
+    # feed(m) folds the starting-weight tables and level-0 columns into the
+    # far field, so the march reads neither of them again
+    n_t = 200
+    m, terms = _memory(kind, n_t)
+    values = np.random.default_rng(11).standard_normal((n_t + 1, *shape))
+    want = {n: history(terms, values, n) for n in range(m + 1, n_t + 1)}
+    scale = {n: history([_magnitude(t) for t in terms], np.abs(values), n) for n in want}
+    x = np.full_like(values, np.nan)
+    hist = History(terms, x)
+    for n in range(m + 1):
+        x[n] = values[n]
+        hist.feed(n)
+    for t in terms:
+        for fixed in (t.table, t.origin):
+            if fixed is not None:
+                fixed[:] = np.nan
+    for n in range(m + 1, n_t + 1):
+        got = hist.known(n)
+        assert np.all(np.abs(got - want[n]) <= 1e-13 * scale[n]), (n, got, want[n])
+        x[n] = values[n]
+        hist.feed(n)
 
 
 SOLVES = {

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstep import tfpde
 from fracstep.corrections import (
     CorrectionSet,
     d1_u_weight_table,
@@ -88,6 +89,22 @@ def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
         solve_subdiffusion(dataclasses.replace(sub, source=nan), tau, (0.75, 1.0), 2, 2)
     with pytest.raises(ValueError, match="solve_wave: " + startup):
         solve_wave(dataclasses.replace(wave, source=nan), tau, (2.0, 2.5), 2, 2, 2)
+
+
+def test_failed_step_solve_names_solver_step_and_time(small_mesh, unit_mesh, monkeypatch):
+    # LAPACK reports a bad factor or argument through info, not by raising
+    monkeypatch.setattr(tfpde, "dpotrs", lambda c, b, lower: (np.zeros_like(b), -2))
+    tau = 2.0**-5
+    where = r"step 1, t = 0\.03125: LAPACK dpotrs failed \(info = -2\)"
+    source = lambda x, t: _zero(x)
+    sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, source, _zero, 1.0, unit_mesh)
+    with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
+        solve_subdiffusion_l1_baseline(sub, tau)
+    wave = WaveProblem(1.0, 1.0, source, _zero, _zero, 0.5, 1.0, small_mesh)
+    with pytest.raises(ValueError, match="solve_wave: " + where):
+        solve_wave(wave, tau)
+    with pytest.raises(ValueError, match="solve_wave_l1_baseline: " + where):
+        solve_wave_l1_baseline(wave, tau)
 
 
 def test_boundary_dofs_exactly_zero():
