@@ -243,8 +243,7 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
     rule = cfg.get("sigma_rule", "k*alpha")
     reference = _fode_reference(cfg, problem, exact)
 
-    def run_cell(cell):
-        col, tau = cell
+    def run_cell(col, tau):
         if col == "l1":
             path = solve_l1(problem, tau)
         elif col in ("trap", "trapezoidal"):
@@ -256,17 +255,11 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
         rep = error_report(path, reference)
         return {"max": rep.max_error, "final": rep.final_error, "avg": rep.avg_error}
 
-    cells = [(col, tau) for col in columns for tau in taus]
-    results = [run_cell(cell) for cell in cells]
     groups = []
-    for ci, col in enumerate(columns):
+    for col in columns:
+        reps = [run_cell(col, tau) for tau in taus]
         label = col if col in ("l1", "trap", "trapezoidal") else f"m{col}"
-        data = {norm: [] for norm in norms}
-        for ti in range(len(taus)):
-            rep = results[ci * len(taus) + ti]
-            for norm in norms:
-                data[norm].append(rep[norm])
-        groups.append((label, data))
+        groups.append((label, {norm: [rep[norm] for rep in reps] for norm in norms}))
     return ConvergenceTable(taus, norms, groups)
 
 
@@ -352,19 +345,11 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
         return solve_subdiffusion(problem, tau, sig, m1=m, m2=m, drop_far_field=drop)
 
     refs = {col: solve_col(col, ref_tau) for col in columns}
-
-    def run_cell(cell):
-        col, tau = cell
-        hist = solve_col(col, tau)
-        return l2_error(hist, refs[col], at="average" if norm == "average" else "final")
-
-    cells = [(col, tau) for col in columns for tau in taus]
-    results = [run_cell(cell) for cell in cells]
+    at = "average" if norm == "average" else "final"
     groups = []
-    for ci, col in enumerate(columns):
-        label = col if col == "l1" else f"m{col}"
-        errs = [results[ci * len(taus) + ti] for ti in range(len(taus))]
-        groups.append((label, {norm: errs}))
+    for col in columns:
+        errs = [l2_error(solve_col(col, tau), refs[col], at=at) for tau in taus]
+        groups.append((col if col == "l1" else f"m{col}", {norm: errs}))
     return ConvergenceTable(taus, [norm], groups)
 
 
@@ -410,16 +395,11 @@ def _run_diagnostics(cfg: StudyConfig) -> RowTable:
     m_values = [int(t) for t in _parse_list(cfg.require("columns"))]
     rule = cfg.get("sigma_rule", "k*alpha")
 
-    def run_cell(cell):
-        alpha, m = cell
-        diag = vandermonde_diagnostics(alpha, CorrectionSet(sigma_list(rule, m, alpha)))
-        return diag
-
-    cells = [(alpha, m) for alpha in alphas for m in m_values]
-    results = [run_cell(cell) for cell in cells]
     rows = []
-    for (alpha, m), diag in zip(cells, results):
-        rows.append([f"{alpha:g}", f"{m}", f"{diag.condition_number:.4e}", f"{diag.max_residual:.4e}"])
+    for alpha in alphas:
+        for m in m_values:
+            diag = vandermonde_diagnostics(alpha, CorrectionSet(sigma_list(rule, m, alpha)))
+            rows.append([f"{alpha:g}", f"{m}", f"{diag.condition_number:.4e}", f"{diag.max_residual:.4e}"])
     return RowTable(["alpha", "m", "condition", "residual"], rows)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 __all__ = ["Term", "History", "startup_matrix"]
 
@@ -76,13 +77,13 @@ class History:
         if L < _BASE or not len(out):
             return
         if L not in self._kernel_fft:  # lags >= _BASE, shifted: target s+L+i comes out at L-_BASE+i
-            self._kernel_fft[L] = np.fft.rfft(self.c[_BASE : 2 * L], 2 * L)[:, None]
+            self._kernel_fft[L] = rfft(self.c[_BASE : 2 * L], 2 * L)[:, None]
         src = self.x[n + 1 - L : n + 1].reshape(L, -1)
         step = max(1, _CHUNK // (2 * L))  # column chunks bound the transient memory
         for j in range(0, src.shape[1], step):
-            spectrum = np.fft.rfft(src[:, j : j + step], 2 * L, axis=0)
+            spectrum = rfft(src[:, j : j + step], 2 * L, axis=0)
             spectrum *= self._kernel_fft[L]
-            out[:, j : j + step] += np.fft.irfft(spectrum, 2 * L, axis=0)[L - _BASE : L - _BASE + len(out)]
+            out[:, j : j + step] += irfft(spectrum, 2 * L, axis=0)[L - _BASE : L - _BASE + len(out)]
 
     def known(self, n: int):
         b = max(n - _BASE + 1, 0)

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-__all__ = ["lgl_nodes", "SpectralMesh", "AssembledForms", "assemble", "interpolate", "h1_projection"]
+__all__ = ["lgl_nodes", "SpectralMesh", "AssembledForms", "assemble", "interpolate", "h1_projection", "spd_inverse"]
 
 
 def lgl_nodes(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +240,14 @@ def h1_projection(f, mesh: SpectralMesh) -> np.ndarray:
     rhs = (forms.stiffness @ fn)[mesh.interior]
     S0 = forms.stiffness0()
     out = np.zeros(mesh.n_dofs)
-    try:
-        out[mesh.interior] = cho_solve(cho_factor(S0), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise RuntimeError("stiffness system unexpectedly singular") from exc
+    out[mesh.interior] = spd_inverse(S0) @ rhs  # S0 is SPD by construction
     return out
+
+
+def spd_inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse L^-T L^-1 of a symmetric positive definite matrix from its
+    Cholesky factor L; ``np.linalg.LinAlgError`` if A is not positive
+    definite.  For the small systems of a 1D mesh, a repeated solve is then
+    one mat-vec."""
+    Linv = np.linalg.inv(np.linalg.cholesky(A))
+    return Linv.T @ Linv

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from .corrections import (
     CorrectionSet,
@@ -38,7 +36,7 @@ from .corrections import (
 )
 from .glweights import l1_weights, step_count, wsgl_weights
 from .memory import History, Term, startup_matrix
-from .sem import SpectralMesh, h1_projection
+from .sem import SpectralMesh, h1_projection, spd_inverse
 
 __all__ = [
     "WaveProblem",
@@ -188,16 +186,18 @@ def solve_wave(
     if m >= 1:
         _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr)
     vh = v - v[0]  # the memory acts on v - v^0; levels above m are filled as they are solved
-    # the U-correction acts on u^r - u^0 - t_r v^0, r = 1..m1
-    u_corr = Wu1 @ (u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0]))
     # the averaged source, the V-correction, the v^0 compensation of the
     # implicit g_0 vh^{n+1} (see the loop) and the stiffness term of the
     # U-correction are fixed after the startup block
     fixed = Md * (0.5 * (fr[:-1] + fr[1:]) - (Wv2[:n_t] @ vh[1 : m2 + 1]) / tau + 0.5 * nu * sc * g[0] * v[0])
-    fixed += 0.5 * mu * (u_corr[:n_t] @ S.T)
     del fr
+    # the U-correction uc^n = sum_r u_{n,r} (u^r - u^0 - t_r v^0), r = 1..m1,
+    # comes off u^{n+1}: that level starts at -uc^n, and uc's stiffness term is fixed
+    if m1:
+        u[m + 1 :] = -(Wu1[m:n_t] @ (u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0])))
+        fixed[m:] -= 0.5 * mu * (u[m + 1 :] @ S.T)
 
-    step_fac = cho_factor(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S)
+    step_inv = _step_inverse(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S, "solve_wave")
     hist = History(mem, vh)
     for k in range(m + 1):
         hist.feed(k)
@@ -209,11 +209,12 @@ def solve_wave(
         known_n, known_next = known_next, hist.known(n + 1)
         frac = known_n + sc * g[0] * vh[n] + known_next
         rhs = Md * (v[n] / tau - 0.5 * nu * frac) + fixed[n] - S @ (mu * u[n] + (mu * tau / 4.0) * v[n])
-        v[n + 1] = _step_solve(step_fac, rhs, "solve_wave", n + 1, tau)
+        v[n + 1] = step_inv @ rhs
         vh[n + 1] = v[n + 1] - v[0]
         hist.feed(n + 1)
-        u[n + 1] = u[n] + (tau / 2.0) * (v[n + 1] + v[n]) - u_corr[n]
-    del vh, fixed, u_corr  # release the working histories before the full-width copies
+        u[n + 1] += u[n] + (tau / 2.0) * (v[n + 1] + v[n])
+    _check_march("solve_wave", v, m, tau)
+    del vh, fixed  # release the working histories before the full-width copies
     return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
 
 
@@ -262,25 +263,27 @@ def _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr):
         X = np.linalg.solve(A, np.concatenate([b_v.ravel(), b_u.ravel()]))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("wave startup block is singular") from exc
-    _check_startup("solve_wave", X, m, tau)
     u[1 : m + 1] = X[:md].reshape(m, d)
     v[1 : m + 1] = X[md:].reshape(m, d)
 
 
-def _check_startup(solver: str, X: np.ndarray, m: int, tau: float) -> None:
-    if not np.all(np.isfinite(X)):
+def _step_inverse(A: np.ndarray, solver: str) -> np.ndarray:
+    """Inverse of the SPD step matrix: each step's solve is one mat-vec."""
+    try:
+        return spd_inverse(A)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{solver}: step matrix is not positive definite") from exc
+
+
+def _check_march(solver: str, x: np.ndarray, m: int, tau: float) -> None:
+    """Name the first non-finite level of a finished march, or the startup
+    block 1..m that holds it; the march is causal, so the levels before it
+    are unaffected."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size and 1 <= bad[0] <= m:
         raise ValueError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
-
-
-def _step_solve(fac, rhs: np.ndarray, solver: str, n: int, tau: float) -> np.ndarray:
-    """Solve with the ``cho_factor`` factor of the step matrix by LAPACK
-    directly (the same bits as ``cho_solve``, without its per-call checks)."""
-    x, info = dpotrs(fac[0], rhs, lower=fac[1])
-    if info != 0:
-        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: LAPACK dpotrs failed (info = {info})")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
-    return x
+    if bad.size:
+        raise ValueError(f"{solver}: step {bad[0]}, t = {bad[0] * tau:g}: solution is not finite")
 
 
 def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int, solver: str):
@@ -301,16 +304,16 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
             X = np.linalg.solve(A, rhs[1 : m + 1].ravel())
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("subdiffusion startup block is singular") from exc
-        _check_startup(solver, X, m, tau)
         uh[1 : m + 1] = X.reshape(m, -1)
 
     hist = History(terms, uh)
-    step_fac = cho_factor(np.diag(hist.c[0] * Md) + mu * S)
+    step_inv = _step_inverse(np.diag(hist.c[0] * Md) + mu * S, solver)
     for k in range(m + 1):
         hist.feed(k)
     for n in range(m + 1, n_t + 1):
-        uh[n] = _step_solve(step_fac, rhs[n] - Md * hist.known(n), solver, n, tau)
+        uh[n] = step_inv @ (rhs[n] - Md * hist.known(n))
         hist.feed(n)
+    _check_march(solver, uh, m, tau)
     return FieldHistory(mesh, tau, _full(mesh, uh + u0))
 
 
@@ -357,7 +360,7 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     vh = np.zeros_like(v)  # v - v^0
     hist = History([Term(nu, l1_weights(alpha, n_t, tau))], vh)
     c0 = hist.c[0]
-    step_fac = cho_factor(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S)
+    step_inv = _step_inverse(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S, "solve_wave_l1_baseline")
     # the implicit c_0 vh^n sits in the step matrix acting on v^n; its
     # v^0 part is compensated here
     fixed = Md * (_source_rows(problem, mesh, n_t, tau) + c0 * v[0])
@@ -365,10 +368,11 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     for n in range(1, n_t + 1):
         stiff = S @ (mu * u[n - 1] + (mu * tau / 2.0) * v[n - 1])
         rhs = Md * (v[n - 1] / tau - hist.known(n)) + fixed[n] - stiff
-        v[n] = _step_solve(step_fac, rhs, "solve_wave_l1_baseline", n, tau)
+        v[n] = step_inv @ rhs
         vh[n] = v[n] - v[0]
         hist.feed(n)
         u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
+    _check_march("solve_wave_l1_baseline", v, 0, tau)
     return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
 
 

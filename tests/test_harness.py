@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,3 +306,18 @@ def test_shipped_study_configs_parse():
         for study in parse_config(f):
             kinds.add(study.kind)
     assert {"fode", "wave", "subdiff", "diagnostics", "operator"} <= kinds
+
+
+def test_import_path_loads_neither_scipy_nor_mpmath():
+    # the CLI's set-up (import and config parse) stays on numpy alone; mpmath
+    # is imported only by the rare Mittag-Leffler re-sum
+    src = pathlib.Path(fracstep.__file__).resolve().parent.parent
+    study = src.parent / "studies" / "subdiffusion.ini"
+    code = (
+        "import sys, fracstep, fracstep.cli; "
+        f"fracstep.parse_config({str(study)!r}); "
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -91,19 +91,28 @@ def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
         solve_wave(dataclasses.replace(wave, source=nan), tau, (2.0, 2.5), 2, 2, 2)
 
 
-def test_failed_step_solve_names_solver_step_and_time(small_mesh, unit_mesh, monkeypatch):
-    # LAPACK reports a bad factor or argument through info, not by raising
-    monkeypatch.setattr(tfpde, "dpotrs", lambda c, b, lower: (np.zeros_like(b), -2))
+def test_indefinite_step_matrix_names_solver(small_mesh, unit_mesh, monkeypatch):
+    # a stiffness of the wrong sign makes every step matrix indefinite, so
+    # its Cholesky factorisation fails before the first step
+    space = tfpde._space
+
+    def flipped(mesh):
+        Md, S, I = space(mesh)
+        return Md, -S, I
+
+    monkeypatch.setattr(tfpde, "_space", flipped)
     tau = 2.0**-5
-    where = r"step 1, t = 0\.03125: LAPACK dpotrs failed \(info = -2\)"
+    what = r": step matrix is not positive definite"
     source = lambda x, t: _zero(x)
     sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, source, _zero, 1.0, unit_mesh)
-    with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
+    with pytest.raises(ValueError, match="solve_subdiffusion" + what):
+        solve_subdiffusion(sub, tau)
+    with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline" + what):
         solve_subdiffusion_l1_baseline(sub, tau)
     wave = WaveProblem(1.0, 1.0, source, _zero, _zero, 0.5, 1.0, small_mesh)
-    with pytest.raises(ValueError, match="solve_wave: " + where):
+    with pytest.raises(ValueError, match="solve_wave" + what):
         solve_wave(wave, tau)
-    with pytest.raises(ValueError, match="solve_wave_l1_baseline: " + where):
+    with pytest.raises(ValueError, match="solve_wave_l1_baseline" + what):
         solve_wave_l1_baseline(wave, tau)
 
 
