@@ -12,7 +12,6 @@ from .corrections import (
     VandermondeDiagnostics,
     d1_u_weight_table,
     d1_v_weight_table,
-    s_factor,
     starting_weight_table,
     vandermonde_diagnostics,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "VandermondeDiagnostics",
     "d1_u_weight_table",
     "d1_v_weight_table",
-    "s_factor",
     "starting_weight_table",
     "vandermonde_diagnostics",
     "ConvergenceError",

@@ -29,7 +29,6 @@ __all__ = [
     "d1_u_weight_table",
     "d1_v_weight_table",
     "vandermonde_diagnostics",
-    "s_factor",
 ]
 
 MAX_CORRECTION_TERMS = 10
@@ -182,13 +181,3 @@ def vandermonde_diagnostics(alpha: float, cset: CorrectionSet) -> VandermondeDia
     rhs = _fractional_rhs(alpha, cset.sigmas, n_max)
     resid = A @ W[1:].T - rhs[:, 1:]
     return VandermondeDiagnostics(cond, float(np.max(np.abs(resid))))
-
-
-def s_factor(sigma: float, cset: CorrectionSet) -> float:
-    """Error-amplitude factor prod_k |sigma - sigma_k|; empty product is 1.
-    Vanishes when sigma is one of the corrected exponents, which is why a few
-    well-placed corrections buy disproportionate accuracy."""
-    out = 1.0
-    for s in cset.sigmas:
-        out *= abs(sigma - s)
-    return out

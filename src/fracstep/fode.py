@@ -58,14 +58,15 @@ class MultiTermProblem:
         al = tuple(float(a) for a in self.alphas)
         if len(nu) != len(al) or not nu:
             raise ValueError("nu and alphas must be equal-length and nonempty")
-        if nu[0] <= 0 or any(v < 0 for v in nu):
-            raise ValueError("nu_1 > 0 and nu_j >= 0 required")
+        # each check is written so that NaN fails it
+        if not nu[0] > 0 or not all(v >= 0 for v in nu):
+            raise ValueError(f"nu_1 > 0 and nu_j >= 0 required, got nu = {nu}")
         if any(not 0 < a <= 1 for a in al):
-            raise ValueError("orders must lie in (0, 1]")
+            raise ValueError(f"orders must lie in (0, 1], got alphas = {al}")
         if any(b > a for a, b in zip(al, al[1:])):
-            raise ValueError("orders must be nonincreasing")
-        if self.T <= 0:
-            raise ValueError("T > 0 required")
+            raise ValueError(f"orders must be nonincreasing, got alphas = {al}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"finite T > 0 required, got T = {self.T!r}")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "alphas", al)
 

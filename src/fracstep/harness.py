@@ -216,12 +216,25 @@ def _fode_problem(cfg: StudyConfig):
     raise ValueError(f"unknown fode problem '{name}'")
 
 
-def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact):
+def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact, taus):
     ref = cfg.get("reference", "exact")
     if ref == "exact":
         if exact is None:
             raise ValueError("problem has no exact solution; pick a reference method")
-        return exact
+        # one call over the union of the cells' grids; each cell reads its own
+        # times back, with the same bits as a call on its own grid
+        grids = [np.arange(step_count(tau, problem.T) + 1) * tau for tau in taus]
+        times = sorted({t for grid in grids for t in grid.tolist()})
+        index = {t: i for i, t in enumerate(times)}
+        values = exact(times)
+
+        def sampled(t):
+            try:
+                return values[[index[tk] for tk in np.ravel(t).tolist()]]
+            except KeyError as exc:
+                raise ValueError(f"exact reference was not evaluated at t = {exc.args[0]!r}") from None
+
+        return sampled
     method, tau_s = ref.split(":")
     tau = _parse_number(tau_s)
     if method == "trapezoidal":
@@ -241,7 +254,7 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
     rule_alpha = _parse_number(cfg.get("alpha", str(problem.alphas[0])))
     alpha2 = problem.alphas[1] if problem.n_terms > 1 else None
     rule = cfg.get("sigma_rule", "k*alpha")
-    reference = _fode_reference(cfg, problem, exact)
+    reference = _fode_reference(cfg, problem, exact, taus)
 
     def run_cell(col, tau):
         if col == "l1":
@@ -267,9 +280,10 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
 # wave / subdiffusion studies
 
 
-def _mesh_from(cfg: StudyConfig, default: SpectralMesh) -> SpectralMesh:
+def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
+    """The config's ``mesh``/``degrees``, else ``default()``."""
     if "mesh" not in cfg.params:
-        return default
+        return default()
     brk = [_parse_number(t) for t in _parse_list(cfg.require("mesh"))]
     degs = [int(t) for t in _parse_list(cfg.require("degrees"))]
     return SpectralMesh(brk, degs)
@@ -283,14 +297,13 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
     apply_to = cfg.get("apply_to", "all")
     norm = cfg.get("norm", "final")
     rule = cfg.get("sigma_rule", "k+1" if case == "smooth" else "(k+1)*alpha")
+    mesh = _mesh_from(cfg, problems.three_zone_mesh)
 
     def make_problem(alpha):
         if case == "smooth":
             nu = _parse_number(cfg.get("nu", "2"))
-            mesh = _mesh_from(cfg, problems.three_zone_mesh())
             return problems.wave_smooth_problem(alpha, nu, mesh), problems.wave_smooth_exact()
         if case == "forced":
-            mesh = _mesh_from(cfg, problems.three_zone_mesh())
             return problems.wave_forced_problem(alpha, mesh), None
         raise ValueError(f"unknown wave case '{case}'")
 
@@ -329,7 +342,7 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
     norm = cfg.get("norm", "average")
     rule = cfg.get("sigma_rule", "list:0.75 1.0 1.25 1.5 1.75 2.0 2.25 2.5 2.75 3.0")
     drop = cfg.get("drop_far_field", "false").lower() in ("1", "true", "yes", "on")
-    mesh = _mesh_from(cfg, problems.two_zone_unit_mesh(16))
+    mesh = _mesh_from(cfg, problems.two_zone_unit_mesh)
     problem = problems.subdiffusion_forced_problem(mesh)
     ref_spec = cfg.require("reference")
     method, tau_s = ref_spec.split(":")

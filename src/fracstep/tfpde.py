@@ -50,6 +50,17 @@ __all__ = [
 ]
 
 
+def _check_coefficients(nu, mu, T) -> None:
+    """Reject a bad field-problem coefficient by name; each check is written
+    so that NaN fails it."""
+    if not mu > 0:
+        raise ValueError(f"mu > 0 required, got mu = {mu!r}")
+    if not nu >= 0:
+        raise ValueError(f"nu >= 0 required, got nu = {nu!r}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"finite T > 0 required, got T = {T!r}")
+
+
 @dataclass(frozen=True)
 class WaveProblem:
     """Diffusion-wave problem
@@ -66,12 +77,9 @@ class WaveProblem:
     mesh: SpectralMesh
 
     def __post_init__(self):
-        if self.mu <= 0 or self.nu < 0:
-            raise ValueError("mu > 0 and nu >= 0 required")
+        _check_coefficients(self.nu, self.mu, self.T)
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha in (0, 1] required")
-        if self.T <= 0:
-            raise ValueError("T > 0 required")
+            raise ValueError(f"alpha in (0, 1] required, got alpha = {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -89,13 +97,10 @@ class SubdiffusionProblem:
     mesh: SpectralMesh
 
     def __post_init__(self):
-        if self.mu <= 0 or self.nu < 0:
-            raise ValueError("mu > 0 and nu >= 0 required")
-        for a in (self.alpha1, self.alpha2):
+        _check_coefficients(self.nu, self.mu, self.T)
+        for name, a in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
             if not 0 < a <= 1:
-                raise ValueError("orders in (0, 1] required")
-        if self.T <= 0:
-            raise ValueError("T > 0 required")
+                raise ValueError(f"{name} in (0, 1] required, got {name} = {a!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ Each function evaluates one operator value, one row of starting weights at a
 single step, one known part of a memory at a single level or one series sum
 at a single point, straight from its defining formula, so the vectorised
 tables, convolutions and sums in ``fracstep`` can be checked against it.
+``s_factor`` is the error-amplitude factor of a correction set, which the
+tests compare with the observed error decay.
 """
 
 import math
@@ -142,3 +144,13 @@ def ml_series_scalar(alpha: float, z: float):
         raise ArithmeticError(f"series did not converge (alpha={alpha:g}, z={z:g})")
     cond = abs_total / abs(total) if total != 0.0 else math.inf
     return total, cond, k, last_ratio
+
+
+def s_factor(sigma: float, cset) -> float:
+    """Error-amplitude factor prod_k |sigma - sigma_k|; empty product is 1.
+    Vanishes when sigma is one of the corrected exponents, which is why a few
+    well-placed corrections buy disproportionate accuracy."""
+    out = 1.0
+    for s in cset.sigmas:
+        out *= abs(sigma - s)
+    return out

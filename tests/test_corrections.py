@@ -8,7 +8,6 @@ from fracstep.corrections import (
     CorrectionSet,
     d1_u_weight_table,
     d1_v_weight_table,
-    s_factor,
     starting_weight_table,
     vandermonde_diagnostics,
 )
@@ -18,6 +17,7 @@ from oracles import (
     apply_wsgl_pair,
     corrected_wsgl_apply,
     d1_weights_step,
+    s_factor,
     sample,
     starting_weights_step,
 )

@@ -34,6 +34,21 @@ def test_problem_validation():
         MultiTermProblem((1.0,), (1.5,), lambda t, y: 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "nu, alphas, T, match",
+    [
+        ((math.nan,), (0.5,), 1.0, r"nu = \(nan,\)"),
+        ((1.0, math.nan), (0.5, 0.3), 1.0, r"nu = \(1\.0, nan\)"),
+        ((1.0,), (math.nan,), 1.0, r"alphas = \(nan,\)"),
+        ((1.0,), (0.5,), math.nan, r"T = nan"),
+        ((1.0,), (0.5,), math.inf, r"T = inf"),
+    ],
+)
+def test_problem_rejects_nan_parameters_by_name(nu, alphas, T, match):
+    with pytest.raises(ValueError, match=match):
+        MultiTermProblem(nu, alphas, lambda t, y: 0.0, 0.0, T)
+
+
 def test_zero_problem_stays_zero():
     prob = MultiTermProblem((1.0, 1.5), (1.0, 0.5), lambda t, y: 0.0, 0.0, 1.0)
     path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-6))

@@ -285,6 +285,87 @@ def test_wave_self_reference_solved_once_per_column(tmp_path, monkeypatch):
     assert sorted(taus_solved) == [2.0**-7] * 2 + [2.0**-5] * 2 + [2.0**-4] * 2
 
 
+def test_fode_exact_reference_evaluated_once(tmp_path, monkeypatch):
+    from fracstep import problems
+
+    sizes, ml_calls = [], []
+    make_exact, ml = problems.two_term_ml_exact, problems.mittag_leffler
+
+    def counting_make_exact(alpha):
+        exact = make_exact(alpha)
+
+        def counted(t):
+            sizes.append(np.size(t))
+            return exact(t)
+
+        return counted
+
+    def counting_ml(alpha, z):
+        ml_calls.append(alpha)
+        return ml(alpha, z)
+
+    monkeypatch.setattr(problems, "two_term_ml_exact", counting_make_exact)
+    monkeypatch.setattr(problems, "mittag_leffler", counting_ml)
+    (study,) = parse_config(_write(tmp_path, "f.ini", FODE_STUDY))
+    run_study(study)
+    # one call over the union of the 2^-5 and 2^-6 grids, which is the 2^-6 grid
+    assert sizes == [65]
+    assert ml_calls == [0.5]
+
+
+@pytest.mark.parametrize("taus", ["2^-4 2^-5 2^-6", "0.1 0.04"])
+def test_fode_exact_reference_matches_per_cell_evaluation(tmp_path, monkeypatch, taus):
+    # the shared evaluation gives each cell the bits of a call on its own grid,
+    # on a nested chain and on one whose grids share only some times
+    from fracstep import harness
+
+    text = FODE_STUDY.replace("2^-5 2^-6", taus).replace("0 2", "0 2 l1")
+    text = text.replace("max final", "max final avg")
+    (study,) = parse_config(_write(tmp_path, "f.ini", text))
+    shared = run_study(study)
+    monkeypatch.setattr(harness, "_fode_reference", lambda cfg, problem, exact, taus: exact)
+    per_cell = run_study(study)
+    assert shared.groups == per_cell.groups
+
+
+def test_fode_exact_reference_rejects_times_off_its_grids(tmp_path):
+    from fracstep import harness, problems
+
+    (study,) = parse_config(_write(tmp_path, "f.ini", FODE_STUDY))
+    exact = problems.two_term_ml_exact(0.5)
+    sampled = harness._fode_reference(study, problems.two_term_ml_problem(0.5), exact, [0.25, 0.1])
+    t = np.array([0.0, 0.1, 0.25, 0.5, 1.0])
+    assert np.array_equal(sampled(t), exact(t))
+    with pytest.raises(ValueError, match=r"t = 0\.15\b"):
+        sampled(np.array([0.2, 0.15]))
+    with pytest.raises(ValueError, match=r"t = 1\.25\b"):
+        sampled(np.array([1.25]))
+
+
+def test_wave_study_builds_one_mesh(tmp_path, monkeypatch):
+    from fracstep import sem
+
+    built = []
+    init = sem.SpectralMesh.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(sem.SpectralMesh, "__init__", counting_init)
+    for mesh in ("", "mesh = -1 0 1\ndegrees = 8 8\n"):
+        built.clear()
+        cfg = _write(
+            tmp_path,
+            "wf.ini",
+            "[wf]\nkind = wave\ncase = forced\nalphas = 0.4 0.5\ntaus = 2^-2 2^-3\n"
+            "columns = 0 1\nsigma_rule = list: 2.0 2.5\nreference = self:2^-4\n" + mesh,
+        )
+        (study,) = parse_config(cfg)
+        run_study(study)
+        assert len(built) == 1
+
+
 def test_package_has_no_cross_module_private_imports():
     # weights and helpers are shared through public names only, and every
     # exported name resolves

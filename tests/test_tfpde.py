@@ -47,6 +47,27 @@ def unit_mesh():
     return two_zone_unit_mesh(12)
 
 
+@pytest.mark.parametrize(
+    "field, match",
+    [("nu", r"nu = nan"), ("mu", r"mu = nan"), ("T", r"T = nan"), ("alpha", r"alpha = nan")],
+)
+def test_wave_problem_rejects_nan_parameters_by_name(small_mesh, field, match):
+    prob = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(prob, **{field: math.nan})
+
+
+@pytest.mark.parametrize(
+    "field, match",
+    [("nu", r"nu = nan"), ("mu", r"mu = nan"), ("T", r"T = inf"), ("alpha2", r"alpha2 = nan")],
+)
+def test_subdiffusion_problem_rejects_nan_parameters_by_name(unit_mesh, field, match):
+    prob = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
+    value = math.inf if field == "T" else math.nan
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(prob, **{field: value})
+
+
 def test_zero_wave_history(small_mesh):
     prob = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
     hist = solve_wave(prob, 2.0**-4, (2.0, 3.0), 1, 1, 2)
