@@ -7,10 +7,12 @@ The primary scheme discretizes
 (Caputo derivatives, orders in (0,1], nu_1 > 0) with the corrected WSGL
 operator applied to y - y0 per term, solved implicitly step by step.  The
 first m steps couple through the starting weights and are solved as one block
-(Newton on the nonlinearity, direct solve of the linear part).  L1 and
-product-trapezoidal discretizations are provided as baselines and reference
-generators.  All three schemes share one march over the memory terms of
-``fracstep.memory``.
+(Newton on the nonlinearity, direct solve of the linear part).  Every later
+step solves one scalar equation by a secant iteration that carries its slope
+from step to step: about three evaluations of f per step, two for a linear f.
+L1 and product-trapezoidal discretizations are provided as baselines and
+reference generators.  All three schemes share one march over the memory
+terms of ``fracstep.memory``.
 """
 
 from __future__ import annotations
@@ -90,8 +92,13 @@ class SolverConfig:
     newton_max_iters: int = 100
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau > 0 required")
+        # each check is written so that NaN fails it
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"finite tau > 0 required, got tau = {self.tau!r}")
+        if not self.newton_max_iters >= 1:
+            raise ValueError(
+                f"newton_max_iters >= 1 required, got newton_max_iters = {self.newton_max_iters!r}"
+            )
 
     def per_term_sets(self, n_terms: int) -> list[CorrectionSet]:
         empty = CorrectionSet(())
@@ -121,31 +128,54 @@ def _fd_slope(f, t: float, y: float) -> float:
 
 
 def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, guess: float,
-                   max_iters: int) -> float:
-    """Solve a*x + known = b*f(t_n, y0 + x) for x: Newton with a
-    finite-difference slope from ``guess``, then Picard iteration from
-    ``guess`` if Newton fails."""
+                   d: float, max_iters: int) -> tuple[float, float, float]:
+    """Solve r(x) = a*x + known - b*f(t_n, y0 + x) = 0 for x by a chord/secant
+    iteration from ``guess``: the first iterate uses the slope ``d`` the previous
+    step ended with, each later one the secant slope of the last two iterates
+    (taken when their step is well above rounding).  An iterate that does not
+    halve |r| is dropped for a finite-difference slope at the current x; if that
+    fails too, Picard iteration from ``guess`` takes over.  An iterate is
+    accepted when its residual or its step is within _STEP_TOL relative.
+    Returns (x, f(t_n, y0 + x), d).  A linear f needs no special path: its
+    secant slope is exact, so the next step's first iterate solves it."""
     x = guess
+    fx = f(t_n, y0 + x)
+    r = a * x + known - b * fx
+    abs_r, scale = abs(r), max(1.0, abs(x))
+    refreshed = False
     for _ in range(max_iters):
-        r = a * x + known - b * f(t_n, y0 + x)
-        if abs(r) <= _STEP_TOL * max(1.0, abs(x)):
-            return x
-        d = a - b * _fd_slope(f, t_n, y0 + x)
-        if d == 0.0:
-            break
+        if abs_r <= _STEP_TOL * scale:
+            return x, fx, d
         x_new = x - r / d
         if not math.isfinite(x_new):
             break
-        if abs(x_new - x) <= _STEP_TOL * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
+        f_new = f(t_n, y0 + x_new)
+        r_new = a * x_new + known - b * f_new
+        if not math.isfinite(r_new):
+            break
+        dx, scale_new = x_new - x, max(1.0, abs(x_new))
+        abs_dx = abs(dx)
+        if abs_dx <= _STEP_TOL * scale_new:
+            return x_new, f_new, d
+        abs_r_new = abs(r_new)
+        if abs_r_new <= 0.5 * abs_r:
+            if abs_dx > 1e-9 * scale_new:
+                d = (r_new - r) / dx
+            x, fx, r, abs_r, scale, refreshed = x_new, f_new, r_new, abs_r_new, scale_new, False
+        elif refreshed:
+            break
+        else:
+            d = a - b * _fd_slope(f, t_n, y0 + x)
+            if not 0.0 < abs(d) < math.inf:
+                break
+            refreshed = True
     x = guess
     for _ in range(max_iters):
         x_new = (b * f(t_n, y0 + x) - known) / a
         if not math.isfinite(x_new):
             break
         if abs(x_new - x) <= _STEP_TOL * max(1.0, abs(x_new)):
-            return x_new
+            return x_new, f(t_n, y0 + x_new), a  # a: the chord slope Picard iterates with
         x = x_new
     raise ConvergenceError("implicit step did not converge")
 
@@ -189,7 +219,10 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
         except ConvergenceError as exc:
             raise ConvergenceError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: {exc}") from exc
     mem = History(terms, yhat)
-    a, b = float(mem.c[0]), 1.0  # Python floats: the scalar Newton step runs in the interpreter
+    # Python floats: the scalar step runs in the interpreter; the first step
+    # starts from the chord slope a, which its own iterates refine
+    a, b = float(mem.c[0]), 1.0
+    d = a
     for k in range(m + 1):
         mem.feed(k)
     if f_terms is not None:
@@ -197,14 +230,17 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
         fmem = History(f_terms, fv)
         b = float(fmem.c[0])
         fmem.feed(0)
+    y1 = float(yhat[m])  # the last two levels, for the linear extrapolation 2 y1 - y2
+    y2 = float(yhat[m - 1]) if m else y1
     try:
         for n in range(m + 1, n_t + 1):
             known = float(mem.known(n) if f_terms is None else mem.known(n) - fmem.known(n))
-            guess = float(2.0 * yhat[n - 1] - yhat[n - 2] if n >= 2 else yhat[n - 1])  # linear extrapolation
-            yhat[n] = _implicit_step(f, n * tau, y0, a, known, b, guess, max_iters)
+            x, fx, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d, max_iters)
+            yhat[n] = x
+            y1, y2 = x, y1
             mem.feed(n)
             if f_terms is not None:
-                fv[n] = f(n * tau, y0 + yhat[n])
+                fv[n] = fx
                 fmem.feed(n)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc
@@ -252,12 +288,14 @@ def _trap_kernel(alpha: float, n_t: int, tau: float) -> np.ndarray:
     return tau**alpha / gamma(2.0 + alpha) * c
 
 
-def _trap_a0(alpha: float, n: int, tau: float) -> float:
-    return (
-        tau**alpha
-        / gamma(2.0 + alpha)
-        * ((n - 1.0) ** (alpha + 1.0) - (n - 1.0 - alpha) * float(n) ** alpha)
-    )
+def _trap_a0(alpha: float, n_t: int, tau: float) -> list[float]:
+    """Endpoint weights a_{n,0} of the product-trapezoidal rule for I^alpha,
+    n = 1..n_t.  They cancel to O(n^-2), so each keeps libm's scalar pow."""
+    scale = tau**alpha / gamma(2.0 + alpha)
+    return [
+        scale * ((n - 1.0) ** (alpha + 1.0) - (n - 1.0 - alpha) * float(n) ** alpha)
+        for n in range(1, n_t + 1)
+    ]
 
 
 def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
@@ -279,9 +317,8 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
     cd = _trap_kernel(a1 - a2, n_t, tau)
     cd[0] += 1.0  # the identity term (y - y0)
     cf = _trap_kernel(a1, n_t, tau)
-    # a_{n,0} replaces c_n on f^0; it cancels to O(n^-2), so it keeps libm's scalar pow
     origin = np.zeros(n_t + 1)
-    origin[1:] = [_trap_a0(a1, n, tau) for n in range(1, n_t + 1)] - cf[1:]
+    origin[1:] = _trap_a0(a1, n_t, tau) - cf[1:]  # a_{n,0} replaces c_n on f^0
     return _march(problem, tau, [Term(1.0, cd)], 0, 200, "solve_trapezoidal", [Term(1.0, cf, origin=origin)])
 
 

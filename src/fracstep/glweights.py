@@ -14,6 +14,7 @@ live in ``corrections``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class SampledPath:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:  # NaN fails it
+            raise ValueError(f"finite tau > 0 required, got tau = {self.tau!r}")
         values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled values must be finite")
@@ -56,6 +57,9 @@ class SampledPath:
 
 def step_count(tau: float, T: float) -> int:
     """Number of steps n_T = T / tau; tau must divide T."""
+    for name, v in (("tau", tau), ("T", T)):
+        if not 0 < v < math.inf:  # NaN fails it
+            raise ValueError(f"finite {name} > 0 required, got {name} = {v!r}")
     n_t = int(round(T / tau))
     if n_t < 1 or abs(n_t * tau - T) > 1e-10 * max(1.0, T):
         raise ValueError(f"tau={tau:g} must divide T={T:g}")

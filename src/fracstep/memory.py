@@ -48,7 +48,8 @@ class History:
 
     The kernels are summed into one, c (c[0] is the implicit diagonal).
     Level n sums the lags 1.._BASE-1, which carry the largest weights,
-    directly and reads the rest from a far field: once the left half [s, s+L)
+    directly (one dot against a contiguous reversed copy of those lags) and
+    reads the rest from a far field: once the left half [s, s+L)
     of a dyadic node [s, s+2L), L >= _BASE, is complete, one cyclic FFT of
     length 2L adds its convolution with the lags >= _BASE of c to the targets
     [s+L, s+2L).  A march of N levels costs O(N log^2 N) (Hairer, Lubich &
@@ -64,6 +65,7 @@ class History:
         self.far = np.zeros_like(x)
         self._far2d = self.far.reshape(len(x), -1)
         self._kernel_fft = {}
+        self._near = np.ascontiguousarray(self.c[_BASE - 1 : 0 : -1])  # lags _BASE-1, ..., 1
 
     def feed(self, n: int) -> None:
         if n == self.m:  # x[0..m] are final: fold the fixed columns into the far field
@@ -73,9 +75,9 @@ class History:
                 if t.origin is not None:
                     self.far += np.multiply.outer(t.origin[: len(self.x)], t.scale * self.x[0])
         L = (n + 1) & -(n + 1)  # x[n] completes the left half [n+1-L, n+1)
-        out = self._far2d[n + 1 : n + 1 + L]
-        if L < _BASE or not len(out):
+        if L < _BASE or n + 1 == len(self.x):
             return
+        out = self._far2d[n + 1 : n + 1 + L]
         if L not in self._kernel_fft:  # lags >= _BASE, shifted: target s+L+i comes out at L-_BASE+i
             self._kernel_fft[L] = rfft(self.c[_BASE : 2 * L], 2 * L)[:, None]
         src = self.x[n + 1 - L : n + 1].reshape(L, -1)
@@ -86,8 +88,9 @@ class History:
             out[:, j : j + step] += irfft(spectrum, 2 * L, axis=0)[L - _BASE : L - _BASE + len(out)]
 
     def known(self, n: int):
-        b = max(n - _BASE + 1, 0)
-        return self.far[n] + self.x[b:n].T @ self.c[n - b : 0 : -1]
+        if n >= _BASE - 1:
+            return self.far[n] + self._near.dot(self.x[n - _BASE + 1 : n])
+        return self.far[n] + self.c[n:0:-1].dot(self.x[:n])
 
 
 def startup_matrix(terms, m: int) -> np.ndarray:

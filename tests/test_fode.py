@@ -14,8 +14,11 @@ from fracstep.fode import (
     solve_trapezoidal,
     two_term_sigma_rule,
     _trap_a0,
+    _trap_kernel,
 )
-from fracstep.glweights import SampledPath, wsgl_weights
+from fracstep import fode
+from fracstep.glweights import SampledPath, l1_weights, step_count, wsgl_weights
+from fracstep.memory import Term
 from fracstep.corrections import starting_weight_table
 from fracstep.problems import (
     nonlinear_cubic_problem,
@@ -23,6 +26,7 @@ from fracstep.problems import (
     two_term_ml_problem,
 )
 from fracstep.specfun import gamma
+from oracles import history
 
 
 def test_problem_validation():
@@ -47,6 +51,23 @@ def test_problem_validation():
 def test_problem_rejects_nan_parameters_by_name(nu, alphas, T, match):
     with pytest.raises(ValueError, match=match):
         MultiTermProblem(nu, alphas, lambda t, y: 0.0, 0.0, T)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SolverConfig(math.nan), r"tau = nan"),
+        (lambda: SolverConfig(math.inf), r"tau = inf"),
+        (lambda: SolverConfig(0.1, newton_max_iters=0), r"newton_max_iters = 0"),
+        (lambda: SolverConfig(0.1, newton_max_iters=math.nan), r"newton_max_iters = nan"),
+        (lambda: SampledPath(math.nan, np.zeros(3)), r"tau = nan"),
+        (lambda: solve_l1(nonlinear_cubic_problem(0.2, 0.1), math.nan), r"tau = nan"),
+        (lambda: step_count(0.1, math.nan), r"T = nan"),
+    ],
+)
+def test_step_input_rejected_by_name(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_zero_problem_stays_zero():
@@ -156,6 +177,109 @@ def test_nan_rhs_names_solver_step_and_time():
         solve_trapezoidal(prob, tau)
 
 
+def _counting(problem):
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return problem.rhs(t, y)
+
+    return calls, MultiTermProblem(problem.nu, problem.alphas, rhs, problem.y0, problem.T)
+
+
+CUBIC_MARCHES = {
+    "l1": solve_l1,
+    "trapezoidal": solve_trapezoidal,
+    "wsgl": lambda p, tau: solve_corrected_wsgl(
+        p, SolverConfig(tau, two_term_sigma_rule(*p.alphas, 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("march", CUBIC_MARCHES)
+def test_rhs_evaluations_per_step(march):
+    # the secant step: f at the extrapolated guess, at the chord iterate and
+    # at the secant iterate; a finite-difference slope costs two more
+    calls, prob = _counting(nonlinear_cubic_problem(0.2, 0.1))
+    path = CUBIC_MARCHES[march](prob, 2.0**-9)
+    assert calls[0] <= 3.5 * path.n_steps
+
+
+def test_linear_rhs_step_takes_one_iterate():
+    # the secant slope of a linear f is exact, so the next step's first
+    # iterate solves it: f at the guess and at that iterate
+    calls, prob = _counting(two_term_ml_problem(0.1))
+    path = solve_corrected_wsgl(prob, SolverConfig(2.0**-9, CorrectionSet((0.1, 0.2, 0.3))))
+    assert calls[0] <= 2.1 * path.n_steps
+
+
+def test_trapezoid_stores_f_at_the_returned_level(monkeypatch):
+    # the f-history holds f(t_n, y^n) at the very y^n the step returned
+    histories = []
+
+    class Recorded(fode.History):
+        def __init__(self, terms, x):
+            super().__init__(terms, x)
+            histories.append(x)
+
+    monkeypatch.setattr(fode, "History", Recorded)
+    prob = nonlinear_cubic_problem(0.2, 0.1)
+    tau = 2.0**-9
+    path = solve_trapezoidal(prob, tau)
+    stored = histories[1]
+    assert [float(v) for v in stored] == [prob.rhs(n * tau, float(y)) for n, y in enumerate(path.values)]
+
+
+def _slope_jump_rhs(t, y):
+    return -y if t < 0.5 else -50.0 * y
+
+
+@pytest.mark.parametrize("march", CUBIC_MARCHES)
+def test_slope_jump_takes_a_fresh_slope(march, monkeypatch):
+    # at t = 0.5 the slope carried from the step before is 50 times off, so
+    # its iterate does not halve the residual: the step takes a fresh
+    # finite-difference slope, converges, and every level solves the scheme
+    slopes = []
+
+    def spy(f, t, y):
+        slopes.append(t)
+        return fd_slope(f, t, y)
+
+    fd_slope = fode._fd_slope
+    monkeypatch.setattr(fode, "_fd_slope", spy)
+    prob = MultiTermProblem((1.0, 1.0), (0.7, 0.5), _slope_jump_rhs, 1.0, 1.0)
+    tau = 2.0**-5
+    path = CUBIC_MARCHES[march](prob, tau)
+    assert 0.5 in slopes
+    n_t, yhat = path.n_steps, path.values - prob.y0
+    fv = np.array([_slope_jump_rhs(t, y) for t, y in zip(path.times, path.values)])
+    if march == "trapezoidal":
+        cf = _trap_kernel(0.7, n_t, tau)
+        origin = np.zeros(n_t + 1)
+        origin[1:] = _trap_a0(0.7, n_t, tau) - cf[1:]
+        cd = _trap_kernel(0.2, n_t, tau)
+        cd[0] += 1.0
+        lhs, rhs, m = [Term(1.0, cd)], [Term(1.0, cf, origin=origin)], 0
+    else:
+        if march == "l1":
+            lhs, m = [Term(1.0, l1_weights(a, n_t, tau)) for a in prob.alphas], 0
+        else:
+            cset = two_term_sigma_rule(0.7, 0.5, 3)
+            lhs = [
+                Term(tau**-a, wsgl_weights(a, n_t), starting_weight_table(a, cset, n_t))
+                for a in prob.alphas
+            ]
+            m = cset.m
+        rhs = [Term(1.0, np.eye(1, n_t + 1)[0])]  # f^n itself
+    a = sum(t.scale * t.kernel[0] for t in lhs)
+    b = sum(t.scale * t.kernel[0] for t in rhs)
+    slope = a + 50.0 * b  # the largest |dr/dx| of a step's residual r
+    for n in range(m + 1, n_t + 1):
+        residual = a * yhat[n] + history(lhs, yhat, n) - b * fv[n] - history(rhs, fv, n)
+        # each step stops within 1e-13 relative of its root
+        assert abs(residual) <= 1e-13 * slope * max(1.0, abs(yhat[n])), (n, residual)
+
+
 def test_linear_decay_is_monotone_and_bounded():
     for lam in (1.0, 10.0, 100.0):
         for alpha in (0.3, 0.5, 0.7):
@@ -222,7 +346,7 @@ def test_trapezoidal_quadrature_exact_on_linear():
     ann = tau**alpha / gamma(2.0 + alpha)
     for n in (1, 7, 40):
         quad = (
-            _trap_a0(alpha, n, tau) * gvals[0]
+            _trap_a0(alpha, n, tau)[-1] * gvals[0]
             + float(np.dot(kern[1:n][::-1], gvals[1:n]))
             + ann * gvals[n]
         )
@@ -257,7 +381,7 @@ def test_trapezoidal_diagonal_coefficient():
         integral = float(np.dot(w, (tau - nodes ** (1.0 / alpha)) / alpha)) * upper / 2.0
         oracle = integral / (tau * gamma(alpha))
         assert tau**alpha / gamma(2.0 + alpha) == pytest.approx(oracle, rel=1e-8)
-        assert _trap_a0(alpha, 1, tau) == pytest.approx(alpha * tau**alpha / gamma(2.0 + alpha))
+        assert _trap_a0(alpha, 1, tau)[0] == pytest.approx(alpha * tau**alpha / gamma(2.0 + alpha))
 
 
 def test_trapezoidal_shape_errors():

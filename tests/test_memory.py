@@ -174,7 +174,7 @@ def _memory(kind, n_t):
     # the trapezoid f-history: its endpoint weight a_{n,0} is a level-0 column
     cf = _trap_kernel(0.7, n_t, tau)
     origin = np.zeros(n_t + 1)
-    origin[1:] = [_trap_a0(0.7, n, tau) for n in range(1, n_t + 1)] - cf[1:]
+    origin[1:] = _trap_a0(0.7, n_t, tau) - cf[1:]
     return 0, [Term(1.0, cf, origin=origin)]
 
 
