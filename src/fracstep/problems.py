@@ -111,13 +111,15 @@ def wave_smooth_problem(alpha: float, nu: float = 2.0, mesh: SpectralMesh | None
         x = np.asarray(x)
         poly = t**4 + t**3 + t**2 + t + 1.0
         dtt = 12.0 * t**2 + 6.0 * t + 2.0
-        frac = 0.0
-        if t > 0.0:
-            frac = (
-                gamma(5.0) / gamma(4.0 - alpha) * t ** (3.0 - alpha)
-                + gamma(4.0) / gamma(3.0 - alpha) * t ** (2.0 - alpha)
-                + gamma(3.0) / gamma(2.0 - alpha) * t ** (1.0 - alpha)
-            )
+        # the fractional term is 0 at t = 0; the guard keeps it so at
+        # alpha = 1, where t^(1 - alpha) is 1 at t = 0
+        frac = np.where(
+            t > 0.0,
+            gamma(5.0) / gamma(4.0 - alpha) * t ** (3.0 - alpha)
+            + gamma(4.0) / gamma(3.0 - alpha) * t ** (2.0 - alpha)
+            + gamma(3.0) / gamma(2.0 - alpha) * t ** (1.0 - alpha),
+            0.0,
+        )
         return (dtt + nu * frac + 4.0 * math.pi**2 * poly) * np.sin(2.0 * np.pi * x)
 
     s2pi = lambda x: np.sin(2.0 * np.pi * np.asarray(x))
@@ -136,7 +138,7 @@ def wave_forced_problem(alpha: float = 0.5, mesh: SpectralMesh | None = None) ->
     return WaveProblem(
         nu=1.0,
         mu=1.0,
-        source=lambda x, t: math.exp(-t) * np.sin(np.pi * np.asarray(x)),
+        source=lambda x, t: np.exp(-t) * np.sin(np.pi * np.asarray(x)),
         phi0=zero,
         psi0=zero,
         alpha=alpha,
@@ -155,7 +157,7 @@ def subdiffusion_forced_problem(mesh: SpectralMesh | None = None) -> Subdiffusio
         alpha2=0.5,
         nu=1.0,
         mu=1.0,
-        source=lambda x, t: math.exp(-t) * np.sin(np.pi * np.asarray(x)),
+        source=lambda x, t: np.exp(-t) * np.sin(np.pi * np.asarray(x)),
         phi0=zero,
         T=1.0,
         mesh=mesh,

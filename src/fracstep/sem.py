@@ -14,6 +14,7 @@ Zang, "Spectral Methods in Fluid Dynamics", Sec. 2.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -207,6 +208,13 @@ class AssembledForms:
         idx = self.mesh.interior
         return self.stiffness[np.ix_(idx, idx)]
 
+    @cached_property
+    def stiffness0_inverse(self) -> np.ndarray:
+        """Read-only inverse of ``stiffness0()``, which is SPD by construction."""
+        inv = spd_inverse(self.stiffness0())
+        inv.setflags(write=False)
+        return inv
+
 
 def assemble(mesh: SpectralMesh) -> AssembledForms:
     """Assemble the diagonal quadrature mass and the exact stiffness matrix."""
@@ -238,9 +246,8 @@ def h1_projection(f, mesh: SpectralMesh) -> np.ndarray:
     forms = mesh.forms()
     fn = interpolate(f, mesh)
     rhs = (forms.stiffness @ fn)[mesh.interior]
-    S0 = forms.stiffness0()
     out = np.zeros(mesh.n_dofs)
-    out[mesh.interior] = spd_inverse(S0) @ rhs  # S0 is SPD by construction
+    out[mesh.interior] = forms.stiffness0_inverse @ rhs
     return out
 
 

@@ -366,6 +366,32 @@ def test_wave_study_builds_one_mesh(tmp_path, monkeypatch):
         assert len(built) == 1
 
 
+def test_wave_study_inverts_the_projection_stiffness_once(tmp_path, monkeypatch):
+    # every H1 projection of the study's one mesh reads the same inverse
+    from fracstep import sem, tfpde
+
+    S0 = sem.SpectralMesh([-1.0, 0.0, 1.0], (8, 8)).forms().stiffness0()
+    inverted = []
+    spd_inverse = sem.spd_inverse
+
+    def counting(A):
+        inverted.append(np.array_equal(A, S0))
+        return spd_inverse(A)
+
+    monkeypatch.setattr(sem, "spd_inverse", counting)
+    monkeypatch.setattr(tfpde, "spd_inverse", counting)
+    cfg = _write(
+        tmp_path,
+        "wf.ini",
+        "[wf]\nkind = wave\ncase = forced\nalphas = 0.4 0.5\ntaus = 2^-2 2^-3\n"
+        "columns = 0 1\nsigma_rule = list: 2.0 2.5\nreference = self:2^-4\n"
+        "mesh = -1 0 1\ndegrees = 8 8\n",
+    )
+    (study,) = parse_config(cfg)
+    run_study(study)
+    assert sum(inverted) == 1
+
+
 def test_package_has_no_cross_module_private_imports():
     # weights and helpers are shared through public names only, and every
     # exported name resolves

@@ -86,7 +86,7 @@ def test_zero_subdiffusion_history(unit_mesh):
 
 def _nan_after_half(x, t):
     x = np.asarray(x, dtype=float)
-    return np.full_like(x, np.nan) if t >= 0.5 else np.sin(np.pi * x)
+    return np.where(t >= 0.5, np.nan, np.sin(np.pi * x))
 
 
 def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
@@ -280,10 +280,8 @@ def test_subdiffusion_l1_baseline_exact_for_linear_time():
     a1, a2 = 0.75, 0.5
 
     def source(x, t):
-        if t == 0.0:
-            return _zero(x)
         frac = t ** (1.0 - a1) / gamma(2.0 - a1) + t ** (1.0 - a2) / gamma(2.0 - a2)
-        return (frac + math.pi**2 * t) * spi(x)
+        return np.where(t == 0.0, 0.0, (frac + math.pi**2 * t) * spi(x))
 
     prob = SubdiffusionProblem(a1, a2, 1.0, 1.0, source, _zero, 1.0, mesh)
     hist = solve_subdiffusion_l1_baseline(prob, 2.0**-4)
@@ -342,6 +340,182 @@ def test_subdiffusion_scheme_equation_residual():
         acc += s1 * (uh[1:3].T @ W1[n]) + s2 * (uh[1:3].T @ W2[n])
         resid = Md * acc + S @ hist.u[n, I] - Md * prob.source(x, n * tau)
         assert np.max(np.abs(resid)) <= 1e-10 * scale
+
+
+def _refined(residual, n_unknowns, steps=6):
+    """Solution of the affine system residual(X) = 0 (X one column of
+    unknowns): a float64 solve with the matrix read off the residual, then
+    ``steps`` refinements with the residual taken in long double."""
+    A = residual(np.eye(n_unknowns), np.float64, homogeneous=True)
+    X = np.linalg.solve(A, -residual(np.zeros((n_unknowns, 1)), np.float64)).astype(np.longdouble)
+    for _ in range(steps):
+        X -= np.linalg.solve(A, residual(X, np.longdouble).astype(np.float64))
+    return X[:, 0]
+
+
+def _as(dtype):
+    return lambda a: np.asarray(a, dtype=float).astype(dtype)
+
+
+def _rel(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("tau", [2.0**-5, 2.0**-9])
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("make", [wave_forced_problem, wave_smooth_problem])
+def test_wave_startup_block_matches_refined_solution(make, m, tau):
+    # the full 2md block of steps 0..m-1, written from the scheme equations as
+    # in test_wave_scheme_equation_residual and solved with long-double
+    # residual refinement, against the startup levels of the march
+    prob = make(0.5)
+    sigma = CorrectionSet((2.0, 2.5, 3.0, 3.5))
+    m1, m2, m3 = min(m, 2), m, m
+    mesh = prob.mesh
+    I = mesh.interior
+    Md, S = mesh.forms().mass0(), mesh.forms().stiffness0()
+    d = len(I)
+    n_t = round(1.0 / tau)
+    alpha, nu, mu = prob.alpha, prob.nu, prob.mu
+    g = wsgl_weights(alpha, n_t + 1)
+    sc = tau ** (-alpha)
+    Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1)
+    Wu1 = d1_u_weight_table(sigma, m1, n_t)
+    Wv2 = d1_v_weight_table(sigma, m2, n_t)
+    x = mesh.nodes[I]
+    fr = prob.source(x[None, :], (np.arange(m + 1) * tau)[:, None]) * np.ones((m + 1, d))
+    u0 = h1_projection(prob.phi0, mesh)[I]
+    v0 = h1_projection(prob.psi0, mesh)[I]
+
+    def residual(X, dtype, homogeneous=False):
+        c = _as(dtype)
+        B = X.shape[1]
+        data = 0.0 if homogeneous else 1.0  # the homogeneous system has zero data
+        level0 = lambda a: np.broadcast_to(c(data * a)[None, :, None], (1, d, B))
+        U = np.concatenate([level0(u0), X[: m * d].reshape(m, d, B)])
+        V = np.concatenate([level0(v0), X[m * d :].reshape(m, d, B)])
+        f = c(data * fr)[:, :, None]
+        Md_, S_, tau_ = c(Md)[:, None], c(S), c(tau)
+        vh = V - V[0]
+        dot = lambda w, levels: np.tensordot(c(w), levels, 1)
+        frac = [c(sc) * (dot(g[k::-1], vh[: k + 1]) + dot(Wv3[k, :m3], vh[1 : m3 + 1])) for k in range(m + 1)]
+        t_r = c(np.arange(1, m1 + 1) * tau)[:, None, None]
+        r1, r2 = [], []
+        for n in range(m):
+            r1.append(
+                Md_ * (V[n + 1] - V[n]) / tau_
+                + Md_ * dot(Wv2[n, :m2], vh[1 : m2 + 1]) / tau_
+                + c(0.5 * nu) * Md_ * (frac[n + 1] + frac[n])
+                + c(0.5 * mu) * np.einsum("ij,jb->ib", S_, U[n + 1] + U[n])
+                - Md_ * (f[n] + f[n + 1]) / 2
+            )
+            ucorr = dot(Wu1[n, :m1], U[1 : m1 + 1] - U[0] - t_r * V[0])
+            r2.append(U[n + 1] - U[n] - tau_ / 2 * (V[n + 1] + V[n]) + ucorr)
+        return np.concatenate([np.stack(r1), np.stack(r2)]).reshape(2 * m * d, B)
+
+    U, V = _refined(residual, 2 * m * d).reshape(2, m, d)
+    hist = solve_wave(prob, tau, sigma, m1, m2, m3)
+    assert _rel(hist.u[1 : m + 1, I], U) <= 1e-13
+    assert _rel(hist.v[1 : m + 1, I], V) <= 1e-13
+
+
+@pytest.mark.parametrize("tau", [2.0**-5, 2.0**-9])
+@pytest.mark.parametrize("m", [3, 4])
+def test_subdiffusion_startup_block_matches_refined_solution(m, tau):
+    prob = subdiffusion_forced_problem()
+    sigma = CorrectionSet((0.75, 1.0, 1.25, 1.5))
+    mesh = prob.mesh
+    I = mesh.interior
+    Md, S = mesh.forms().mass0(), mesh.forms().stiffness0()
+    d = len(I)
+    n_t = round(1.0 / tau)
+    terms = [
+        (scale * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, sigma.truncated(m), n_t))
+        for scale, a in ((1.0, prob.alpha1), (prob.nu, prob.alpha2))
+    ]
+    x = mesh.nodes[I]
+    fr = prob.source(x[None, :], (np.arange(m + 1) * tau)[:, None]) * np.ones((m + 1, d))
+    u0 = h1_projection(prob.phi0, mesh)[I]
+
+    def residual(X, dtype, homogeneous=False):
+        # steps n = 1..m on uh = U - U(0), uh^0 = 0
+        c = _as(dtype)
+        B = X.shape[1]
+        data = 0.0 if homogeneous else 1.0
+        uh = np.concatenate([np.zeros((1, d, B), dtype), X.reshape(m, d, B)])
+        dot = lambda w, levels: np.tensordot(c(w), levels, 1)
+        rows = []
+        for n in range(1, m + 1):
+            acc = sum(c(s) * (dot(g[n::-1], uh[: n + 1]) + dot(W[n], uh[1 : m + 1])) for s, g, W in terms)
+            stiff = np.einsum("ij,jb->ib", c(S), c(prob.mu) * (uh[n] + c(data * u0)[:, None]))
+            rows.append(c(Md)[:, None] * (acc - c(data * fr[n])[:, None]) + stiff)
+        return np.stack(rows).reshape(m * d, B)
+
+    Uh = _refined(residual, m * d).reshape(m, d)
+    hist = solve_subdiffusion(prob, tau, sigma, m, m)
+    assert _rel(hist.u[1 : m + 1, I] - u0, Uh) <= 1e-13
+
+
+def test_singular_wave_startup_block_raises(small_mesh, monkeypatch):
+    # a U-correction that cancels the first trapezoid row's u^1 coefficient
+    table = tfpde.d1_u_weight_table
+
+    def cancelling(sigma, m1, n_t):
+        W = np.array(table(sigma, m1, n_t))
+        W[0] = 0.0
+        W[0, 0] = -1.0
+        return W
+
+    monkeypatch.setattr(tfpde, "d1_u_weight_table", cancelling)
+    wave = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
+    with pytest.raises(RuntimeError, match="wave startup block is singular"):
+        solve_wave(wave, 2.0**-5, (2.0, 2.5), 2, 2, 2)
+
+
+def _each_field_solve(small_mesh, unit_mesh, source):
+    tau = 2.0**-5
+    wave = WaveProblem(1.0, 1.0, source, _zero, _zero, 0.5, 1.0, small_mesh)
+    sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, source, _zero, 1.0, unit_mesh)
+    return [
+        ("solve_wave", lambda: solve_wave(wave, tau, (2.0, 2.5), 2, 2, 2)),
+        ("solve_wave_l1_baseline", lambda: solve_wave_l1_baseline(wave, tau)),
+        ("solve_subdiffusion", lambda: solve_subdiffusion(sub, tau, (0.75, 1.0), 2, 2)),
+        ("solve_subdiffusion_l1_baseline", lambda: solve_subdiffusion_l1_baseline(sub, tau)),
+    ]
+
+
+def test_source_called_once_per_solve(small_mesh, unit_mesh):
+    calls = []
+
+    def source(x, t):
+        calls.append((np.shape(x), np.shape(t)))
+        return np.exp(-t) * np.sin(np.pi * x)
+
+    for name, solve in _each_field_solve(small_mesh, unit_mesh, source):
+        calls.clear()
+        solve()
+        d = len((small_mesh if "wave" in name else unit_mesh).interior)
+        assert calls == [((1, d), (33, 1))], name
+
+
+def test_scalar_only_source_names_solver_and_contract(small_mesh, unit_mesh):
+    sources = [
+        lambda x, t: np.sin(np.pi * x) if t > 0.0 else _zero(x),  # truth value of an array
+        lambda x, t: math.exp(-t) * np.sin(np.pi * x),  # a scalar-only function of t
+    ]
+    for source in sources:
+        for name, solve in _each_field_solve(small_mesh, unit_mesh, source):
+            what = r": the source failed on an array t; .*must broadcast"
+            with pytest.raises(ValueError, match=name + what):
+                solve()
+
+
+def test_source_of_wrong_shape_names_solver_and_contract(small_mesh, unit_mesh):
+    source = lambda x, t: np.ones(3)
+    what = r": the source returned shape \(3,\), which does not broadcast to \(levels, dofs\)"
+    for name, solve in _each_field_solve(small_mesh, unit_mesh, source):
+        with pytest.raises(ValueError, match=name + what):
+            solve()
 
 
 def test_l2_error_modes_and_projected_exact(small_mesh):
