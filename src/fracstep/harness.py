@@ -289,6 +289,16 @@ def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
     return SpectralMesh(brk, degs)
 
 
+def _decimated(ref: FieldHistory, taus) -> FieldHistory:
+    """A copy of the reference's U at every g-th level, g the gcd of the
+    cells' ratios tau / ref.tau, its tau scaled to match; g = 1 unless every
+    ratio is an integer as ``l2_error`` takes it, which then rejects the cell."""
+    ratios = [tau / ref.tau for tau in taus]
+    whole = all(round(r) >= 1 and abs(r - round(r)) <= 1e-9 for r in ratios)
+    g = math.gcd(*(round(r) for r in ratios)) if whole else 1
+    return FieldHistory(ref.mesh, ref.tau * g, ref.u[::g].copy())
+
+
 def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
     case = cfg.get("case", "smooth")
     alphas = [_parse_number(t) for t in _parse_list(cfg.get("alphas", cfg.get("alpha", "0.5")))]
@@ -324,9 +334,8 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
             method, tau_s = cfg.require("reference").split(":")
             if method != "self":
                 raise ValueError("wave studies support reference = exact or self:<tau>")
-            ref = solve_wave(problem, _parse_number(tau_s), sigma, m1, m2, m3)
             # the error norms read U only; V is not held across the column
-            ref = FieldHistory(ref.mesh, ref.tau, ref.u)
+            ref = _decimated(solve_wave(problem, _parse_number(tau_s), sigma, m1, m2, m3), taus)
         at = "average" if norm == "average" else "final"
         return [l2_error(solve_wave(problem, tau, sigma, m1, m2, m3), ref, at=at) for tau in taus]
 
@@ -357,7 +366,7 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
         sig = sigma_list(rule, m, problem.alpha1, problem.alpha2)
         return solve_subdiffusion(problem, tau, sig, m1=m, m2=m, drop_far_field=drop)
 
-    refs = {col: solve_col(col, ref_tau) for col in columns}
+    refs = {col: _decimated(solve_col(col, ref_tau), taus) for col in columns}
     at = "average" if norm == "average" else "final"
     groups = []
     for col in columns:

@@ -215,6 +215,19 @@ class AssembledForms:
         inv.setflags(write=False)
         return inv
 
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only modal basis (Phi, lam), lam ascending, with Phi^T Md Phi = I
+        and Phi^T S0 Phi = diag(lam): eigh(Md^1/2 S0^-1 Md^1/2), lam = 1 / its
+        eigenvalues, puts eigh's error of about eps * (largest eigenvalue) on
+        the high modes; eigh(Md^-1/2 S0 Md^-1/2) puts it on the low ones."""
+        root = np.sqrt(self.mass0())
+        theta, W = np.linalg.eigh(root[:, None] * self.stiffness0_inverse * root)
+        Phi, lam = W[:, ::-1] / root[:, None], 1.0 / theta[::-1]
+        for a in (Phi, lam):
+            a.setflags(write=False)
+        return Phi, lam
+
 
 def assemble(mesh: SpectralMesh) -> AssembledForms:
     """Assemble the diagonal quadrature mass and the exact stiffness matrix."""

@@ -13,19 +13,21 @@ Two schemes:
 * multi-term subdiffusion: one corrected WSGL operator per fractional term,
   applied to U - U(0), implicit in space.
 
-Both start from the H1 projection of the initial data; the first
-m = max(m1, m2, m3) steps couple through the starting weights and are solved
-together before the march (the equations are linear in the unknowns).  The
-subdiffusion block is one dense md x md system.  The wave block's U-trapezoid
-rows act on space through the identity alone, so U is eliminated by m x m
-algebra and one md x md system in V is left: half the unknowns of the stacked
-(U, V) block, and three orders of magnitude better conditioned.  Each solve
-evaluates its source once, at every level together: ``source(x, t)`` is
-called with x of shape (1, dofs) and t of shape (levels, 1), and its result
-must broadcast to (levels, dofs).  L1-in-time baselines with the same spatial
-kernel are included for comparison studies.
-Every fractional term, WSGL or L1, is a ``fracstep.memory`` term; the two
-subdiffusion schemes share one march.
+Both are linear with a time-invariant spatial operator, so every march runs in
+the mesh's modal coordinates x^ = Phi^T Md x (``AssembledForms.modes``:
+Phi^T Md Phi = I, Phi^T S0 Phi = diag(lam)), the fast diagonalisation of
+Lynch, Rice & Thomas (Numer. Math. 6, 1964): each step is a few elementwise
+operations per mode, a step matrix a Md + b S0 is positive definite exactly
+when every a + b lam > 0, and the memory core runs on the modal history, as
+the time convolution commutes with any spatial map.  Both start from the H1
+projection of the initial data; the first m = max(m1, m2, m3) steps couple
+through the starting weights and are solved together first, one m x m system
+per mode.  Each solve evaluates its source once: ``source(x, t)`` is called
+with x of shape (1, dofs) and t of shape (levels, 1), and its result must
+broadcast to (levels, dofs).  L1-in-time baselines with the same spatial
+kernel are included for comparison studies.  Every fractional term, WSGL or
+L1, is a ``fracstep.memory`` term; the wave schemes share one march, and so
+do the subdiffusion schemes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .corrections import (
 )
 from .glweights import l1_weights, step_count, wsgl_weights
 from .memory import History, Term, startup_matrix
-from .sem import SpectralMesh, h1_projection, spd_inverse
+from .sem import SpectralMesh, h1_projection
 
 __all__ = [
     "WaveProblem",
@@ -128,37 +130,40 @@ class FieldHistory:
         return len(self.u) - 1
 
 
-def _full(mesh: SpectralMesh, interior_rows: np.ndarray) -> np.ndarray:
-    out = np.zeros((interior_rows.shape[0], mesh.n_dofs))
-    out[:, mesh.interior] = interior_rows
+def _space(problem, n_t: int, tau: float, solver: str, *fields):
+    """Modal basis (Phi, lam), the modal loads Phi^T Md f at t = 0, tau, ...,
+    n_t tau from one source call, then the H1 projection of each initial-data
+    function: its interior values and modal coordinates."""
+    mesh = problem.mesh
+    Md, (Phi, lam) = mesh.forms().mass0(), mesh.forms().modes
+    f = _on_grid(problem.source, mesh.nodes[mesh.interior], np.arange(n_t + 1) * tau, solver, "source")
+    x0 = [h1_projection(p, mesh)[mesh.interior] for p in fields]
+    return Phi, lam, (Md * f) @ Phi, *[(x, (Md * x) @ Phi) for x in x0]
+
+
+def _physical(mesh: SpectralMesh, Phi: np.ndarray, xh: np.ndarray, shift=0.0) -> np.ndarray:
+    """The full-width levels Phi xh + shift (boundary entries zero), written
+    straight into the returned array."""
+    out = np.zeros((len(xh), mesh.n_dofs))
+    np.matmul(xh, Phi.T, out=out[:, 1:-1])  # the interior dofs
+    out[:, 1:-1] += shift
     return out
 
 
-def _space(mesh: SpectralMesh):
-    """Diagonal mass, stiffness matrix and interior indices of the mesh."""
-    forms = mesh.forms()
-    return forms.mass0(), forms.stiffness0(), mesh.interior
-
-
-def _source_rows(problem, mesh: SpectralMesh, n_t: int, tau: float, solver: str) -> np.ndarray:
-    """The source at every level, (levels, interior dofs), from one call
-    ``source(x[None, :], t[:, None])`` with t = 0, tau, ..., n_t tau."""
-    x = mesh.nodes[mesh.interior]
-    shape = (n_t + 1, len(x))
-    contract = (
-        "source(x, t) must broadcast: it is called once, with x of shape (1, dofs) and t of shape (levels, 1)"
-    )
+def _on_grid(f, x: np.ndarray, t: np.ndarray, caller: str, what: str, space: str = "dofs") -> np.ndarray:
+    """``f(x[None, :], t[:, None])`` from one call, broadcast to (levels, points);
+    a function that fails on the arrays or does not broadcast names the contract."""
+    shape = (len(t), len(x))
+    contract = f"{what}(x, t) must broadcast: it is called once, on x of shape (1, {space}), t of shape (levels, 1)"
     try:
-        rows = problem.source(x[None, :], (np.arange(n_t + 1) * tau)[:, None])
+        rows = f(x[None, :], t[:, None])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{solver}: the source failed on an array t; {contract}") from exc
+        raise ValueError(f"{caller}: the {what} failed on an array t; {contract}") from exc
     try:
         return np.broadcast_to(np.asarray(rows, dtype=float), shape)
     except ValueError as exc:
-        raise ValueError(
-            f"{solver}: the source returned shape {np.shape(rows)}, which does not broadcast to "
-            f"(levels, dofs) = {shape}; {contract}"
-        ) from exc
+        got = f"the {what} returned shape {np.shape(rows)}, which does not broadcast to (levels, {space}) = {shape}"
+        raise ValueError(f"{caller}: {got}; {contract}") from exc
 
 
 def _validate_wave_corrections(sigma: CorrectionSet, m1: int, m2: int, m3: int):
@@ -191,13 +196,12 @@ def solve_wave(
     """
     sigma = sigma if isinstance(sigma, CorrectionSet) else CorrectionSet(tuple(sigma))
     _validate_wave_corrections(sigma, m1, m2, m3)
-    mesh = problem.mesh
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
     m = max(m1, m2, m3)
     if m and n_t <= m:
         raise ValueError("horizon too short for the correction stencil")
-    Md, S, I = _space(mesh)
+    Phi, lam, fh, (u0_x, u0), (v0_x, v0) = _space(problem, n_t, tau, "solve_wave", problem.phi0, problem.psi0)
 
     g = wsgl_weights(alpha, n_t + 1)
     sc = tau ** (-alpha)
@@ -205,45 +209,46 @@ def solve_wave(
     mem = [Term(sc, g, Wv3)]
     Wu1 = d1_u_weight_table(sigma, m1, n_t)
     Wv2 = d1_v_weight_table(sigma, m2, n_t)
-    fr = _source_rows(problem, mesh, n_t, tau, "solve_wave")
-
-    u = np.zeros((n_t + 1, len(I)))
-    v = np.zeros((n_t + 1, len(I)))
-    u[0] = h1_projection(problem.phi0, mesh)[I]
-    v[0] = h1_projection(problem.psi0, mesh)[I]
+    uh, vh = np.zeros((2, n_t + 1, len(lam)))  # vh = v - v^0, which the memory acts on
+    uh[0] = u0
     if m >= 1:
-        _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr)
-    vh = v - v[0]  # the memory acts on v - v^0; levels above m are filled as they are solved
-    # the averaged source, the V-correction, the v^0 compensation of the
-    # implicit g_0 vh^{n+1} (see the loop) and the stiffness term of the
-    # U-correction are fixed after the startup block
-    fixed = Md * (0.5 * (fr[:-1] + fr[1:]) - (Wv2[:n_t] @ vh[1 : m2 + 1]) / tau + 0.5 * nu * sc * g[0] * v[0])
-    del fr
+        _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, problem.mesh, u0_x, v0_x)
+    # D vh^{n+1} = (1/tau - nu sc g_0 / 2 - mu tau lam / 4) vh^n - mu lam u^n - nu (K_n + K_{n+1}) / 2 + F^n,
+    # K_n the known memory at level n; vh^{n+1} enters holding F^n: the averaged
+    # source, the V-correction and the v^0 and U-correction parts of the stiffness term
+    vh[m + 1 :] = 0.5 * (fh[m:-1] + fh[m + 1 :]) - (Wv2[m:n_t] @ vh[1 : m2 + 1]) / tau - (0.5 * mu * tau) * lam * v0
+    del fh
     # the U-correction uc^n = sum_r u_{n,r} (u^r - u^0 - t_r v^0), r = 1..m1,
-    # comes off u^{n+1}: that level starts at -uc^n, and uc's stiffness term is fixed
+    # comes off u^{n+1}: that level enters holding -uc^n + tau v^0
     if m1:
-        u[m + 1 :] = -(Wu1[m:n_t] @ (u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0])))
-        fixed[m:] -= 0.5 * mu * (u[m + 1 :] @ S.T)
+        uh[m + 1 :] = -(Wu1[m:n_t] @ (uh[1 : m1 + 1] - u0 - np.outer(np.arange(1, m1 + 1) * tau, v0)))
+        vh[m + 1 :] -= 0.5 * mu * lam * uh[m + 1 :]
+    uh[m + 1 :] += tau * v0
+    D = 1.0 / tau + 0.5 * nu * sc * g[0] + (mu * tau / 4.0) * lam
+    P = 1.0 / tau - 0.5 * nu * sc * g[0] - (mu * tau / 4.0) * lam
+    _march_wave("solve_wave", History(mem, vh), uh, vh, m, tau, D, P, -mu * lam, 0.5 * nu)
+    return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh), _physical(problem.mesh, Phi, vh, v0_x))
 
-    step_inv = _step_inverse(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S, "solve_wave")
-    hist = History(mem, vh)
-    for k in range(m + 1):
+
+def _march_wave(solver: str, hist: History, uh, vh, start: int, tau: float, D, P, Q, s, average=True) -> None:
+    """Steps start..n_T-1 of a wave scheme in modal coordinates, whose levels
+    vh^{n+1} and uh^{n+1} enter holding their fixed parts F^n and G^n:
+    D vh^{n+1} = P vh^n + Q uh^n + F^n - s K, K the known memory at levels n
+    and n + 1 summed (``average``) or at n + 1, and the trapezoid
+    uh^{n+1} = G^n + uh^n + tau (vh^{n+1} + vh^n) / 2."""
+    if not np.all(D > 0):
+        raise ValueError(f"{solver}: step matrix is not positive definite")
+    P, Q, s = P / D, Q / D, s / D
+    vh[start + 1 :] /= D
+    for k in range(start + 1):
         hist.feed(k)
-    known_next = hist.known(m)
-    for n in range(m, n_t):
-        # known parts of (A^{n+1} + A^n) vh, the one at n read last step; the
-        # implicit g_0 vh^{n+1} sits in the step matrix acting on v^{n+1},
-        # whose v^0 part is compensated in ``fixed``
+    known_next = hist.known(start)
+    for n in range(start, len(vh) - 1):
         known_n, known_next = known_next, hist.known(n + 1)
-        frac = known_n + sc * g[0] * vh[n] + known_next
-        rhs = Md * (v[n] / tau - 0.5 * nu * frac) + fixed[n] - S @ (mu * u[n] + (mu * tau / 4.0) * v[n])
-        v[n + 1] = step_inv @ rhs
-        vh[n + 1] = v[n + 1] - v[0]
+        vh[n + 1] = P * vh[n] + Q * uh[n] + vh[n + 1] - s * (known_n + known_next if average else known_next)
         hist.feed(n + 1)
-        u[n + 1] += u[n] + (tau / 2.0) * (v[n + 1] + v[n])
-    _check_march("solve_wave", v, m, tau)
-    del vh, fixed  # release the working histories before the full-width copies
-    return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
+        uh[n + 1] += uh[n] + (tau / 2.0) * (vh[n + 1] + vh[n])
+    _check_march(solver, vh, start, tau)
 
 
 def _levels(W: np.ndarray, m: int) -> np.ndarray:
@@ -255,30 +260,24 @@ def _levels(W: np.ndarray, m: int) -> np.ndarray:
     return C
 
 
-def _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr):
+def _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, mesh, u0, v0):
     """Solve steps 1..m of the wave scheme, which couple through the starting
-    weights, for the levels U = (u^1..u^m) and V = (v^1..v^m); the scheme is
-    linear, so the block has an exact direct solution.
-
-    Each equation row n (step n -> n+1, n = 0..m-1) is a level-coefficient
-    matrix over the levels 0..m, times Md, mu S or the identity; the known
-    level-0 columns move to the right-hand side.  The V-rows read
-    Vu U mu S + Vv V Md = B_v.  The U-trapezoid rows act on space through the
-    identity only, Kuu U + Kuv V = B_u, with Kuu unit lower bidiagonal plus the
-    U-correction columns, so U = Kuu^-1 (B_u - Kuv V) is eliminated by m x m
-    algebra.  With G = Vu Kuu^-1 what is left is the md x md system
-
-        (Vv (x) diag(Md) - (G Kuv) (x) mu S) vec V = vec(B_v - G B_u mu S),
-
-    half the unknowns of the stacked (U, V) block.  For m <= 4 its condition
-    number is at most about 1.2e3, where the stacked block's is 1.6e5-2.6e6,
-    enough to put that block's dense solution off by up to 1e-9 relative."""
-    d = len(Md)
+    weights, for the modal levels U = (u^1..u^m) and V = (v^1..v^m).  Each
+    equation row n (step n -> n+1) is a level-coefficient matrix over the
+    levels 0..m, times the identity or mu lam: the V-rows read
+    Vu U mu lam + Vv V = B_v, the U-trapezoid rows Kuu U + Kuv V = B_u, so U is
+    eliminated by m x m algebra.  With G = Vu Kuu^-1, one m x m system per mode
+    k is left, (Vv - mu lam_k G Kuv) V_k = (B_v - G B_u mu lam)_k, of condition
+    1.2e3 at most for m <= 4.  The level-0 loads B are formed in physical space
+    from u^0 = ``u0`` and v^0 = ``v0``, then projected: lam Phi^T Md u^0 differs
+    from Phi^T S0 u^0 by the basis' rounding, 1e-12 relative in V on smooth data."""
+    forms = mesh.forms()
+    Md, S, (Phi, lam) = forms.mass0(), forms.stiffness0(), forms.modes
     step = np.eye(m, m + 1, 1) - np.eye(m, m + 1)  # x^{n+1} - x^n
     avg = 0.5 * (np.eye(m, m + 1, 1) + np.eye(m, m + 1))  # (x^{n+1} + x^n) / 2
     P = startup_matrix(mem, m)
-    # V-equation: V step, memory at both levels and V-correction (times Md),
-    # and the averaged stiffness term (times mu S)
+    # V-equation: V step, memory at both levels and V-correction, and the
+    # averaged stiffness term (times mu lam)
     v_on_v = step / tau + 0.5 * nu * _levels(P[:-1] + P[1:], m) + _levels(Wv2[:m], m) / tau
     v_on_u = avg
     # U-trapezoid: u^{n+1} - u^n + U-correction = tau (v^{n+1} + v^n) / 2
@@ -287,28 +286,19 @@ def _wave_startup_block(u, v, m, tau, nu, mu, mem, Wu1, Wv2, Md, S, fr):
     u_on_v = -tau * avg
     u_on_v[:, 0] -= Wu1[:m] @ (np.arange(1, Wu1.shape[1] + 1) * tau)
 
-    b_v = Md * 0.5 * (fr[:m] + fr[1 : m + 1]) - np.outer(v_on_v[:, 0], Md * v[0]) - np.outer(
-        v_on_u[:, 0], mu * (S @ u[0])
-    )
-    b_u = -np.outer(u_on_u[:, 0], u[0]) - np.outer(u_on_v[:, 0], v[0])
+    b_v = -np.outer(v_on_v[:, 0], Md * v0) - np.outer(v_on_u[:, 0], mu * (S @ u0))
+    b_u = -np.outer(u_on_u[:, 0], u0) - np.outer(u_on_v[:, 0], v0)
     Vu, Vv, Kuu, Kuv = v_on_u[:, 1:], v_on_v[:, 1:], u_on_u[:, 1:], u_on_v[:, 1:]
     try:
         Kuu_inv = np.linalg.inv(Kuu)
         G = Vu @ Kuu_inv
-        A = np.kron(Vv, np.diag(Md)) - np.kron(G @ Kuv, mu * S)
-        V = np.linalg.solve(A, (b_v - (G @ b_u) @ (mu * S)).ravel()).reshape(m, d)
+        A = Vv - np.multiply.outer(mu * lam, G @ Kuv)  # (modes, m, m)
+        loads = 0.5 * (fh[:m] + fh[1 : m + 1]) + (b_v - (G @ b_u) @ (mu * S)) @ Phi
+        V = np.linalg.solve(A, loads.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("wave startup block is singular") from exc
-    v[1 : m + 1] = V
-    u[1 : m + 1] = Kuu_inv @ (b_u - Kuv @ V)
-
-
-def _step_inverse(A: np.ndarray, solver: str) -> np.ndarray:
-    """Inverse of the SPD step matrix: each step's solve is one mat-vec."""
-    try:
-        return spd_inverse(A)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{solver}: step matrix is not positive definite") from exc
+    vh[1 : m + 1] = V - (Md * v0) @ Phi
+    uh[1 : m + 1] = Kuu_inv @ ((Md * b_u) @ Phi - Kuv @ V)
 
 
 def _check_march(solver: str, x: np.ndarray, m: int, tau: float) -> None:
@@ -323,34 +313,34 @@ def _check_march(solver: str, x: np.ndarray, m: int, tau: float) -> None:
 
 
 def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int, solver: str):
-    """March uh = U - U(0) through  Md (a uh^n + history) + mu S uh^n
-    = Md f^n - mu S U(0), with the memory ``terms`` of both fractional
+    """March uh = U - U(0) mode by mode through (c_0 + mu lam) uh^n + history
+    = Phi^T Md f^n - mu lam U(0), with the memory ``terms`` of both fractional
     terms; steps 1..m couple through the starting weights and are solved as
-    one block."""
-    mesh, mu = problem.mesh, problem.mu
+    one m x m system per mode."""
+    mu = problem.mu
     n_t = step_count(tau, problem.T)
-    Md, S, I = _space(mesh)
-    u0 = h1_projection(problem.phi0, mesh)[I]
-    rhs = Md * _source_rows(problem, mesh, n_t, tau, solver) - mu * (S @ u0)
-
-    uh = np.zeros((n_t + 1, len(I)))
+    Phi, lam, rhs, (u0_x, u0) = _space(problem, n_t, tau, solver, problem.phi0)
+    rhs -= mu * lam * u0
+    uh = np.zeros((n_t + 1, len(lam)))
     if m >= 1:
-        A = np.kron(startup_matrix(terms, m)[1:], np.diag(Md)) + np.kron(np.eye(m), mu * S)
+        A = startup_matrix(terms, m)[1:] + np.multiply.outer(mu * lam, np.eye(m))  # (modes, m, m)
         try:
-            X = np.linalg.solve(A, rhs[1 : m + 1].ravel())
+            uh[1 : m + 1] = np.linalg.solve(A, rhs[1 : m + 1].T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("subdiffusion startup block is singular") from exc
-        uh[1 : m + 1] = X.reshape(m, -1)
-
     hist = History(terms, uh)
-    step_inv = _step_inverse(np.diag(hist.c[0] * Md) + mu * S, solver)
+    D = hist.c[0] + mu * lam
+    if not np.all(D > 0):
+        raise ValueError(f"{solver}: step matrix is not positive definite")
+    rhs /= D
     for k in range(m + 1):
         hist.feed(k)
     for n in range(m + 1, n_t + 1):
-        uh[n] = step_inv @ (rhs[n] - Md * hist.known(n))
+        uh[n] = rhs[n] - hist.known(n) / D
         hist.feed(n)
+    del hist, rhs
     _check_march(solver, uh, m, tau)
-    return FieldHistory(mesh, tau, _full(mesh, uh + u0))
+    return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh, u0_x))
 
 
 def solve_subdiffusion(
@@ -385,31 +375,18 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     """First-order baseline for the wave problem: V marches with a backward
     difference, the fractional term D_c^alpha V by the L1 formula at t_n, U by
     the trapezoid update.  Exact in time for solutions linear in t."""
-    mesh = problem.mesh
-    alpha, nu, mu = problem.alpha, problem.nu, problem.mu
+    nu, mu = problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
-    Md, S, I = _space(mesh)
-    u = np.zeros((n_t + 1, len(I)))
-    v = np.zeros((n_t + 1, len(I)))
-    u[0] = h1_projection(problem.phi0, mesh)[I]
-    v[0] = h1_projection(problem.psi0, mesh)[I]
-    vh = np.zeros_like(v)  # v - v^0
-    hist = History([Term(nu, l1_weights(alpha, n_t, tau))], vh)
-    c0 = hist.c[0]
-    step_inv = _step_inverse(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S, "solve_wave_l1_baseline")
-    # the implicit c_0 vh^n sits in the step matrix acting on v^n; its
-    # v^0 part is compensated here
-    fixed = Md * (_source_rows(problem, mesh, n_t, tau, "solve_wave_l1_baseline") + c0 * v[0])
-    hist.feed(0)
-    for n in range(1, n_t + 1):
-        stiff = S @ (mu * u[n - 1] + (mu * tau / 2.0) * v[n - 1])
-        rhs = Md * (v[n - 1] / tau - hist.known(n)) + fixed[n] - stiff
-        v[n] = step_inv @ rhs
-        vh[n] = v[n] - v[0]
-        hist.feed(n)
-        u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
-    _check_march("solve_wave_l1_baseline", v, 0, tau)
-    return FieldHistory(mesh, tau, _full(mesh, u), _full(mesh, v))
+    solver = "solve_wave_l1_baseline"
+    Phi, lam, fh, (_, u0), (v0_x, v0) = _space(problem, n_t, tau, solver, problem.phi0, problem.psi0)
+    uh, vh = np.zeros((2, n_t + 1, len(lam)))  # vh = v - v^0
+    uh[0], uh[1:] = u0, tau * v0
+    hist = History([Term(nu, l1_weights(problem.alpha, n_t, tau))], vh)
+    # D vh^n = (1/tau - mu tau lam / 2) vh^{n-1} - mu lam u^{n-1} - K_n + f^n - mu tau lam v^0
+    D = 1.0 / tau + hist.c[0] + (mu * tau / 2.0) * lam
+    vh[1:] = fh[1:] - mu * tau * lam * v0
+    _march_wave(solver, hist, uh, vh, 0, tau, D, 1.0 / tau - (mu * tau / 2.0) * lam, -mu * lam, 1.0, False)
+    return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh), _physical(problem.mesh, Phi, vh, v0_x))
 
 
 def solve_subdiffusion_l1_baseline(problem: SubdiffusionProblem, tau: float) -> FieldHistory:
@@ -425,7 +402,9 @@ def solve_subdiffusion_l1_baseline(problem: SubdiffusionProblem, tau: float) -> 
 
 def l2_error(history: FieldHistory, reference, at="final"):
     """L2-in-space error of the primary field against an exact function
-    U(x, t) or a finer FieldHistory on the same mesh.
+    U(x, t), called once per element as ``reference(x[None, :], t[:, None])``
+    on its quadrature points and the levels' times, or a finer FieldHistory
+    on the same mesh.
 
     at = "final" gives the error at t = T, an integer gives the error at that
     step, and "average" gives (tau * sum_{n=0}^{n_T} ||e^n||^2)^(1/2).
@@ -449,12 +428,9 @@ def l2_error(history: FieldHistory, reference, at="final"):
             raise ValueError("reference history too short")
         errors = history.mesh.l2_norm_against(history.u[steps] - reference.u[[n * r for n in steps]])
     else:
-        times = [n * history.tau for n in steps]
-        errors = history.mesh.l2_norm_against(
-            history.u[steps], lambda x: np.array([reference(x, t) for t in times])
-        )
+        exact = lambda x: _on_grid(reference, x, np.array(steps) * history.tau, "l2_error", "reference", "points")
+        errors = history.mesh.l2_norm_against(history.u[steps], exact)
 
     if at == "average":
         return math.sqrt(history.tau * float(np.sum(errors**2)))
     return float(errors[0])
-

@@ -6,14 +6,21 @@ single step, one known part of a memory at a single level or one series sum
 at a single point, straight from its defining formula, so the vectorised
 tables, convolutions and sums in ``fracstep`` can be checked against it.
 ``s_factor`` is the error-amplitude factor of a correction set, which the
-tests compare with the observed error decay.
+tests compare with the observed error decay.  ``wave_march``,
+``wave_l1_march`` and ``subdiffusion_march`` are the field marches in
+physical space: each step solves its SPD step matrix with a Cholesky inverse
+(a mat-vec per step), against which the modal marches of ``fracstep.tfpde``
+are checked.
 """
 
 import math
 
 import numpy as np
 
-from fracstep.glweights import SampledPath, gl_weights, wsgl_weights
+from fracstep.corrections import CorrectionSet, d1_u_weight_table, d1_v_weight_table, starting_weight_table
+from fracstep.glweights import SampledPath, gl_weights, l1_weights, step_count, wsgl_weights
+from fracstep.memory import History, Term, startup_matrix
+from fracstep.sem import h1_projection, spd_inverse
 from fracstep.specfun import gamma
 
 
@@ -154,3 +161,123 @@ def s_factor(sigma: float, cset) -> float:
     for s in cset.sigmas:
         out *= abs(sigma - s)
     return out
+
+
+def _physical_space(problem, n_t: int, tau: float):
+    """Interior mass, stiffness and source rows (levels, dofs) of a field problem."""
+    mesh = problem.mesh
+    forms, I = mesh.forms(), mesh.interior
+    x = mesh.nodes[I]
+    f = problem.source(x[None, :], (np.arange(n_t + 1) * tau)[:, None]) * np.ones((n_t + 1, len(I)))
+    return forms.mass0(), forms.stiffness0(), I, f
+
+
+def _level_columns(W: np.ndarray, m: int) -> np.ndarray:
+    """Weights W[n, r-1] on x^r - x^0 (r = 1..k) as coefficients of the
+    levels x^0..x^m."""
+    C = np.zeros((m, m + 1))
+    C[:, 1 : W.shape[1] + 1] = W
+    C[:, 0] = -W.sum(axis=1)
+    return C
+
+
+def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int = 0):
+    """Interior (u, v) levels of the corrected diffusion-wave scheme in
+    physical space: the startup block by the V-reduced md x md system, then
+    one Cholesky-inverse mat-vec per step."""
+    sigma = sigma if isinstance(sigma, CorrectionSet) else CorrectionSet(tuple(sigma))
+    alpha, nu, mu = problem.alpha, problem.nu, problem.mu
+    n_t = step_count(tau, problem.T)
+    m = max(m1, m2, m3)
+    Md, S, I, fr = _physical_space(problem, n_t, tau)
+    g = wsgl_weights(alpha, n_t + 1)
+    sc = tau ** (-alpha)
+    Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1) if m3 else None
+    mem = [Term(sc, g, Wv3)]
+    Wu1 = d1_u_weight_table(sigma, m1, n_t)
+    Wv2 = d1_v_weight_table(sigma, m2, n_t)
+    u = np.zeros((n_t + 1, len(I)))
+    v = np.zeros((n_t + 1, len(I)))
+    u[0] = h1_projection(problem.phi0, problem.mesh)[I]
+    v[0] = h1_projection(problem.psi0, problem.mesh)[I]
+    if m:
+        step = np.eye(m, m + 1, 1) - np.eye(m, m + 1)
+        avg = 0.5 * (np.eye(m, m + 1, 1) + np.eye(m, m + 1))
+        P = startup_matrix(mem, m)
+        v_on_v = step / tau + 0.5 * nu * _level_columns(P[:-1] + P[1:], m) + _level_columns(Wv2[:m], m) / tau
+        u_on_u = step + _level_columns(Wu1[:m], m)
+        u_on_v = -tau * avg
+        u_on_v[:, 0] -= Wu1[:m] @ (np.arange(1, Wu1.shape[1] + 1) * tau)
+        b_v = Md * 0.5 * (fr[:m] + fr[1 : m + 1]) - np.outer(v_on_v[:, 0], Md * v[0])
+        b_v -= np.outer(avg[:, 0], mu * (S @ u[0]))
+        b_u = -np.outer(u_on_u[:, 0], u[0]) - np.outer(u_on_v[:, 0], v[0])
+        Kuu_inv = np.linalg.inv(u_on_u[:, 1:])
+        G = avg[:, 1:] @ Kuu_inv
+        A = np.kron(v_on_v[:, 1:], np.diag(Md)) - np.kron(G @ u_on_v[:, 1:], mu * S)
+        V = np.linalg.solve(A, (b_v - (G @ b_u) @ (mu * S)).ravel()).reshape(m, -1)
+        v[1 : m + 1] = V
+        u[1 : m + 1] = Kuu_inv @ (b_u - u_on_v[:, 1:] @ V)
+    vh = v - v[0]
+    fixed = Md * (0.5 * (fr[:-1] + fr[1:]) - (Wv2[:n_t] @ vh[1 : m2 + 1]) / tau + 0.5 * nu * sc * g[0] * v[0])
+    if m1:
+        u[m + 1 :] = -(Wu1[m:n_t] @ (u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0])))
+        fixed[m:] -= 0.5 * mu * (u[m + 1 :] @ S.T)
+    step_inv = spd_inverse(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S)
+    hist = History(mem, vh)
+    for k in range(m + 1):
+        hist.feed(k)
+    for n in range(m, n_t):
+        frac = hist.known(n) + sc * g[0] * vh[n] + hist.known(n + 1)
+        rhs = Md * (v[n] / tau - 0.5 * nu * frac) + fixed[n] - S @ (mu * u[n] + (mu * tau / 4.0) * v[n])
+        v[n + 1] = step_inv @ rhs
+        vh[n + 1] = v[n + 1] - v[0]
+        hist.feed(n + 1)
+        u[n + 1] += u[n] + (tau / 2.0) * (v[n + 1] + v[n])
+    return u, v
+
+
+def wave_l1_march(problem, tau: float):
+    """Interior (u, v) levels of the L1 wave baseline in physical space."""
+    alpha, nu, mu = problem.alpha, problem.nu, problem.mu
+    n_t = step_count(tau, problem.T)
+    Md, S, I, fr = _physical_space(problem, n_t, tau)
+    u = np.zeros((n_t + 1, len(I)))
+    v = np.zeros((n_t + 1, len(I)))
+    u[0] = h1_projection(problem.phi0, problem.mesh)[I]
+    v[0] = h1_projection(problem.psi0, problem.mesh)[I]
+    vh = np.zeros_like(v)
+    hist = History([Term(nu, l1_weights(alpha, n_t, tau))], vh)
+    c0 = hist.c[0]
+    step_inv = spd_inverse(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S)
+    fixed = Md * (fr + c0 * v[0])
+    hist.feed(0)
+    for n in range(1, n_t + 1):
+        stiff = S @ (mu * u[n - 1] + (mu * tau / 2.0) * v[n - 1])
+        rhs = Md * (v[n - 1] / tau - hist.known(n)) + fixed[n] - stiff
+        v[n] = step_inv @ rhs
+        vh[n] = v[n] - v[0]
+        hist.feed(n)
+        u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
+    return u, v
+
+
+def subdiffusion_march(problem, tau: float, terms, m: int):
+    """Interior U levels of a subdiffusion scheme with the memory ``terms``
+    in physical space: the startup block as one md x md system, then one
+    Cholesky-inverse mat-vec per step."""
+    n_t = step_count(tau, problem.T)
+    Md, S, I, fr = _physical_space(problem, n_t, tau)
+    u0 = h1_projection(problem.phi0, problem.mesh)[I]
+    rhs = Md * fr - problem.mu * (S @ u0)
+    uh = np.zeros((n_t + 1, len(I)))
+    if m:
+        A = np.kron(startup_matrix(terms, m)[1:], np.diag(Md)) + np.kron(np.eye(m), problem.mu * S)
+        uh[1 : m + 1] = np.linalg.solve(A, rhs[1 : m + 1].ravel()).reshape(m, -1)
+    hist = History(terms, uh)
+    step_inv = spd_inverse(np.diag(hist.c[0] * Md) + problem.mu * S)
+    for k in range(m + 1):
+        hist.feed(k)
+    for n in range(m + 1, n_t + 1):
+        uh[n] = step_inv @ (rhs[n] - Md * hist.known(n))
+        hist.feed(n)
+    return uh + u0

@@ -367,19 +367,24 @@ def test_wave_study_builds_one_mesh(tmp_path, monkeypatch):
 
 
 def test_wave_study_inverts_the_projection_stiffness_once(tmp_path, monkeypatch):
-    # every H1 projection of the study's one mesh reads the same inverse
-    from fracstep import sem, tfpde
+    # every H1 projection and every march of the study's one mesh reads the
+    # same inverse and the same modal basis
+    from fracstep import sem
 
     S0 = sem.SpectralMesh([-1.0, 0.0, 1.0], (8, 8)).forms().stiffness0()
-    inverted = []
-    spd_inverse = sem.spd_inverse
+    inverted, decomposed = [], []
+    spd_inverse, eigh = sem.spd_inverse, np.linalg.eigh
 
     def counting(A):
         inverted.append(np.array_equal(A, S0))
         return spd_inverse(A)
 
+    def counting_eigh(A, *args, **kwargs):
+        decomposed.append(A.shape)
+        return eigh(A, *args, **kwargs)
+
     monkeypatch.setattr(sem, "spd_inverse", counting)
-    monkeypatch.setattr(tfpde, "spd_inverse", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     cfg = _write(
         tmp_path,
         "wf.ini",
@@ -390,6 +395,30 @@ def test_wave_study_inverts_the_projection_stiffness_once(tmp_path, monkeypatch)
     (study,) = parse_config(cfg)
     run_study(study)
     assert sum(inverted) == 1
+    assert decomposed == [S0.shape]
+
+
+def test_decimated_reference_gives_bit_identical_errors():
+    # the harness keeps every g-th reference level, g the gcd of the cells'
+    # ratios tau / tau_ref; every error norm reads the same levels
+    from fracstep.harness import _decimated
+    from fracstep.problems import subdiffusion_forced_problem, two_zone_unit_mesh
+    from fracstep.tfpde import l2_error, solve_subdiffusion
+
+    prob = subdiffusion_forced_problem(two_zone_unit_mesh(8))
+    ref = solve_subdiffusion(prob, 2.0**-8, (0.75, 1.0), 2, 2)
+    taus = [2.0**-4, 2.0**-6]
+    kept = _decimated(ref, taus)
+    assert kept.tau == 2.0**-6 and kept.n_steps == 64 and not np.shares_memory(kept.u, ref.u)
+    for tau in taus:
+        hist = solve_subdiffusion(prob, tau, (0.75, 1.0), 2, 2)
+        for at in ("final", "average", 3):
+            assert l2_error(hist, kept, at=at) == l2_error(hist, ref, at=at)
+    # a ratio that is not an integer keeps every level, and is still rejected
+    full = _decimated(ref, [2.0**-4, 0.1])
+    assert full.tau == ref.tau and np.array_equal(full.u, ref.u)
+    with pytest.raises(ValueError, match="integer multiple"):
+        l2_error(solve_subdiffusion(prob, 0.1, (0.75, 1.0), 2, 2), full)
 
 
 def test_package_has_no_cross_module_private_imports():

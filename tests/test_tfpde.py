@@ -11,9 +11,11 @@ from fracstep.corrections import (
     d1_v_weight_table,
     starting_weight_table,
 )
-from fracstep.glweights import wsgl_weights
+from fracstep.glweights import l1_weights, wsgl_weights
+from fracstep.memory import Term
 from fracstep.problems import (
     subdiffusion_forced_problem,
+    three_zone_mesh,
     two_zone_unit_mesh,
     wave_forced_problem,
     wave_smooth_exact,
@@ -31,6 +33,7 @@ from fracstep.tfpde import (
     solve_wave,
     solve_wave_l1_baseline,
 )
+import oracles
 
 
 def _zero(x):
@@ -113,15 +116,12 @@ def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
 
 
 def test_indefinite_step_matrix_names_solver(small_mesh, unit_mesh, monkeypatch):
-    # a stiffness of the wrong sign makes every step matrix indefinite, so
-    # its Cholesky factorisation fails before the first step
-    space = tfpde._space
-
-    def flipped(mesh):
-        Md, S, I = space(mesh)
-        return Md, -S, I
-
-    monkeypatch.setattr(tfpde, "_space", flipped)
+    # a stiffness spectrum of the wrong sign makes every step matrix
+    # indefinite: the march rejects it before the first step
+    for mesh in (small_mesh, unit_mesh):
+        forms = mesh.forms()
+        Phi, lam = forms.modes
+        monkeypatch.setitem(forms.__dict__, "modes", (Phi, -lam))
     tau = 2.0**-5
     what = r": step matrix is not positive definite"
     source = lambda x, t: _zero(x)
@@ -531,3 +531,89 @@ def test_l2_error_modes_and_projected_exact(small_mesh):
         l2_error(hist, FieldHistory(small_mesh, 0.3, proj))
     with pytest.raises(ValueError):
         l2_error(hist, U, at="bogus")
+
+
+@pytest.fixture(scope="module")
+def three_zone():
+    return three_zone_mesh()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.4, 0.5, 0.6])
+@pytest.mark.parametrize("make", [wave_forced_problem, wave_smooth_problem])
+def test_wave_march_matches_physical_space_march(three_zone, make, alpha, m):
+    # the modal march against the physical-space one, which solves each step
+    # by a Cholesky-inverse mat-vec; V's bound is 4x the 1.25e-12 relative by
+    # which a one-ulp change of each step's right-hand side moves V
+    prob = make(alpha, mesh=three_zone)
+    tau, sigma = 2.0**-7, (2.0, 2.5, 3.0)
+    hist = solve_wave(prob, tau, sigma, m, m, m)
+    u, v = oracles.wave_march(prob, tau, sigma, m, m, m)
+    I = three_zone.interior
+    assert _rel(hist.u[:, I], u) <= 1e-13
+    assert _rel(hist.v[:, I], v) <= 5e-12
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.5, 0.6])
+@pytest.mark.parametrize("make", [wave_forced_problem, wave_smooth_problem])
+def test_wave_l1_march_matches_physical_space_march(three_zone, make, alpha):
+    prob = make(alpha, mesh=three_zone)
+    hist = solve_wave_l1_baseline(prob, 2.0**-7)
+    u, v = oracles.wave_l1_march(prob, 2.0**-7)
+    I = three_zone.interior
+    assert _rel(hist.u[:, I], u) <= 1e-13
+    assert _rel(hist.v[:, I], v) <= 5e-12
+
+
+@pytest.mark.parametrize("phi0", [_zero, lambda x: np.sin(np.pi * x)], ids=["zero", "sine"])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, "l1"])
+def test_subdiffusion_march_matches_physical_space_march(m, phi0):
+    prob = dataclasses.replace(subdiffusion_forced_problem(), phi0=phi0)
+    tau, n_t = 2.0**-7, 128
+    sigma = CorrectionSet((0.75, 1.0, 1.25))
+    if m == "l1":
+        hist = solve_subdiffusion_l1_baseline(prob, tau)
+        terms = [Term(1.0, l1_weights(a, n_t, tau)) for a in (prob.alpha1, prob.alpha2)]
+        m = 0
+    else:
+        hist = solve_subdiffusion(prob, tau, sigma, m, m)
+        table = lambda a: starting_weight_table(a, sigma.truncated(m), n_t) if m else None
+        terms = [
+            Term(scale * tau ** (-a), wsgl_weights(a, n_t), table(a))
+            for scale, a in ((1.0, prob.alpha1), (prob.nu, prob.alpha2))
+        ]
+    u = oracles.subdiffusion_march(prob, tau, terms, m)
+    assert _rel(hist.u[:, prob.mesh.interior], u) <= 1e-13
+
+
+def test_exact_reference_called_once_per_element():
+    prob = wave_smooth_problem(0.5)
+    hist = solve_wave(prob, 2.0**-6)
+    U = wave_smooth_exact()
+    calls = []
+
+    def counting(x, t):
+        calls.append((np.shape(x), np.shape(t)))
+        return U(x, t)
+
+    for at, steps in (("average", range(65)), ("final", [64]), (5, [5])):
+        calls.clear()
+        err = l2_error(hist, counting, at=at)
+        assert [t for _, t in calls] == [(len(steps), 1)] * len(prob.mesh.degrees)
+        assert all(x[0] == 1 for x, _ in calls)
+        # the same norms as an evaluation one level at a time
+        levels = hist.mesh.l2_norm_against(
+            hist.u[list(steps)], lambda x: np.array([U(x, n * hist.tau) for n in steps])
+        )
+        per_level = math.sqrt(hist.tau * float(np.sum(levels**2))) if at == "average" else float(levels[0])
+        assert err == pytest.approx(per_level, rel=1e-14)
+
+
+def test_scalar_only_reference_names_the_contract(small_mesh):
+    prob = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
+    hist = solve_wave(prob, 2.0**-4)
+    what = r"l2_error: the reference failed on an array t; reference\(x, t\) must broadcast"
+    with pytest.raises(ValueError, match=what):
+        l2_error(hist, lambda x, t: math.exp(-t) * np.sin(np.pi * x), at="average")
+    with pytest.raises(ValueError, match=r"l2_error: the reference returned shape \(3,\)"):
+        l2_error(hist, lambda x, t: np.ones(3))
