@@ -8,7 +8,10 @@ with the rows w_{n,.} chosen so the quadrature is exact on t^{sigma_r} for a
 prescribed exponent set sigma_1 < ... < sigma_m.  Each row solves a small
 exponential Vandermonde system A_{rk} = k^{sigma_r}; the matrix is
 ill-conditioned in m, which is why m is capped at 10 and why the residual
-diagnostics exist.  Two first-derivative variants (trapezoid-type averaging
+diagnostics exist.  The right-hand sides hold sum_k g_{n-k} k^{sigma_r} for
+every n and exponent, built as one field by the memory core's dyadic split
+(``memory.convolve``) in O(N log^2 N), which also rounds less than a direct
+sum at large n.  Two first-derivative variants (trapezoid-type averaging
 corrections) are used by the diffusion-wave scheme.
 """
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .glweights import wsgl_weights
+from .memory import convolve
 from .specfun import gamma
 
 __all__ = [
@@ -92,17 +96,14 @@ def _check_condition(A: np.ndarray, sigmas) -> float:
 
 def _fractional_rhs(alpha: float, sigmas, n_max: int) -> np.ndarray:
     """RHS of the exactness system for all n = 0..n_max at once, one row per
-    exponent: Gamma(s+1)/Gamma(s+1-alpha) n^(s-alpha) - sum_k g_{n-k} k^s."""
-    g = wsgl_weights(alpha, n_max)
+    exponent: Gamma(s+1)/Gamma(s+1-alpha) n^(s-alpha) - sum_k g_{n-k} k^s.
+    The sums for every exponent are one field through the memory core's
+    split, ``memory.convolve``, with the weights carried to lag 2 n_max, so
+    that row n does not depend on n_max (see ``starting_weight_table``)."""
     ns = np.arange(n_max + 1, dtype=float)
-    rhs = np.empty((len(sigmas), n_max + 1))
-    for r, s in enumerate(sigmas):
-        kpow = ns**s
-        conv = np.convolve(g, kpow)[: n_max + 1]
-        exact = np.zeros(n_max + 1)
-        exact[1:] = gamma(s + 1.0) / gamma(s + 1.0 - alpha) * ns[1:] ** (s - alpha)
-        rhs[r] = exact - conv
-    return rhs
+    exact = np.zeros((len(sigmas), n_max + 1))
+    exact[:, 1:] = [gamma(s + 1.0) / gamma(s + 1.0 - alpha) * ns[1:] ** (s - alpha) for s in sigmas]
+    return exact - convolve(wsgl_weights(alpha, 2 * n_max), np.array([ns**s for s in sigmas]).T).T
 
 
 def starting_weight_table(alpha: float, cset: CorrectionSet, n_max: int) -> np.ndarray:
@@ -114,7 +115,12 @@ def starting_weight_table(alpha: float, cset: CorrectionSet, n_max: int) -> np.n
                                 - sum_{k=0}^n g_{n-k} k^{s_r},
 
     with the WSGL weights g of order alpha; one LU factorization serves every
-    row."""
+    row.  Row n is the same bits in every table with n_max >= n, since it
+    reads only node sizes L <= n and the weights to lag 2L - 1.  Except: the
+    last node of a size L > 128 that is clipped to r <= 2^14 / L rows is
+    summed directly (``memory._direct``), where a longer table transforms
+    that node whole, so those r rows differ in rounding (a 520-row table
+    from a 5120-row one in rows 512..520)."""
     m = cset.m
     if m == 0:
         return np.zeros((n_max + 1, 0))
@@ -173,11 +179,6 @@ def vandermonde_diagnostics(alpha: float, cset: CorrectionSet) -> VandermondeDia
     if cset.m < 1:
         raise ValueError("needs at least one correction exponent")
     A = _power_matrix(cset.sigmas)
-    cond = float(np.linalg.cond(A, 2))
-    n_max = 100
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        W = starting_weight_table(alpha, cset, n_max)
-    rhs = _fractional_rhs(alpha, cset.sigmas, n_max)
-    resid = A @ W[1:].T - rhs[:, 1:]
-    return VandermondeDiagnostics(cond, float(np.max(np.abs(resid))))
+    rhs = _fractional_rhs(alpha, cset.sigmas, 100)[:, 1:]
+    resid = A @ np.linalg.solve(A, rhs) - rhs
+    return VandermondeDiagnostics(float(np.linalg.cond(A, 2)), float(np.max(np.abs(resid))))

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-__all__ = ["Term", "History", "startup_matrix"]
+__all__ = ["Term", "History", "convolve", "startup_matrix"]
 
-_BASE = 32  # lags summed directly; longer lags go through the FFT far field
+_BASE = 32  # lags summed directly at each level; longer lags go through the far field
 _CHUNK = 1 << 16  # elements of a far-field block transformed at once
+_DIRECT = 1 << 14  # entries of the largest lag-Toeplitz block a node multiplies
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,59 @@ class Term:
     origin: np.ndarray | None = None
 
 
+def _direct(r: int, L: int) -> bool:
+    """Whether a node of size L with r targets goes by a product with its
+    r x L lag block (at most _DIRECT entries) rather than by FFT.  There a
+    product costs 2-5 us against about 20 us for the transforms, and less
+    per column too (at most 1.6 us against 0.035 us per level of L; 2-vCPU
+    Xeon, numpy 2.4, OpenBLAS), so the column count does not change the
+    choice.  Full nodes of up to 128 levels go direct, whose blocks a
+    history keeps (168 KB), and so does a larger clipped node with few
+    targets, such as the one target of a history of 2^k + 1 levels."""
+    return r * L <= _DIRECT
+
+
+def _toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols Toeplitz block T[i, j] = a[i - j + cols - 1], copied
+    out of a strided view of the contiguous ``a``."""
+    step = a.itemsize
+    return np.ndarray((rows, cols), a.dtype, a, (cols - 1) * step, (step, -step)).copy()
+
+
+def _add_node(c: np.ndarray, cache: dict, src: np.ndarray, out: np.ndarray) -> None:
+    """Add the lags >= _BASE of c applied to a completed block src = x[s:s+L]
+    to its first r <= L targets out = y[s+L:s+L+r]: the lag of out[i] on
+    src[j] is L + i - j.  Levels run along axis -2 and history columns along
+    axis -1; a stack of nodes of one size shares the leading axes, and each
+    node of it is computed as alone.  A direct product uses the L x L
+    lag-Toeplitz block of its size, cached, when it has at most _DIRECT
+    entries; a clipped node multiplies it whole too, since BLAS rounds a row
+    differently in a product with fewer rows.  A clipped node of a larger
+    size builds only its first r rows.  An FFT node transforms a zero-padded
+    block of 2L, with the kernel spectrum cached per size.  ``cache`` holds
+    both, keyed by (L, direct)."""
+    L, r = src.shape[-2], out.shape[-2]
+    if _direct(r, L):
+        block = cache.get((L, True))
+        if block is None:
+            rows = L if L * L <= _DIRECT else r  # a block small enough to keep is built whole
+            a = np.zeros(L + rows - 1)  # lags 1 .. L+rows-1; the near field owns those below _BASE
+            lags = c[_BASE : L + rows]
+            a[_BASE - 1 : _BASE - 1 + len(lags)] = lags
+            block = _toeplitz(a, rows, L)
+            if rows == L:
+                cache[L, True] = block
+        out += (block @ src)[..., :r, :]
+        return
+    if (L, False) not in cache:  # lags >= _BASE, shifted: target s+L+i comes out at L-_BASE+i
+        cache[L, False] = rfft(c[_BASE : 2 * L], 2 * L)[:, None]
+    step = max(1, _CHUNK * src.shape[-1] // (2 * src.size))  # column chunks bound the transient memory
+    for j in range(0, src.shape[-1], step):
+        spectrum = rfft(src[..., j : j + step], 2 * L, axis=-2)
+        spectrum *= cache[L, False]
+        out[..., j : j + step] += irfft(spectrum, 2 * L, axis=-2)[..., L - _BASE : L - _BASE + r, :]
+
+
 class History:
     """Known parts of ``terms`` on a history ``x`` that a march fills level
     by level: call ``feed(n)`` once x[n] is final, and ``known(n)``, every
@@ -49,13 +103,16 @@ class History:
     The kernels are summed into one, c (c[0] is the implicit diagonal).
     Level n sums the lags 1.._BASE-1, which carry the largest weights,
     directly (one dot against a contiguous reversed copy of those lags) and
-    reads the rest from a far field: once the left half [s, s+L)
-    of a dyadic node [s, s+2L), L >= _BASE, is complete, one cyclic FFT of
-    length 2L adds its convolution with the lags >= _BASE of c to the targets
-    [s+L, s+2L).  A march of N levels costs O(N log^2 N) (Hairer, Lubich &
-    Schlichte 1985).  The starting-weight columns on x[1..m] and the level-0
-    columns on x[0] are fixed once x[0..m] are, so ``feed(m)`` adds them to
-    the far field of every level at once."""
+    reads the rest from a far field: once the left half [s, s+L) of a dyadic
+    node [s, s+2L), L >= _BASE, is complete, ``_add_node`` adds its
+    convolution with the lags >= _BASE of c to the r <= L targets
+    [s+L, s+L+r) that lie inside x.  Small nodes, and the clipped rows of the
+    last node of each size, are one product with a lag-Toeplitz block; the
+    rest are one cyclic FFT of length 2L (``_direct`` picks, from r and L).
+    A march of N levels costs O(N log^2 N) (Hairer, Lubich & Schlichte
+    1985).  The starting-weight columns on x[1..m] and the level-0 columns on
+    x[0] are fixed once x[0..m] are, so ``feed(m)`` adds them to the far
+    field of every level at once."""
 
     def __init__(self, terms, x: np.ndarray):
         self.x = x
@@ -64,7 +121,7 @@ class History:
         self.m = max((t.table.shape[1] for t in terms if t.table is not None), default=0)
         self.far = np.zeros_like(x)
         self._far2d = self.far.reshape(len(x), -1)
-        self._kernel_fft = {}
+        self._nodes = {}  # per node size: its Toeplitz block or kernel spectrum
         self._near = np.ascontiguousarray(self.c[_BASE - 1 : 0 : -1])  # lags _BASE-1, ..., 1
 
     def feed(self, n: int) -> None:
@@ -77,20 +134,51 @@ class History:
         L = (n + 1) & -(n + 1)  # x[n] completes the left half [n+1-L, n+1)
         if L < _BASE or n + 1 == len(self.x):
             return
-        out = self._far2d[n + 1 : n + 1 + L]
-        if L not in self._kernel_fft:  # lags >= _BASE, shifted: target s+L+i comes out at L-_BASE+i
-            self._kernel_fft[L] = rfft(self.c[_BASE : 2 * L], 2 * L)[:, None]
-        src = self.x[n + 1 - L : n + 1].reshape(L, -1)
-        step = max(1, _CHUNK // (2 * L))  # column chunks bound the transient memory
-        for j in range(0, src.shape[1], step):
-            spectrum = rfft(src[:, j : j + step], 2 * L, axis=0)
-            spectrum *= self._kernel_fft[L]
-            out[:, j : j + step] += irfft(spectrum, 2 * L, axis=0)[L - _BASE : L - _BASE + len(out)]
+        _add_node(self.c, self._nodes, self.x[n + 1 - L : n + 1].reshape(L, -1), self._far2d[n + 1 : n + 1 + L])
 
     def known(self, n: int):
         if n >= _BASE - 1:
             return self.far[n] + self._near.dot(self.x[n - _BASE + 1 : n])
         return self.far[n] + self.c[n:0:-1].dot(self.x[:n])
+
+
+def convolve(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{k=0}^{n} c[n-k] x[k] at every level n of x, shape (levels,) or
+    (levels, d), by the split of ``History`` without a march.  c covers at
+    least the lags 0..levels-1; an FFT node of size L reads it up to lag
+    2L-1 where it reaches.  Node sizes go largest first, as a march feeds
+    them: the full nodes of one size are one ``_add_node`` call on their
+    stack, and the last, clipped node of the size one more.  Then the lags
+    below _BASE are one product per block of _BASE levels, on the block and
+    the one before it.  Each node and block is computed as alone, so level n
+    does not depend on the number of levels when c reaches lag 2(levels-1),
+    except below a clipped node that ``_direct`` sums directly where a
+    longer x transforms the full node."""
+    n_levels = len(x)
+    B, nb = _BASE, -(-n_levels // _BASE)
+    x2 = x.reshape(n_levels, -1)
+    d = x2.shape[1]
+    padded = np.zeros((d, (nb + 1) * B))  # x transposed, after a zero block: blocks are contiguous runs
+    padded[:, B : B + n_levels] = x2.T
+    xt = padded[:, B : B + n_levels]
+    yt = np.zeros((d, nb * B))
+    L = 1 << max(n_levels - 1, 1).bit_length() - 1  # the largest node size with a target
+    while L >= _BASE:
+        cache = {}  # one size at a time: its block or spectrum lives for one pass
+        full = n_levels // (2 * L)
+        if full:  # nodes [2kL, 2kL+2L), k < full, as stacks (full, 2, L, d): left halves in, right out
+            src, dst = (z[:, : 2 * L * full].reshape(d, full, 2, L).transpose(1, 2, 3, 0) for z in (xt, yt))
+            _add_node(c, cache, src[:, 0], dst[:, 1])
+        s = 2 * L * full
+        if s + L < n_levels:
+            _add_node(c, cache, xt[:, s : s + L].T, yt[:, s + L : n_levels].T)
+        L //= 2
+    step = padded.itemsize  # windows[b] = levels [(b-1)B, (b+1)B) of x, read in place
+    windows = np.ndarray((nb, 2 * B, d), padded.dtype, padded, 0, (B * step, step, (nb + 1) * B * step))
+    a = np.zeros(3 * B - 1)  # lags 1-B .. 2B-1 of a window; the near field keeps 0 .. B-1
+    a[B - 1 : B - 1 + min(B, len(c))] = c[:B]
+    yt.reshape(d, nb, B).transpose(1, 2, 0)[...] += _toeplitz(a, B, 2 * B) @ windows  # block b-1, block b
+    return yt[:, :n_levels].T.reshape(x.shape)
 
 
 def startup_matrix(terms, m: int) -> np.ndarray:

@@ -185,32 +185,60 @@ def _magnitude(t):
     return Term(abs(t.scale), np.abs(t.kernel), mag(t.table), mag(t.origin))
 
 
+NODE_RULES = {"direct": lambda r, L: True, "fft": lambda r, L: False}
+
+
 @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
-@pytest.mark.parametrize("n_t", [31, 32, 33, 1023, 1025, 5000])
+@pytest.mark.parametrize("n_t", [31, 32, 33, 1023, 1024, 1025, 4096, 5000])
 @pytest.mark.parametrize("kind", ["wsgl", "l1", "trapezoid"])
 def test_history_matches_direct_sum(kind, n_t, shape, monkeypatch):
     # levels not yet fed are NaN, so a read of one shows; each level is read
     # as a march reads it, before it is solved, and as the wave march reads
     # it, right after the level below it is fed.  Small column chunks split
-    # the field's 3 columns 2 + 1 at L = 32 and 1 + 1 + 1 above.
+    # the field's 3 columns 2 + 1 at L = 32 and 1 + 1 + 1 above.  The march
+    # runs once with every node by a direct product and once with every node
+    # by FFT: at n_t = 1024 and 4096 the last node has one target, at 1025
+    # and 5000 it is clipped to 2 and 905.
     monkeypatch.setattr(memory, "_CHUNK", 128)
     m, terms = _memory(kind, n_t)
     values = np.random.default_rng(n_t).standard_normal((n_t + 1, *shape))
-    x = np.full_like(values, np.nan)
-    hist = History(terms, x)
     magnitude = [_magnitude(t) for t in terms]
-    for n in range(n_t + 1):
-        if n > m:
-            before = hist.known(n)
-        x[n] = values[n]
-        hist.feed(n)
-        reads = [(n, before)] if n > m else []
-        if m <= n < n_t:
-            reads.append((n + 1, hist.known(n + 1)))
-        for level, got in reads:
-            want = history(terms, values, level)
-            scale = history(magnitude, np.abs(values), level)
-            assert np.all(np.abs(got - want) <= 1e-13 * scale), (level, got, want)
+    for rule in NODE_RULES.values():
+        monkeypatch.setattr(memory, "_direct", rule)
+        x = np.full_like(values, np.nan)
+        hist = History(terms, x)
+        for n in range(n_t + 1):
+            if n > m:
+                before = hist.known(n)
+            x[n] = values[n]
+            hist.feed(n)
+            reads = [(n, before)] if n > m else []
+            if m <= n < n_t:
+                reads.append((n + 1, hist.known(n + 1)))
+            for level, got in reads:
+                want = history(terms, values, level)
+                scale = history(magnitude, np.abs(values), level)
+                assert np.all(np.abs(got - want) <= 1e-13 * scale), (level, got, want)
+
+
+@pytest.mark.parametrize("path", [*NODE_RULES, "rule"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
+@pytest.mark.parametrize("n_levels", [1, 2, 31, 32, 33, 100, 641, 1025, 3000])
+def test_convolve_matches_direct_sum(n_levels, shape, path, monkeypatch):
+    # the static split, lag 0 included, against np.convolve per column, to
+    # the same bound as the history; c reaches past the last level, as the
+    # starting-weight tables pass it
+    if path != "rule":
+        monkeypatch.setattr(memory, "_direct", NODE_RULES[path])
+    rng = np.random.default_rng(n_levels)
+    c = rng.standard_normal(2 * n_levels)
+    x = rng.standard_normal((n_levels, *shape))
+    got = memory.convolve(c, x)
+    assert got.shape == x.shape
+    columns = x.reshape(n_levels, -1).T
+    want = np.array([np.convolve(c, col)[:n_levels] for col in columns]).T.reshape(x.shape)
+    scale = np.array([np.convolve(np.abs(c), np.abs(col))[:n_levels] for col in columns]).T.reshape(x.shape)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
