@@ -24,7 +24,7 @@ import numpy as np
 
 from .corrections import CorrectionSet, starting_weight_table
 from .glweights import SampledPath, l1_weights, step_count, wsgl_weights
-from .memory import History, Term, startup_matrix
+from .memory import History, Term, runs, startup_matrix
 from .specfun import gamma
 
 __all__ = [
@@ -138,26 +138,29 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     accepted when its residual or its step is within _STEP_TOL relative.
     Returns (x, f(t_n, y0 + x), d).  A linear f needs no special path: its
     secant slope is exact, so the next step's first iterate solves it."""
+    isfinite, tol = math.isfinite, _STEP_TOL  # locals: the accepted path calls only f and isfinite
     x = guess
     fx = f(t_n, y0 + x)
     r = a * x + known - b * fx
-    abs_r, scale = abs(r), max(1.0, abs(x))
+    abs_r = r if r >= 0.0 else -r
+    scale = x if x > 1.0 else -x if x < -1.0 else 1.0  # max(1, |x|)
     refreshed = False
     for _ in range(max_iters):
-        if abs_r <= _STEP_TOL * scale:
+        if abs_r <= tol * scale:
             return x, fx, d
         x_new = x - r / d
-        if not math.isfinite(x_new):
+        if not isfinite(x_new):
             break
         f_new = f(t_n, y0 + x_new)
         r_new = a * x_new + known - b * f_new
-        if not math.isfinite(r_new):
+        if not isfinite(r_new):
             break
-        dx, scale_new = x_new - x, max(1.0, abs(x_new))
-        abs_dx = abs(dx)
-        if abs_dx <= _STEP_TOL * scale_new:
+        dx = x_new - x
+        scale_new = x_new if x_new > 1.0 else -x_new if x_new < -1.0 else 1.0
+        abs_dx = dx if dx >= 0.0 else -dx
+        if abs_dx <= tol * scale_new:
             return x_new, f_new, d
-        abs_r_new = abs(r_new)
+        abs_r_new = r_new if r_new >= 0.0 else -r_new
         if abs_r_new <= 0.5 * abs_r:
             if abs_dx > 1e-9 * scale_new:
                 d = (r_new - r) / dx
@@ -172,9 +175,9 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     x = guess
     for _ in range(max_iters):
         x_new = (b * f(t_n, y0 + x) - known) / a
-        if not math.isfinite(x_new):
+        if not isfinite(x_new):
             break
-        if abs(x_new - x) <= _STEP_TOL * max(1.0, abs(x_new)):
+        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
             return x_new, f(t_n, y0 + x_new), a  # a: the chord slope Picard iterates with
         x = x_new
     raise ConvergenceError("implicit step did not converge")
@@ -207,7 +210,8 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
     """March yhat = y - y0 through  a yhat^n + known = b f^n + known_f  with
     the memory ``terms`` on yhat and ``f_terms`` on f^n = f(t_n, y0 + yhat^n)
     (b = 1, known_f = 0 when None).  Steps 1..m couple through the starting
-    weights and are solved as one block."""
+    weights and are solved as one block.  Later steps go one level at a
+    time, and both histories are fed once per run (``memory.runs``)."""
     n_t = step_count(tau, problem.T)
     f, y0 = problem.rhs, problem.y0
     yhat = np.zeros(n_t + 1)
@@ -233,15 +237,17 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
     y1 = float(yhat[m])  # the last two levels, for the linear extrapolation 2 y1 - y2
     y2 = float(yhat[m - 1]) if m else y1
     try:
-        for n in range(m + 1, n_t + 1):
-            known = float(mem.known(n) if f_terms is None else mem.known(n) - fmem.known(n))
-            x, fx, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d, max_iters)
-            yhat[n] = x
-            y1, y2 = x, y1
-            mem.feed(n)
+        for s, e in runs(m + 1, n_t + 1):
+            for n in range(s, e):
+                known = float(mem.known(n) if f_terms is None else mem.known(n) - fmem.known(n))
+                x, fx, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d, max_iters)
+                yhat[n] = x
+                y1, y2 = x, y1
+                if f_terms is not None:
+                    fv[n] = fx
+            mem.feed(e - 1)
             if f_terms is not None:
-                fv[n] = fx
-                fmem.feed(n)
+                fmem.feed(e - 1)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc
     return SampledPath(tau, yhat + y0)

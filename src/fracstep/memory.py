@@ -12,16 +12,23 @@ their starting-weight tables, the L1 weights in value form and the
 product-trapezoidal weights are all held as such terms, so a stepper needs
 three things from them: the implicit diagonal and the known part at level n
 (both from a ``History``), and the coefficients of the coupled startup block.
+
+After its startup levels 0..m a march goes in runs: a run is the span of
+levels [s, e) up to the next multiple of _BASE = 32 (``runs``).  Inside a run
+the far field is fixed, so a march need feed its history only once per run,
+and a linear march can solve a whole run as one lower-triangular Toeplitz
+system per history column (``known_run``, ``run_inverse``, ``solve_run``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-__all__ = ["Term", "History", "convolve", "startup_matrix"]
+__all__ = ["Term", "History", "convolve", "run_inverse", "runs", "solve_run", "startup_matrix"]
 
 _BASE = 32  # lags summed directly at each level; longer lags go through the far field
 _CHUNK = 1 << 16  # elements of a far-field block transformed at once
@@ -53,10 +60,11 @@ def _direct(r: int, L: int) -> bool:
 
 
 def _toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The rows x cols Toeplitz block T[i, j] = a[i - j + cols - 1], copied
-    out of a strided view of the contiguous ``a``."""
+    """The rows x cols Toeplitz block T[i, j] = a[..., i - j + cols - 1], copied
+    out of a strided view of the contiguous ``a``, one block per leading index."""
     step = a.itemsize
-    return np.ndarray((rows, cols), a.dtype, a, (cols - 1) * step, (step, -step)).copy()
+    shape, strides = a.shape[:-1] + (rows, cols), a.strides[:-1] + (step, -step)
+    return np.ndarray(shape, a.dtype, a, (cols - 1) * step, strides).copy()
 
 
 def _add_node(c: np.ndarray, cache: dict, src: np.ndarray, out: np.ndarray) -> None:
@@ -94,11 +102,19 @@ def _add_node(c: np.ndarray, cache: dict, src: np.ndarray, out: np.ndarray) -> N
 
 
 class History:
-    """Known parts of ``terms`` on a history ``x`` that a march fills level
-    by level: call ``feed(n)`` once x[n] is final, and ``known(n)``, every
-    contribution at level n except c_0 x^n, once x[0..n-1] are fed.  With m
-    the widest starting-weight table (0 when there is none), ``known(n)``
-    holds for n > m, and for n = m once ``feed(m)`` has run.
+    """Known parts of ``terms`` on a history ``x`` that a march fills.
+    ``known(n)`` is every contribution at level n except c_0 x^n,
+    and ``known_run(s, e)`` the known parts of the levels of one run [s, e)
+    from the levels below s alone.  With m the widest starting-weight table
+    (0 when there is none), both hold above m, and ``known(m)`` once
+    ``feed(m)`` has run.
+
+    The feed contract: ``feed(n)`` does work only at n = m and at the end of
+    a run (n + 1 a multiple of _BASE, below the last level); a call at any
+    other level does nothing.  So a march calls ``feed(k)`` for each startup
+    level k = 0..m once it is final, then, once each run's levels are final,
+    ``feed(e - 1)`` for its last level, before it reads the next run; feeding
+    every level is the same arithmetic.
 
     The kernels are summed into one, c (c[0] is the implicit diagonal).
     Level n sums the lags 1.._BASE-1, which carry the largest weights,
@@ -110,9 +126,11 @@ class History:
     last node of each size, are one product with a lag-Toeplitz block; the
     rest are one cyclic FFT of length 2L (``_direct`` picks, from r and L).
     A march of N levels costs O(N log^2 N) (Hairer, Lubich & Schlichte
-    1985).  The starting-weight columns on x[1..m] and the level-0 columns on
-    x[0] are fixed once x[0..m] are, so ``feed(m)`` adds them to the far
-    field of every level at once."""
+    1985).  Every node that reaches a run ends at a multiple of _BASE at or
+    below the run's start, so the far field of a run is final once the
+    levels below it are fed.  The starting-weight columns on x[1..m] and the
+    level-0 columns on x[0] are fixed once x[0..m] are, so ``feed(m)`` adds
+    them to the far field of every level at once."""
 
     def __init__(self, terms, x: np.ndarray):
         self.x = x
@@ -140,6 +158,56 @@ class History:
         if n >= _BASE - 1:
             return self.far[n] + self._near.dot(self.x[n - _BASE + 1 : n])
         return self.far[n] + self.c[n:0:-1].dot(self.x[:n])
+
+    def known_run(self, s: int, e: int):
+        """The far field of levels s..e-1, e at most the next multiple of
+        _BASE above s, plus their lags up to _BASE-1 on the levels below s:
+        one product of the cached _BASE x (_BASE-1) lag block with
+        x[s-_BASE+1:s], clipped at level 0.  The lags on x[s:e] itself are
+        the run's own Toeplitz system."""
+        lo = max(s - _BASE + 1, 0)
+        return self.far[s:e] + self._run_lags[: e - s, lo - s + _BASE - 1 :] @ self.x[lo:s]
+
+    @cached_property
+    def _run_lags(self) -> np.ndarray:
+        """The lag block of ``known_run``, built on first use: the marches
+        that step level by level never read it."""
+        a = np.zeros(2 * _BASE - 2)  # level s+i on x[s-_BASE+1+j]: lag i+_BASE-1-j, kept up to _BASE-1
+        a[: len(self._near)] = self.c[1:_BASE]
+        return _toeplitz(a, _BASE, _BASE - 1)
+
+
+def runs(start: int, stop: int):
+    """The runs [s, e) that tile the levels start..stop-1: each ends at the
+    next multiple of _BASE, or at stop."""
+    while start < stop:
+        end = min(stop, (start // _BASE + 1) * _BASE)
+        yield start, end
+        start = end
+
+
+def run_inverse(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The (len(d), _BASE, _BASE) inverses of the lower-triangular Toeplitz
+    matrices with d[k] on the diagonal and c[1], ..., c[_BASE-1] below it,
+    one per history column k, for ``solve_run``.  Each inverse is Toeplitz;
+    its first column is forward substitution on the unit vector,
+    y_0 = 1 / d, y_i = -(c_i y_0 + ... + c_1 y_{i-1}) / d."""
+    lags = np.zeros(_BASE)
+    lags[: min(len(c), _BASE)] = c[:_BASE]
+    y = np.zeros((len(d), 2 * _BASE - 1))  # y_i of column k at [k, _BASE-1+i], after _BASE-1 zeros
+    y[:, _BASE - 1] = 1.0 / d
+    for i in range(1, _BASE):
+        y[:, _BASE - 1 + i] = -(y[:, _BASE - 1 : _BASE - 1 + i] @ lags[i:0:-1]) / d
+    return _toeplitz(y, _BASE, _BASE)
+
+
+def solve_run(inverse: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Levels s..e-1 of a linear field march whose level n reads
+    d x^n + known(n) = b^n, from the loads b[s:e] - known_run(s, e) of the
+    run, shape (e-s, columns): every column's Toeplitz system at once, one
+    batched product with the leading blocks of ``run_inverse(c, d)``."""
+    r = len(loads)
+    return (inverse[:, :r, :r] @ loads.T[:, :, None])[:, :, 0].T
 
 
 def convolve(c: np.ndarray, x: np.ndarray) -> np.ndarray:

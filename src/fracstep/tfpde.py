@@ -16,15 +16,16 @@ Two schemes:
 Both are linear with a time-invariant spatial operator, so every march runs in
 the mesh's modal coordinates x^ = Phi^T Md x (``AssembledForms.modes``:
 Phi^T Md Phi = I, Phi^T S0 Phi = diag(lam)), the fast diagonalisation of
-Lynch, Rice & Thomas (Numer. Math. 6, 1964): each step is a few elementwise
-operations per mode, a step matrix a Md + b S0 is positive definite exactly
-when every a + b lam > 0, and the memory core runs on the modal history, as
-the time convolution commutes with any spatial map.  Both start from the H1
-projection of the initial data; the first m = max(m1, m2, m3) steps couple
-through the starting weights and are solved together first, one m x m system
-per mode.  Each solve evaluates its source once: ``source(x, t)`` is called
-with x of shape (1, dofs) and t of shape (levels, 1), and its result must
-broadcast to (levels, dofs).  L1-in-time baselines with the same spatial
+Lynch, Rice & Thomas (Numer. Math. 6, 1964): each wave step is a few
+elementwise operations per mode and each subdiffusion run of up to 32 levels
+one triangular product per mode, a step matrix a Md + b S0 is positive
+definite exactly when every a + b lam > 0, and the memory core runs on the
+modal history, as the time convolution commutes with any spatial map.  Both
+start from the H1 projection of the initial data; the first
+m = max(m1, m2, m3) steps couple through the starting weights and are solved
+together first, one m x m system per mode.  Each solve evaluates its source
+once: ``source(x, t)`` is called with x of shape (1, dofs) and t of shape
+(levels, 1), and its result must broadcast to (levels, dofs).  L1-in-time baselines with the same spatial
 kernel are included for comparison studies.  Every fractional term, WSGL or
 L1, is a ``fracstep.memory`` term; the wave schemes share one march, and so
 do the subdiffusion schemes.
@@ -44,7 +45,7 @@ from .corrections import (
     starting_weight_table,
 )
 from .glweights import l1_weights, step_count, wsgl_weights
-from .memory import History, Term, startup_matrix
+from .memory import History, Term, run_inverse, runs, solve_run, startup_matrix
 from .sem import SpectralMesh, h1_projection
 
 __all__ = [
@@ -301,45 +302,64 @@ def _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, mesh, u0, v0)
     uh[1 : m + 1] = Kuu_inv @ ((Md * b_u) @ Phi - Kuv @ V)
 
 
-def _check_march(solver: str, x: np.ndarray, m: int, tau: float) -> None:
+def _check_march(solver: str, x: np.ndarray, m: int, tau: float, loads=None) -> None:
     """Name the first non-finite level of a finished march, or the startup
     block 1..m that holds it; the march is causal, so the levels before it
-    are unaffected."""
+    are unaffected.  A run solve spreads a non-finite load over its whole
+    run, since its product multiplies the zero upper triangle by the load
+    and 0 * nan is nan; given ``loads(s, e)``, the loads of the levels s..e-1
+    of a run from the levels below s, the level named is that of the first
+    non-finite load of the run from the first non-finite level on."""
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size and 1 <= bad[0] <= m:
         raise ValueError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
     if bad.size:
-        raise ValueError(f"{solver}: step {bad[0]}, t = {bad[0] * tau:g}: solution is not finite")
+        n = int(bad[0])
+        if loads is not None:
+            rows = np.flatnonzero(~np.isfinite(loads(*next(runs(n, len(x))))).all(axis=1))
+            n += int(rows[0]) if rows.size else 0
+        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
 
 
 def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int, solver: str):
     """March uh = U - U(0) mode by mode through (c_0 + mu lam) uh^n + history
     = Phi^T Md f^n - mu lam U(0), with the memory ``terms`` of both fractional
-    terms; steps 1..m couple through the starting weights and are solved as
-    one m x m system per mode."""
+    terms.  Steps 1..m couple through the starting weights and are solved as
+    one m x m system per mode.  Every later run of levels (``memory.runs``)
+    is one lower-triangular Toeplitz system per mode, solved whole: its loads,
+    the right-hand sides less ``known_run``, times the per-mode inverses
+    built once per march (``memory.run_inverse``), all modes in one batched
+    product (``memory.solve_run``); then the history is fed once.  No step
+    goes level by level, and each run's solution overwrites its loads, so the
+    march holds one (levels, modes) array besides the far field."""
     mu = problem.mu
     n_t = step_count(tau, problem.T)
-    Phi, lam, rhs, (u0_x, u0) = _space(problem, n_t, tau, solver, problem.phi0)
-    rhs -= mu * lam * u0
-    uh = np.zeros((n_t + 1, len(lam)))
+    Phi, lam, uh, (u0_x, u0) = _space(problem, n_t, tau, solver, problem.phi0)
+    uh -= mu * lam * u0  # the loads, which the march overwrites run by run with uh = U - U(0)
+    uh[0] = 0.0
     if m >= 1:
         A = startup_matrix(terms, m)[1:] + np.multiply.outer(mu * lam, np.eye(m))  # (modes, m, m)
         try:
-            uh[1 : m + 1] = np.linalg.solve(A, rhs[1 : m + 1].T[:, :, None])[:, :, 0].T
+            uh[1 : m + 1] = np.linalg.solve(A, uh[1 : m + 1].T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("subdiffusion startup block is singular") from exc
     hist = History(terms, uh)
     D = hist.c[0] + mu * lam
     if not np.all(D > 0):
         raise ValueError(f"{solver}: step matrix is not positive definite")
-    rhs /= D
+    inverse = run_inverse(hist.c, D)  # (modes, 32, 32)
     for k in range(m + 1):
         hist.feed(k)
-    for n in range(m + 1, n_t + 1):
-        uh[n] = rhs[n] - hist.known(n) / D
-        hist.feed(n)
-    del hist, rhs
-    _check_march(solver, uh, m, tau)
+    for s, e in runs(m + 1, n_t + 1):
+        uh[s:e] = solve_run(inverse, uh[s:e] - hist.known_run(s, e))
+        hist.feed(e - 1)
+    del inverse
+
+    def loads(s, e):  # the march overwrote them: evaluate the source again
+        return _space(problem, n_t, tau, solver)[2][s:e] - mu * lam * u0 - hist.known_run(s, e)
+
+    _check_march(solver, uh, m, tau, loads)
+    del hist
     return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh, u0_x))
 
 

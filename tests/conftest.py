@@ -1,0 +1,7 @@
+"""Test-suite settings: property tests draw the same examples on every run,
+with no per-example deadline, so Tier-1 stays deterministic."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")

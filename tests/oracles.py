@@ -82,6 +82,12 @@ class DirectHistory:
     def known(self, n: int):
         return history(self.terms, self.x, n)
 
+    def known_run(self, s: int, e: int):
+        """Known parts of the levels s..e-1 from the levels below s alone."""
+        below = np.zeros_like(self.x)
+        below[:s] = self.x[:s]
+        return np.array([history(self.terms, below, n) for n in range(s, e)])
+
 
 def _power_rows(exponents) -> np.ndarray:
     m = len(exponents)

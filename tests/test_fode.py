@@ -163,18 +163,20 @@ def test_startup_failure_raises():
 
 
 def test_nan_rhs_names_solver_step_and_time():
-    def rhs(t, y):
-        return math.nan if t >= 0.5 else -y
+    # step 48 lies inside the run 32..63, after which the histories are fed
+    for tau, t0, where in ((2.0**-5, 0.5, r"step 16, t = 0\.5"), (2.0**-6, 0.75, r"step 48, t = 0\.75")):
 
-    prob = MultiTermProblem((1.0, 1.0), (0.7, 0.5), rhs, 1.0, 1.0)
-    tau = 2.0**-5
-    cfg = SolverConfig(tau=tau, corrections=CorrectionSet((0.5, 0.7)))
-    with pytest.raises(ConvergenceError, match=r"solve_corrected_wsgl: step 16, t = 0\.5"):
-        solve_corrected_wsgl(prob, cfg)
-    with pytest.raises(ConvergenceError, match=r"solve_l1: step 16, t = 0\.5"):
-        solve_l1(prob, tau)
-    with pytest.raises(ConvergenceError, match=r"solve_trapezoidal: step 16, t = 0\.5"):
-        solve_trapezoidal(prob, tau)
+        def rhs(t, y):
+            return math.nan if t >= t0 else -y
+
+        prob = MultiTermProblem((1.0, 1.0), (0.7, 0.5), rhs, 1.0, 1.0)
+        cfg = SolverConfig(tau=tau, corrections=CorrectionSet((0.5, 0.7)))
+        with pytest.raises(ConvergenceError, match=r"solve_corrected_wsgl: " + where):
+            solve_corrected_wsgl(prob, cfg)
+        with pytest.raises(ConvergenceError, match=r"solve_l1: " + where):
+            solve_l1(prob, tau)
+        with pytest.raises(ConvergenceError, match=r"solve_trapezoidal: " + where):
+            solve_trapezoidal(prob, tau)
 
 
 def _counting(problem):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracstep import fode, memory, tfpde
 from fracstep.corrections import CorrectionSet, starting_weight_table
@@ -265,6 +267,89 @@ def test_fixed_columns_are_read_once(kind, shape):
         assert np.all(np.abs(got - want[n]) <= 1e-13 * scale[n]), (n, got, want[n])
         x[n] = values[n]
         hist.feed(n)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
+@pytest.mark.parametrize("kind", ["wsgl", "trapezoid"])
+def test_feeding_run_ends_is_feeding_every_level(kind, shape):
+    # the feed contract: a history fed at its startup levels and at the end
+    # of each run reads every level bit for bit as one fed at every level,
+    # through FFT nodes and the clipped last one; wsgl carries a table,
+    # trapezoid a level-0 column
+    n_t = 1000
+    m, terms = _memory(kind, n_t)
+    x = np.random.default_rng(5).standard_normal((n_t + 1, *shape))
+    every, at_run_ends = History(terms, x), History(terms, x)
+    for n in range(m + 1):
+        every.feed(n)
+        at_run_ends.feed(n)
+    for s, e in memory.runs(m + 1, n_t + 1):
+        for n in range(s, e):
+            assert np.array_equal(at_run_ends.known(n), every.known(n)), n
+            every.feed(n)
+        at_run_ends.feed(e - 1)
+    assert np.array_equal(at_run_ends.far, every.far)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
+@pytest.mark.parametrize("kind", ["wsgl", "l1", "trapezoid"])
+def test_known_run_matches_direct_sum(kind, shape):
+    # each run's known parts from the levels below it, read before the run is
+    # filled (NaN until then): the first run [m+1, 32) clipped at level 0, the
+    # aligned runs and the clipped last run [192, 201)
+    n_t = 200
+    m, terms = _memory(kind, n_t)
+    values = np.random.default_rng(13).standard_normal((n_t + 1, *shape))
+    magnitude = [_magnitude(t) for t in terms]
+    x = np.full_like(values, np.nan)
+    hist = History(terms, x)
+    for n in range(m + 1):
+        x[n] = values[n]
+        hist.feed(n)
+    for s, e in memory.runs(m + 1, n_t + 1):
+        got = hist.known_run(s, e)
+        below = np.zeros_like(values)
+        below[:s] = values[:s]
+        for n in range(s, e):
+            want = history(terms, below, n)
+            scale = history(magnitude, np.abs(below), n)
+            assert np.all(np.abs(got[n - s] - want) <= 1e-13 * scale), (s, n)
+        x[s:e] = values[s:e]
+        hist.feed(e - 1)
+
+
+@st.composite
+def _runs(draw):
+    """A run [s, e) that does not cross a multiple of 32, after level 0."""
+    s = max(1, 32 * draw(st.integers(0, 6)) + draw(st.one_of(st.just(0), st.integers(1, 31))))
+    return s, s + draw(st.integers(1, 32 - s % 32))
+
+
+@given(
+    kind=st.sampled_from(["wsgl", "l1"]),
+    alpha=st.floats(0.01, 1.0),
+    exponents=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4),
+    run=_runs(),
+)
+def test_run_solve_matches_substitution(kind, alpha, exponents, run):
+    # one batched product per run against level-by-level substitution
+    # x^n = (b^n - known(n)) / d, per column, with diagonals d from 1 to 1e6
+    s, e = run
+    n = e - 1
+    c = wsgl_weights(alpha, n) if kind == "wsgl" else l1_weights(alpha, n, 1.0)
+    d = 10.0 ** np.array(exponents)
+    rng = np.random.default_rng(s)
+    x = np.zeros((e, len(d)))
+    x[:s] = rng.standard_normal((s, len(d)))
+    b = rng.standard_normal((e - s, len(d)))
+    hist = History([Term(1.0, c)], x)
+    for k in range(s):
+        hist.feed(k)
+    got = memory.solve_run(memory.run_inverse(hist.c, d), b - hist.known_run(s, e))
+    for k in range(s, e):
+        x[k] = (b[k - s] - hist.known(k)) / d
+    want = x[s:e]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
 
 
 SOLVES = {

@@ -87,26 +87,31 @@ def test_zero_subdiffusion_history(unit_mesh):
     assert np.all(solve_subdiffusion_l1_baseline(prob, 2.0**-4).u == 0.0)
 
 
-def _nan_after_half(x, t):
-    x = np.asarray(x, dtype=float)
-    return np.where(t >= 0.5, np.nan, np.sin(np.pi * x))
+def _nan_after(t0):
+    def source(x, t):
+        x = np.asarray(x, dtype=float)
+        return np.where(t >= t0, np.nan, np.sin(np.pi * x))
+
+    return source
 
 
 def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
-    tau = 2.0**-5
-    where = r"step 16, t = 0\.5"
-    sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, _nan_after_half, _zero, 1.0, unit_mesh)
-    with pytest.raises(ValueError, match="solve_subdiffusion: " + where):
-        solve_subdiffusion(sub, tau, (0.75, 1.0), 2, 2)
-    with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
-        solve_subdiffusion_l1_baseline(sub, tau)
-    wave = WaveProblem(1.0, 1.0, _nan_after_half, _zero, _zero, 0.5, 1.0, small_mesh)
-    for counts in ((0, 0, 0), (2, 2, 2)):
-        with pytest.raises(ValueError, match="solve_wave: " + where):
-            solve_wave(wave, tau, (2.0, 2.5), *counts)
-    with pytest.raises(ValueError, match="solve_wave_l1_baseline: " + where):
-        solve_wave_l1_baseline(wave, tau)
+    # step 16 starts a run of the subdiffusion march; step 48 lies inside
+    # the run 32..63, which one product solves whole
+    for tau, t0, where in ((2.0**-5, 0.5, r"step 16, t = 0\.5"), (2.0**-6, 0.75, r"step 48, t = 0\.75")):
+        sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, _nan_after(t0), _zero, 1.0, unit_mesh)
+        with pytest.raises(ValueError, match="solve_subdiffusion: " + where):
+            solve_subdiffusion(sub, tau, (0.75, 1.0), 2, 2)
+        with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
+            solve_subdiffusion_l1_baseline(sub, tau)
+        wave = WaveProblem(1.0, 1.0, _nan_after(t0), _zero, _zero, 0.5, 1.0, small_mesh)
+        for counts in ((0, 0, 0), (2, 2, 2)):
+            with pytest.raises(ValueError, match="solve_wave: " + where):
+                solve_wave(wave, tau, (2.0, 2.5), *counts)
+        with pytest.raises(ValueError, match="solve_wave_l1_baseline: " + where):
+            solve_wave_l1_baseline(wave, tau)
     # a bad source inside the coupled startup block names the block's steps
+    tau = 2.0**-5
     nan = lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan)
     startup = r"steps 1\.\.2, t <= 0\.0625"
     with pytest.raises(ValueError, match="solve_subdiffusion: " + startup):
