@@ -104,9 +104,13 @@ def l1_weights(alpha: float, n: int, tau: float) -> np.ndarray:
     """L1 convolution weights c_0..c_n in value form: c_0 = b_0 and
     c_j = b_j - b_{j-1}, where b_k = tau^(-alpha)/Gamma(2-alpha)
     ((k+1)^(1-alpha) - k^(1-alpha)).  Summation by parts turns the Caputo
-    quadrature sum_k b_{n-k-1} (y^{k+1} - y^k) into sum_{k=1}^n c_{n-k} (y^k - y^0)."""
+    quadrature sum_k b_{n-k-1} (y^{k+1} - y^k) into sum_{k=1}^n c_{n-k} (y^k - y^0).
+    k^(1-alpha) is 0 at k = 0 for every alpha, so alpha = 1 gives the backward
+    difference c = (1, -1, 0, ...) / tau, the limit alpha -> 1."""
     k = np.arange(n + 1, dtype=float)
-    b = tau ** (-alpha) / gamma(2.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha))
+    powers = k ** (1.0 - alpha)
+    powers[0] = 0.0  # 0.0 ** 0.0 is 1
+    b = tau ** (-alpha) / gamma(2.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - powers)
     c = b.copy()
     c[1:] -= b[:-1]
     return c

@@ -17,7 +17,8 @@ After its startup levels 0..m a march goes in runs: a run is the span of
 levels [s, e) up to the next multiple of _BASE = 32 (``runs``).  Inside a run
 the far field is fixed, so a march need feed its history only once per run,
 and a linear march can solve a whole run as one lower-triangular Toeplitz
-system per history column (``known_run``, ``run_inverse``, ``solve_run``).
+system per history column, its lags shared by the columns or each column's
+own (``known_run``, ``run_inverse``, ``solve_run``).
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from functools import cached_property
 import numpy as np
 from numpy.fft import irfft, rfft
 
-__all__ = ["Term", "History", "convolve", "run_inverse", "runs", "solve_run", "startup_matrix"]
+__all__ = ["RUN", "Term", "History", "convolve", "run_inverse", "runs", "solve_run", "startup_matrix"]
 
 _BASE = 32  # lags summed directly at each level; longer lags go through the far field
+RUN = _BASE  # the most levels in one run
 _CHUNK = 1 << 16  # elements of a far-field block transformed at once
 _DIRECT = 1 << 14  # entries of the largest lag-Toeplitz block a node multiplies
 
@@ -59,12 +61,17 @@ def _direct(r: int, L: int) -> bool:
     return r * L <= _DIRECT
 
 
-def _toeplitz(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def _toeplitz(a: np.ndarray, rows: int, cols: int, copy: bool = True) -> np.ndarray:
     """The rows x cols Toeplitz block T[i, j] = a[..., i - j + cols - 1], copied
-    out of a strided view of the contiguous ``a``, one block per leading index."""
+    out of a strided view of the contiguous ``a``, one block per leading index;
+    with ``copy=False`` the read-only view itself."""
     step = a.itemsize
     shape, strides = a.shape[:-1] + (rows, cols), a.strides[:-1] + (step, -step)
-    return np.ndarray(shape, a.dtype, a, (cols - 1) * step, strides).copy()
+    view = np.ndarray(shape, a.dtype, a, (cols - 1) * step, strides)
+    if copy:
+        return view.copy()
+    view.flags.writeable = False
+    return view
 
 
 def _add_node(c: np.ndarray, cache: dict, src: np.ndarray, out: np.ndarray) -> None:
@@ -186,26 +193,38 @@ def runs(start: int, stop: int):
         start = end
 
 
-def run_inverse(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The (len(d), _BASE, _BASE) inverses of the lower-triangular Toeplitz
-    matrices with d[k] on the diagonal and c[1], ..., c[_BASE-1] below it,
-    one per history column k, for ``solve_run``.  Each inverse is Toeplitz;
-    its first column is forward substitution on the unit vector,
-    y_0 = 1 / d, y_i = -(c_i y_0 + ... + c_1 y_{i-1}) / d."""
-    lags = np.zeros(_BASE)
-    lags[: min(len(c), _BASE)] = c[:_BASE]
-    y = np.zeros((len(d), 2 * _BASE - 1))  # y_i of column k at [k, _BASE-1+i], after _BASE-1 zeros
+def run_inverse(c: np.ndarray, d: np.ndarray, dense: bool = True) -> np.ndarray:
+    """The inverses of the lower-triangular Toeplitz matrices of one run, one
+    per history column k, for ``solve_run``: d[k] on the diagonal and the lags
+    c[1], ..., c[RUN-1] below it, shared by every column (c of shape (lags,))
+    or c[k, 1], ..., c[k, RUN-1] per column (shape (columns, lags)); lags past
+    the end of c are zero.  Each inverse is Toeplitz; its first column is
+    forward substitution on the unit vector,
+    y_0 = 1 / d, y_i = -(c_i y_0 + ... + c_1 y_{i-1}) / d.
+    Shared lags take one matrix-vector product per lag, per-column lags one
+    row-wise dot.  The substitution runs in the precision of c and d, and its
+    result is rounded to double once.  ``dense`` gives one contiguous
+    (columns, RUN, RUN) array; otherwise a read-only strided view of that
+    shape on the first columns alone, (columns, 2 RUN - 1) in memory, the
+    same values at 1/16 of the bytes."""
+    dtype = np.result_type(c, d)
+    lags = np.zeros(c.shape[:-1] + (_BASE,), dtype)
+    lags[..., : min(c.shape[-1], _BASE)] = c[..., :_BASE]
+    y = np.zeros((len(d), 2 * _BASE - 1), dtype)  # y_i of column k at [k, _BASE-1+i], after _BASE-1 zeros
     y[:, _BASE - 1] = 1.0 / d
     for i in range(1, _BASE):
-        y[:, _BASE - 1 + i] = -(y[:, _BASE - 1 : _BASE - 1 + i] @ lags[i:0:-1]) / d
-    return _toeplitz(y, _BASE, _BASE)
+        window = y[:, _BASE - 1 : _BASE - 1 + i]
+        dots = window @ lags[i:0:-1] if lags.ndim == 1 else np.vecdot(window, lags[:, i:0:-1])
+        y[:, _BASE - 1 + i] = -dots / d
+    return _toeplitz(y.astype(float, copy=False), _BASE, _BASE, copy=dense)
 
 
 def solve_run(inverse: np.ndarray, loads: np.ndarray) -> np.ndarray:
-    """Levels s..e-1 of a linear field march whose level n reads
-    d x^n + known(n) = b^n, from the loads b[s:e] - known_run(s, e) of the
-    run, shape (e-s, columns): every column's Toeplitz system at once, one
-    batched product with the leading blocks of ``run_inverse(c, d)``."""
+    """Levels s..e-1 of a linear field march from the loads of their run,
+    shape (e-s, columns): every column's Toeplitz system at once, one batched
+    product with the leading blocks of ``run_inverse``, dense or strided.  A
+    march whose level n reads d x^n + known(n) = b^n has the loads
+    b[s:e] - known_run(s, e) and the inverse ``run_inverse(c, d)``."""
     r = len(loads)
     return (inverse[:, :r, :r] @ loads.T[:, :, None])[:, :, 0].T
 

@@ -16,19 +16,20 @@ Two schemes:
 Both are linear with a time-invariant spatial operator, so every march runs in
 the mesh's modal coordinates x^ = Phi^T Md x (``AssembledForms.modes``:
 Phi^T Md Phi = I, Phi^T S0 Phi = diag(lam)), the fast diagonalisation of
-Lynch, Rice & Thomas (Numer. Math. 6, 1964): each wave step is a few
-elementwise operations per mode and each subdiffusion run of up to 32 levels
-one triangular product per mode, a step matrix a Md + b S0 is positive
-definite exactly when every a + b lam > 0, and the memory core runs on the
-modal history, as the time convolution commutes with any spatial map.  Both
-start from the H1 projection of the initial data; the first
-m = max(m1, m2, m3) steps couple through the starting weights and are solved
-together first, one m x m system per mode.  Each solve evaluates its source
-once: ``source(x, t)`` is called with x of shape (1, dofs) and t of shape
-(levels, 1), and its result must broadcast to (levels, dofs).  L1-in-time baselines with the same spatial
-kernel are included for comparison studies.  Every fractional term, WSGL or
-L1, is a ``fracstep.memory`` term; the wave schemes share one march, and so
-do the subdiffusion schemes.
+Lynch, Rice & Thomas (Numer. Math. 6, 1964): every run of up to 32 levels,
+wave or subdiffusion, is one triangular product per mode (for the wave, U's
+trapezoid is folded into the lags of its V unknowns), a step matrix
+a Md + b S0 is positive definite exactly when every a + b lam > 0, and the
+memory core runs on the modal history, as the time convolution commutes with
+any spatial map.  Both start from the H1 projection of the initial data; the
+first m = max(m1, m2, m3) steps couple through the starting weights and are
+solved together first, one m x m system per mode.  Each solve evaluates its
+source once: ``source(x, t)`` is called with x of shape (1, dofs) and t of
+shape (levels, 1), and its result must broadcast to (levels, dofs).
+L1-in-time baselines with the same spatial kernel are included for
+comparison studies.  Every fractional term, WSGL or L1, is a
+``fracstep.memory`` term; the wave schemes share one march, and so do the
+subdiffusion schemes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .corrections import (
     starting_weight_table,
 )
 from .glweights import l1_weights, step_count, wsgl_weights
-from .memory import History, Term, run_inverse, runs, solve_run, startup_matrix
+from .memory import RUN, History, Term, run_inverse, runs, solve_run, startup_matrix
 from .sem import SpectralMesh, h1_projection
 
 __all__ = [
@@ -236,20 +237,51 @@ def _march_wave(solver: str, hist: History, uh, vh, start: int, tau: float, D, P
     vh^{n+1} and uh^{n+1} enter holding their fixed parts F^n and G^n:
     D vh^{n+1} = P vh^n + Q uh^n + F^n - s K, K the known memory at levels n
     and n + 1 summed (``average``) or at n + 1, and the trapezoid
-    uh^{n+1} = G^n + uh^n + tau (vh^{n+1} + vh^n) / 2."""
+    uh^{n+1} = G^n + uh^n + tau (vh^{n+1} + vh^n) / 2.
+
+    Each run [a, e) of levels (``memory.runs``) is solved whole.  Divided by
+    D (primes), its V unknowns solve one unit lower-triangular Toeplitz
+    system per mode, U's trapezoid sum written into the lags: -P' - Q' tau / 2
+    + s' c_1 at lag 1, -Q' tau + s' (c_l + c_{l-1}) at lag l >= 2, or
+    -Q' tau + s' c_l without averaging.  The lags and the inverses
+    (``memory.run_inverse``, kept as their first columns) are formed in
+    extended precision and rounded to double once: rounded lags perturb
+    every run alike, which over 2^13 levels moved U by 1.5e-13 relative from
+    the march level by level.  The load of level i is F'^{i-1}
+    + Q' u_known^{i-1} - s' times the memory known from the levels below a
+    (``known_run``, plus ``known(a-1)`` when averaged), plus P' v^{a-1} at
+    i = a, where u_known^n = u^{a-1} + G^a + ... + G^n + tau v^{a-1} / 2 for
+    n >= a.  The loads times the inverses give the run's V in one product,
+    U follows by one cumulative sum of the trapezoid, and the history is fed
+    once per run."""
     if not np.all(D > 0):
         raise ValueError(f"{solver}: step matrix is not positive definite")
     P, Q, s = P / D, Q / D, s / D
     vh[start + 1 :] /= D
+    # the load of level i > start reads F^{i-1} and G^a..G^{i-1}; each G^n is
+    # built from v^0 and the startup levels, which F^n holds too, so F names it
+    finite = np.isfinite(vh).all(axis=1)
+    ext = np.longdouble
+    c, Qtau = hist.c[:RUN].astype(ext), Q.astype(ext) * tau
+    lags = np.multiply.outer(s, np.append(c[:2], c[2:] + c[1:-1] if average else c[2:])) - Qtau[:, None]
+    lags[:, 1] += Qtau / 2 - P
+    inverse = run_inverse(lags, np.ones_like(Qtau), dense=False)
     for k in range(start + 1):
         hist.feed(k)
-    known_next = hist.known(start)
-    for n in range(start, len(vh) - 1):
-        known_n, known_next = known_next, hist.known(n + 1)
-        vh[n + 1] = P * vh[n] + Q * uh[n] + vh[n + 1] - s * (known_n + known_next if average else known_next)
-        hist.feed(n + 1)
-        uh[n + 1] += uh[n] + (tau / 2.0) * (vh[n + 1] + vh[n])
-    _check_march(solver, vh, start, tau)
+    for a, e in runs(start + 1, len(vh)):
+        memory = hist.known_run(a, e)
+        if average:
+            memory[1:] += memory[:-1]
+            memory[0] += hist.known(a - 1)
+        u_known = np.cumsum(uh[a - 1 : e - 1], axis=0)  # u^{a-1} + G^a + ... + G^{i-1} at level i
+        u_known[1:] += (tau / 2.0) * vh[a - 1]
+        vh[a] += P * vh[a - 1]
+        vh[a:e] = solve_run(inverse, vh[a:e] + Q * u_known - s * memory)
+        uh[a:e] += (tau / 2.0) * (vh[a:e] + vh[a - 1 : e - 1])
+        uh[a] += uh[a - 1]
+        np.cumsum(uh[a:e], axis=0, out=uh[a:e])
+        hist.feed(e - 1)
+    _check_march(solver, vh, start, tau, lambda a, e: finite[a:e])
 
 
 def _levels(W: np.ndarray, m: int) -> np.ndarray:
@@ -302,22 +334,22 @@ def _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, mesh, u0, v0)
     uh[1 : m + 1] = Kuu_inv @ ((Md * b_u) @ Phi - Kuv @ V)
 
 
-def _check_march(solver: str, x: np.ndarray, m: int, tau: float, loads=None) -> None:
+def _check_march(solver: str, x: np.ndarray, m: int, tau: float, finite_loads=None) -> None:
     """Name the first non-finite level of a finished march, or the startup
     block 1..m that holds it; the march is causal, so the levels before it
     are unaffected.  A run solve spreads a non-finite load over its whole
     run, since its product multiplies the zero upper triangle by the load
-    and 0 * nan is nan; given ``loads(s, e)``, the loads of the levels s..e-1
-    of a run from the levels below s, the level named is that of the first
-    non-finite load of the run from the first non-finite level on."""
+    and 0 * nan is nan; given ``finite_loads(s, e)``, whether each load of the
+    levels s..e-1 of a run, from the levels below s, is finite, the level
+    named is that of the first non-finite load of the run from the first
+    non-finite level on."""
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size and 1 <= bad[0] <= m:
         raise ValueError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
     if bad.size:
         n = int(bad[0])
-        if loads is not None:
-            rows = np.flatnonzero(~np.isfinite(loads(*next(runs(n, len(x))))).all(axis=1))
-            n += int(rows[0]) if rows.size else 0
+        if finite_loads is not None:  # argmin is the first False, or 0
+            n += int(np.argmin(finite_loads(*next(runs(n, len(x))))))
         raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
 
 
@@ -355,10 +387,11 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
         hist.feed(e - 1)
     del inverse
 
-    def loads(s, e):  # the march overwrote them: evaluate the source again
-        return _space(problem, n_t, tau, solver)[2][s:e] - mu * lam * u0 - hist.known_run(s, e)
+    def finite_loads(s, e):  # the march overwrote them: evaluate the source again
+        loads = _space(problem, n_t, tau, solver)[2][s:e] - mu * lam * u0 - hist.known_run(s, e)
+        return np.isfinite(loads).all(axis=1)
 
-    _check_march(solver, uh, m, tau, loads)
+    _check_march(solver, uh, m, tau, finite_loads)
     del hist
     return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh, u0_x))
 

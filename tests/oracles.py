@@ -10,7 +10,8 @@ tests compare with the observed error decay.  ``wave_march``,
 ``wave_l1_march`` and ``subdiffusion_march`` are the field marches in
 physical space: each step solves its SPD step matrix with a Cholesky inverse
 (a mat-vec per step), against which the modal marches of ``fracstep.tfpde``
-are checked.
+are checked.  ``wave_march_by_level`` is the modal wave march one level at a
+time, against which its run solve is checked.
 """
 
 import math
@@ -240,6 +241,24 @@ def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int 
         hist.feed(n + 1)
         u[n + 1] += u[n] + (tau / 2.0) * (v[n + 1] + v[n])
     return u, v
+
+
+def wave_march_by_level(solver: str, hist, uh, vh, start: int, tau: float, D, P, Q, s, average=True) -> None:
+    """``fracstep.tfpde._march_wave`` one level at a time, as a drop-in for
+    it: D vh^{n+1} = P vh^n + Q uh^n + F^n - s K, K the known memory at levels
+    n and n + 1 summed (``average``) or at n + 1, then the trapezoid
+    uh^{n+1} = G^n + uh^n + tau (vh^{n+1} + vh^n) / 2, with the history fed
+    every level."""
+    P, Q, s = P / D, Q / D, s / D
+    vh[start + 1 :] /= D
+    for k in range(start + 1):
+        hist.feed(k)
+    known_next = hist.known(start)
+    for n in range(start, len(vh) - 1):
+        known_n, known_next = known_next, hist.known(n + 1)
+        vh[n + 1] = P * vh[n] + Q * uh[n] + vh[n + 1] - s * (known_n + known_next if average else known_next)
+        hist.feed(n + 1)
+        uh[n + 1] += uh[n] + (tau / 2.0) * (vh[n + 1] + vh[n])
 
 
 def wave_l1_march(problem, tau: float):

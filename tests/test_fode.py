@@ -323,6 +323,15 @@ def test_l1_constant_preserved():
     np.testing.assert_allclose(path.values, 1.25, rtol=1e-13)
 
 
+def test_l1_order_one_is_backward_euler():
+    # at alpha = 1 the L1 weights are the backward difference, so y' = -y
+    # marches as backward Euler: y^n = (1 + tau)^-n
+    tau = 2.0**-6
+    prob = MultiTermProblem((1.0,), (1.0,), lambda t, y: -y, 1.0, 1.0)
+    path = solve_l1(prob, tau)
+    np.testing.assert_allclose(path.values, (1.0 + tau) ** -np.arange(65.0), rtol=1e-13)
+
+
 def test_l1_less_accurate_than_corrected():
     prob = nonlinear_cubic_problem(0.7, 0.5, T=10.0)
     tau = 10.0 / 2.0**8

@@ -3,13 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from fracstep.glweights import SampledPath, gl_weights, rl_deriv_power, wsgl_weights
+from fracstep.glweights import SampledPath, gl_weights, l1_weights, rl_deriv_power, wsgl_weights
 from fracstep.specfun import gamma
 from oracles import apply_shifted_gl, apply_wsgl_pair, sample
 
 
 def test_gl_weights_alpha_one_is_first_difference():
     np.testing.assert_allclose(gl_weights(1.0, 3), [1.0, -1.0, 0.0, 0.0], atol=0.0)
+
+
+def test_l1_weights_alpha_one_are_backward_difference():
+    # k^(1-alpha) is 0 at k = 0 also at alpha = 1, where 0.0 ** 0.0 is 1
+    np.testing.assert_array_equal(l1_weights(1.0, 4, 0.1), [10.0, -10.0, 0.0, 0.0, 0.0])
+
+
+def test_l1_weights_continuous_at_alpha_one():
+    tau = 2.0**-8
+    near = l1_weights(1.0 - 1e-12, 1000, tau)
+    at = l1_weights(1.0, 1000, tau)
+    assert np.max(np.abs(near - at)) <= 1e-9 / tau
 
 
 def test_gl_weights_examples():

@@ -325,30 +325,54 @@ def _runs(draw):
     return s, s + draw(st.integers(1, 32 - s % 32))
 
 
+def _wave_lags(c, P, Qtau, s):
+    """Per-column lags of the wave's run systems (``tfpde._march_wave``):
+    1, then -P - Qtau / 2 + s c_1 and -Qtau + s (c_l + c_{l-1})."""
+    lags = np.multiply.outer(s, c[:32] + np.append(0.0, c[:31])) - Qtau[:, None]
+    lags[:, 0] = 1.0
+    lags[:, 1] = -P - Qtau / 2 + s * c[1]
+    return lags
+
+
 @given(
-    kind=st.sampled_from(["wsgl", "l1"]),
+    kind=st.sampled_from(["wsgl", "l1", "wave"]),
     alpha=st.floats(0.01, 1.0),
     exponents=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4),
     run=_runs(),
+    dense=st.booleans(),
 )
-def test_run_solve_matches_substitution(kind, alpha, exponents, run):
+def test_run_solve_matches_substitution(kind, alpha, exponents, run, dense):
     # one batched product per run against level-by-level substitution
-    # x^n = (b^n - known(n)) / d, per column, with diagonals d from 1 to 1e6
+    # x^n = (b^n - known(n)) / d, per column, with diagonals d from 1 to 1e6,
+    # or, for per-column lags, x^n = b^n - sum_l lags[l] x^{n-l} on the run
+    # alone; the wave's columns run from a smooth mode (lags -1, 0, ...) to
+    # its stiff limit (lags 3, 4, 4, ...), whose inverse grows as
+    # (-1)^i (2i + 1)
     s, e = run
     n = e - 1
-    c = wsgl_weights(alpha, n) if kind == "wsgl" else l1_weights(alpha, n, 1.0)
-    d = 10.0 ** np.array(exponents)
     rng = np.random.default_rng(s)
-    x = np.zeros((e, len(d)))
-    x[:s] = rng.standard_normal((s, len(d)))
-    b = rng.standard_normal((e - s, len(d)))
-    hist = History([Term(1.0, c)], x)
-    for k in range(s):
-        hist.feed(k)
-    got = memory.solve_run(memory.run_inverse(hist.c, d), b - hist.known_run(s, e))
-    for k in range(s, e):
-        x[k] = (b[k - s] - hist.known(k)) / d
-    want = x[s:e]
+    if kind == "wave":
+        stiff = np.array(exponents) / 6.0  # 0 .. 1, the last column fully stiff
+        stiff[-1] = 1.0
+        lags = _wave_lags(wsgl_weights(alpha, 32) * 1e-2, 1.0 - 2.0 * stiff, -4.0 * stiff, 1.0 - stiff)
+        b = rng.standard_normal((e - s, len(stiff)))
+        got = memory.solve_run(memory.run_inverse(lags, np.ones(len(stiff)), dense), b)
+        want = np.zeros_like(b)
+        for k in range(e - s):
+            want[k] = b[k] - np.einsum("cl,lc->c", lags[:, k:0:-1], want[:k])
+    else:
+        c = wsgl_weights(alpha, n) if kind == "wsgl" else l1_weights(alpha, n, 1.0)
+        d = 10.0 ** np.array(exponents)
+        x = np.zeros((e, len(d)))
+        x[:s] = rng.standard_normal((s, len(d)))
+        b = rng.standard_normal((e - s, len(d)))
+        hist = History([Term(1.0, c)], x)
+        for k in range(s):
+            hist.feed(k)
+        got = memory.solve_run(memory.run_inverse(hist.c, d, dense), b - hist.known_run(s, e))
+        for k in range(s, e):
+            x[k] = (b[k - s] - hist.known(k)) / d
+        want = x[s:e]
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
 
 

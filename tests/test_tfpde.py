@@ -96,8 +96,8 @@ def _nan_after(t0):
 
 
 def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
-    # step 16 starts a run of the subdiffusion march; step 48 lies inside
-    # the run 32..63, which one product solves whole
+    # step 16 starts a run of the field marches; step 48 lies inside the
+    # run 32..63, which one product solves whole
     for tau, t0, where in ((2.0**-5, 0.5, r"step 16, t = 0\.5"), (2.0**-6, 0.75, r"step 48, t = 0\.75")):
         sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, _nan_after(t0), _zero, 1.0, unit_mesh)
         with pytest.raises(ValueError, match="solve_subdiffusion: " + where):
@@ -105,9 +105,9 @@ def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
         with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
             solve_subdiffusion_l1_baseline(sub, tau)
         wave = WaveProblem(1.0, 1.0, _nan_after(t0), _zero, _zero, 0.5, 1.0, small_mesh)
-        for counts in ((0, 0, 0), (2, 2, 2)):
+        for counts in ((0, 0, 0), (2, 2, 2), (2, 3, 2)):
             with pytest.raises(ValueError, match="solve_wave: " + where):
-                solve_wave(wave, tau, (2.0, 2.5), *counts)
+                solve_wave(wave, tau, (2.0, 2.5, 3.0), *counts)
         with pytest.raises(ValueError, match="solve_wave_l1_baseline: " + where):
             solve_wave_l1_baseline(wave, tau)
     # a bad source inside the coupled startup block names the block's steps
@@ -568,6 +568,36 @@ def test_wave_l1_march_matches_physical_space_march(three_zone, make, alpha):
     I = three_zone.interior
     assert _rel(hist.u[:, I], u) <= 1e-13
     assert _rel(hist.v[:, I], v) <= 5e-12
+
+
+@pytest.mark.parametrize("counts", [(0, 0, 0), (2, 3, 2), (3, 3, 3), "l1"])
+@pytest.mark.parametrize("tau", [2.0**-9, 2.0**-11])
+@pytest.mark.parametrize("alpha", [0.4, 0.5, 0.6])
+def test_wave_run_solve_matches_march_by_level(alpha, tau, counts, monkeypatch):
+    # each run of up to 32 levels solved as one product per mode, U's
+    # trapezoid in the lags, against the same march one level at a time
+    prob = wave_forced_problem(alpha)
+    if counts == "l1":
+        solve = lambda: solve_wave_l1_baseline(prob, tau)
+    else:
+        solve = lambda: solve_wave(prob, tau, (2.0, 2.5, 3.0, 3.5), *counts)
+    runs = solve()
+    monkeypatch.setattr(tfpde, "_march_wave", oracles.wave_march_by_level)
+    levels = solve()
+    assert _rel(runs.u, levels.u) <= 1e-13
+    assert _rel(runs.v, levels.v) <= 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+def test_wave_run_solve_matches_march_by_level_over_8192_levels(monkeypatch):
+    # the run lags and inverses are formed in extended precision: rounded to
+    # double, they perturb every run alike, and this march drifted 1.45e-13
+    prob = wave_forced_problem(0.5)
+    runs = solve_wave_l1_baseline(prob, 2.0**-13)
+    monkeypatch.setattr(tfpde, "_march_wave", oracles.wave_march_by_level)
+    levels = solve_wave_l1_baseline(prob, 2.0**-13)
+    assert _rel(runs.u, levels.u) <= 1e-13
+    assert _rel(runs.v, levels.v) <= 1e-13
 
 
 @pytest.mark.parametrize("phi0", [_zero, lambda x: np.sin(np.pi * x)], ids=["zero", "sine"])
