@@ -11,8 +11,9 @@ first m steps couple through the starting weights and are solved as one block
 step solves one scalar equation by a secant iteration that carries its slope
 from step to step: about three evaluations of f per step, two for a linear f.
 L1 and product-trapezoidal discretizations are provided as baselines and
-reference generators.  All three schemes share one march over the memory
-terms of ``fracstep.memory``.
+reference generators.  All three schemes share one march over one history of
+y - y0 (``fracstep.memory``); the trapezoid gets there by the inverse of its
+f-rule (``solve_trapezoidal``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .corrections import CorrectionSet, starting_weight_table
 from .glweights import SampledPath, l1_weights, step_count, wsgl_weights
-from .memory import History, Term, runs, startup_matrix
+from .memory import History, Term, convolve, reciprocal, runs, startup_matrix
 from .specfun import gamma
 
 __all__ = [
@@ -128,7 +129,7 @@ def _fd_slope(f, t: float, y: float) -> float:
 
 
 def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, guess: float,
-                   d: float, max_iters: int) -> tuple[float, float, float]:
+                   d: float, max_iters: int) -> tuple[float, float]:
     """Solve r(x) = a*x + known - b*f(t_n, y0 + x) = 0 for x by a chord/secant
     iteration from ``guess``: the first iterate uses the slope ``d`` the previous
     step ended with, each later one the secant slope of the last two iterates
@@ -136,7 +137,7 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     halve |r| is dropped for a finite-difference slope at the current x; if that
     fails too, Picard iteration from ``guess`` takes over.  An iterate is
     accepted when its residual or its step is within _STEP_TOL relative.
-    Returns (x, f(t_n, y0 + x), d).  A linear f needs no special path: its
+    Returns (x, d).  A linear f needs no special path: its
     secant slope is exact, so the next step's first iterate solves it."""
     isfinite, tol = math.isfinite, _STEP_TOL  # locals: the accepted path calls only f and isfinite
     x = guess
@@ -147,7 +148,7 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     refreshed = False
     for _ in range(max_iters):
         if abs_r <= tol * scale:
-            return x, fx, d
+            return x, d
         x_new = x - r / d
         if not isfinite(x_new):
             break
@@ -159,7 +160,7 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
         scale_new = x_new if x_new > 1.0 else -x_new if x_new < -1.0 else 1.0
         abs_dx = dx if dx >= 0.0 else -dx
         if abs_dx <= tol * scale_new:
-            return x_new, f_new, d
+            return x_new, d
         abs_r_new = r_new if r_new >= 0.0 else -r_new
         if abs_r_new <= 0.5 * abs_r:
             if abs_dx > 1e-9 * scale_new:
@@ -178,7 +179,7 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
         if not isfinite(x_new):
             break
         if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
-            return x_new, f(t_n, y0 + x_new), a  # a: the chord slope Picard iterates with
+            return x_new, a  # a: the chord slope Picard iterates with
         x = x_new
     raise ConvergenceError("implicit step did not converge")
 
@@ -206,12 +207,12 @@ def _startup_block(f, y0: float, tau: float, L: np.ndarray, max_iters: int) -> n
 
 
 def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int, solver: str,
-           f_terms=None) -> SampledPath:
-    """March yhat = y - y0 through  a yhat^n + known = b f^n + known_f  with
-    the memory ``terms`` on yhat and ``f_terms`` on f^n = f(t_n, y0 + yhat^n)
-    (b = 1, known_f = 0 when None).  Steps 1..m couple through the starting
-    weights and are solved as one block.  Later steps go one level at a
-    time, and both histories are fed once per run (``memory.runs``)."""
+           b: float = 1.0, fixed=0.0) -> SampledPath:
+    """March yhat = y - y0 through  a yhat^n + known = b f(t_n, y0 + yhat^n),
+    known from the memory ``terms`` on yhat plus its ``fixed`` part.  Steps
+    1..m couple through the starting weights and are solved as one block.
+    Later steps go one level at a time, in runs (``memory.runs``): a run
+    reads its far field once and feeds the history once."""
     n_t = step_count(tau, problem.T)
     f, y0 = problem.rhs, problem.y0
     yhat = np.zeros(n_t + 1)
@@ -222,32 +223,22 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
             yhat[1 : m + 1] = _startup_block(f, y0, tau, startup_matrix(terms, m)[1:], max_iters)
         except ConvergenceError as exc:
             raise ConvergenceError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: {exc}") from exc
-    mem = History(terms, yhat)
+    mem = History(terms, yhat, fixed)
     # Python floats: the scalar step runs in the interpreter; the first step
     # starts from the chord slope a, which its own iterates refine
-    a, b = float(mem.c[0]), 1.0
-    d = a
+    a = d = float(mem.c[0])
     for k in range(m + 1):
         mem.feed(k)
-    if f_terms is not None:
-        fv = np.full(n_t + 1, f(0.0, y0))  # f^0, then each f^n as it is solved
-        fmem = History(f_terms, fv)
-        b = float(fmem.c[0])
-        fmem.feed(0)
     y1 = float(yhat[m])  # the last two levels, for the linear extrapolation 2 y1 - y2
     y2 = float(yhat[m - 1]) if m else y1
     try:
         for s, e in runs(m + 1, n_t + 1):
-            for n in range(s, e):
-                known = float(mem.known(n) if f_terms is None else mem.known(n) - fmem.known(n))
-                x, fx, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d, max_iters)
+            for n, far in zip(range(s, e), mem.far_run(s, e)):
+                known = far + float(mem.near(n))
+                x, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d, max_iters)
                 yhat[n] = x
                 y1, y2 = x, y1
-                if f_terms is not None:
-                    fv[n] = fx
             mem.feed(e - 1)
-            if f_terms is not None:
-                fmem.feed(e - 1)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc
     return SampledPath(tau, yhat + y0)
@@ -294,14 +285,14 @@ def _trap_kernel(alpha: float, n_t: int, tau: float) -> np.ndarray:
     return tau**alpha / gamma(2.0 + alpha) * c
 
 
-def _trap_a0(alpha: float, n_t: int, tau: float) -> list[float]:
-    """Endpoint weights a_{n,0} of the product-trapezoidal rule for I^alpha,
-    n = 1..n_t.  They cancel to O(n^-2), so each keeps libm's scalar pow."""
-    scale = tau**alpha / gamma(2.0 + alpha)
-    return [
-        scale * ((n - 1.0) ** (alpha + 1.0) - (n - 1.0 - alpha) * float(n) ** alpha)
-        for n in range(1, n_t + 1)
-    ]
+def _trap_memory(a1: float, a2: float, n_t: int, tau: float):
+    """The kernel G cd, b = cf_0 and G u of ``solve_trapezoidal``."""
+    cd = _trap_kernel(a1 - a2, n_t, tau)
+    cd[0] += 1.0  # the identity term (y - y0)
+    cf = _trap_kernel(a1, n_t, tau)
+    u = (np.arange(n_t + 1) * tau) ** a1 / gamma(1.0 + a1)
+    k, gu = convolve(reciprocal(cf / cf[0]), np.stack([cd, u], axis=1)).T
+    return k, float(cf[0]), gu
 
 
 def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
@@ -313,19 +304,22 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
     quadratured by the piecewise-linear product rule.  Requires Q = 2,
     nu = (1, 1), alpha_1 > alpha_2.  Second order; used as the reference
     generator for problems without closed-form solutions.
+
+    With CD and CF the Toeplitz matrices of the two rules (CD with the
+    identity), the scheme is CD yhat = CF F + a_0 F^0, a_0 the endpoint
+    weights.  The rule is exact on constants, so the weights of level n sum
+    to u_n = t_n^{a1} / Gamma(1 + a1): CD yhat = CF (F - F^0) + u F^0.  Times
+    G = cf_0 CF^{-1} this is one kernel G cd on yhat, b = cf_0 and the load
+    F^0 (G u - cf_0), and a_0, which cancels to O(n^-2), is never formed.
     """
     if problem.n_terms != 2 or problem.nu != (1.0, 1.0):
         raise ValueError("trapezoidal scheme requires exactly two unit-weight terms")
     a1, a2 = problem.alphas
     if not a1 > a2:
         raise ValueError("alpha_1 > alpha_2 required")
-    n_t = step_count(tau, problem.T)
-    cd = _trap_kernel(a1 - a2, n_t, tau)
-    cd[0] += 1.0  # the identity term (y - y0)
-    cf = _trap_kernel(a1, n_t, tau)
-    origin = np.zeros(n_t + 1)
-    origin[1:] = _trap_a0(a1, n_t, tau) - cf[1:]  # a_{n,0} replaces c_n on f^0
-    return _march(problem, tau, [Term(1.0, cd)], 0, 200, "solve_trapezoidal", [Term(1.0, cf, origin=origin)])
+    k, b, gu = _trap_memory(a1, a2, step_count(tau, problem.T), tau)
+    f0 = problem.rhs(0.0, problem.y0)
+    return _march(problem, tau, [Term(1.0, k)], 0, 200, "solve_trapezoidal", b, f0 * (b - gu))
 
 
 def error_report(path: SampledPath, exact) -> ErrorReport:

@@ -6,19 +6,18 @@ starting weights, has one shape at time level n,
     scale * ( sum_{k=0}^{n} c_{n-k} x^k + sum_{r=1}^{m} w_{n,r} x^r ),
 
 a lower-triangular Toeplitz convolution with kernel c plus m starting-weight
-columns (Lubich 1986), acting on a scalar history x^0, x^1, ... of shape
-(levels,) or a field history of shape (levels, d).  The WSGL weights with
-their starting-weight tables, the L1 weights in value form and the
-product-trapezoidal weights are all held as such terms, so a stepper needs
-three things from them: the implicit diagonal and the known part at level n
-(both from a ``History``), and the coefficients of the coupled startup block.
+columns (Lubich 1986), on a scalar history x^0, x^1, ... of shape (levels,)
+or a field history of shape (levels, d).  The WSGL weights with their
+tables, the L1 weights in value form and the product trapezoid (one kernel,
+by ``reciprocal``) are all such terms, so a stepper needs the implicit
+diagonal and the known part at level n (a ``History``) and the coefficients
+of the coupled startup block.
 
-After its startup levels 0..m a march goes in runs: a run is the span of
-levels [s, e) up to the next multiple of _BASE = 32 (``runs``).  Inside a run
-the far field is fixed, so a march need feed its history only once per run,
-and a linear march can solve a whole run as one lower-triangular Toeplitz
-system per history column, its lags shared by the columns or each column's
-own (``known_run``, ``run_inverse``, ``solve_run``).
+After its startup levels 0..m a march goes in runs: the levels [s, e) up to
+the next multiple of _BASE = 32 (``runs``).  Inside a run the far field is
+fixed, so a march feeds its history once per run, and a linear march can
+solve a run as one lower-triangular Toeplitz system per history column, its
+lags shared or per column (``known_run``, ``run_inverse``, ``solve_run``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from numpy.fft import irfft, rfft
 
-__all__ = ["RUN", "Term", "History", "convolve", "run_inverse", "runs", "solve_run", "startup_matrix"]
+__all__ = ["RUN", "Term", "History", "convolve", "reciprocal", "run_inverse", "runs", "solve_run", "startup_matrix"]
 
 _BASE = 32  # lags summed directly at each level; longer lags go through the far field
 RUN = _BASE  # the most levels in one run
@@ -39,25 +38,21 @@ _DIRECT = 1 << 14  # entries of the largest lag-Toeplitz block a node multiplies
 
 @dataclass(frozen=True)
 class Term:
-    """scale * (kernel convolution + starting-weight table + level-0 column);
-    ``table`` has one row per level and one column per corrected level 1..m,
-    ``origin`` one x^0 coefficient per level on top of the kernel's."""
+    """scale * (kernel convolution + starting-weight table); ``table`` has one
+    row per level and one column per corrected level 1..m."""
 
     scale: float
     kernel: np.ndarray
     table: np.ndarray | None = None
-    origin: np.ndarray | None = None
 
 
 def _direct(r: int, L: int) -> bool:
     """Whether a node of size L with r targets goes by a product with its
-    r x L lag block (at most _DIRECT entries) rather than by FFT.  There a
-    product costs 2-5 us against about 20 us for the transforms, and less
-    per column too (at most 1.6 us against 0.035 us per level of L; 2-vCPU
-    Xeon, numpy 2.4, OpenBLAS), so the column count does not change the
-    choice.  Full nodes of up to 128 levels go direct, whose blocks a
-    history keeps (168 KB), and so does a larger clipped node with few
-    targets, such as the one target of a history of 2^k + 1 levels."""
+    r x L lag block (at most _DIRECT entries) rather than by FFT: 2-5 us
+    against about 20 us, and less per column too (at most 1.6 us against
+    0.035 us per level of L; 2-vCPU Xeon, numpy 2.4, OpenBLAS).  Full nodes
+    of up to 128 levels go direct, their blocks kept (168 KB), and so does a
+    larger clipped node with few targets (one, at 2^k + 1 levels)."""
     return r * L <= _DIRECT
 
 
@@ -79,13 +74,11 @@ def _add_node(c: np.ndarray, cache: dict, src: np.ndarray, out: np.ndarray) -> N
     to its first r <= L targets out = y[s+L:s+L+r]: the lag of out[i] on
     src[j] is L + i - j.  Levels run along axis -2 and history columns along
     axis -1; a stack of nodes of one size shares the leading axes, and each
-    node of it is computed as alone.  A direct product uses the L x L
-    lag-Toeplitz block of its size, cached, when it has at most _DIRECT
-    entries; a clipped node multiplies it whole too, since BLAS rounds a row
-    differently in a product with fewer rows.  A clipped node of a larger
-    size builds only its first r rows.  An FFT node transforms a zero-padded
-    block of 2L, with the kernel spectrum cached per size.  ``cache`` holds
-    both, keyed by (L, direct)."""
+    node of it is computed as alone.  A direct product uses the cached L x L
+    lag-Toeplitz block of its size if that has at most _DIRECT entries, also
+    for a clipped node (BLAS rounds a row differently with fewer rows), and
+    else builds the first r rows.  An FFT node transforms a zero-padded block
+    of 2L; ``cache`` holds the blocks and spectra, keyed by (L, direct)."""
     L, r = src.shape[-2], out.shape[-2]
     if _direct(r, L):
         block = cache.get((L, True))
@@ -109,76 +102,75 @@ def _add_node(c: np.ndarray, cache: dict, src: np.ndarray, out: np.ndarray) -> N
 
 
 class History:
-    """Known parts of ``terms`` on a history ``x`` that a march fills.
-    ``known(n)`` is every contribution at level n except c_0 x^n,
-    and ``known_run(s, e)`` the known parts of the levels of one run [s, e)
-    from the levels below s alone.  With m the widest starting-weight table
-    (0 when there is none), both hold above m, and ``known(m)`` once
+    """Known parts of ``terms`` on a history ``x`` that a march fills, plus
+    a ``fixed`` part per level known in advance.  ``known(n)`` is every
+    contribution at level n except c_0 x^n: its far field (``far_run``) plus
+    its lags 1.._BASE-1 (``near``); ``known_run(s, e)`` is that of the
+    levels of one run [s, e) from the levels below s alone.  With m the
+    widest starting-weight table (0 if none), all hold from m on once
     ``feed(m)`` has run.
 
     The feed contract: ``feed(n)`` does work only at n = m and at the end of
-    a run (n + 1 a multiple of _BASE, below the last level); a call at any
-    other level does nothing.  So a march calls ``feed(k)`` for each startup
-    level k = 0..m once it is final, then, once each run's levels are final,
-    ``feed(e - 1)`` for its last level, before it reads the next run; feeding
-    every level is the same arithmetic.
+    a run (n + 1 a multiple of _BASE, below the last level).  So a march
+    feeds each startup level k = 0..m once it is final, then ``feed(e - 1)``
+    once the levels of a run are final, before it reads the next run;
+    feeding every level is the same arithmetic.
 
-    The kernels are summed into one, c (c[0] is the implicit diagonal).
-    Level n sums the lags 1.._BASE-1, which carry the largest weights,
-    directly (one dot against a contiguous reversed copy of those lags) and
-    reads the rest from a far field: once the left half [s, s+L) of a dyadic
-    node [s, s+2L), L >= _BASE, is complete, ``_add_node`` adds its
-    convolution with the lags >= _BASE of c to the r <= L targets
-    [s+L, s+L+r) that lie inside x.  Small nodes, and the clipped rows of the
-    last node of each size, are one product with a lag-Toeplitz block; the
-    rest are one cyclic FFT of length 2L (``_direct`` picks, from r and L).
-    A march of N levels costs O(N log^2 N) (Hairer, Lubich & Schlichte
-    1985).  Every node that reaches a run ends at a multiple of _BASE at or
-    below the run's start, so the far field of a run is final once the
-    levels below it are fed.  The starting-weight columns on x[1..m] and the
-    level-0 columns on x[0] are fixed once x[0..m] are, so ``feed(m)`` adds
-    them to the far field of every level at once."""
+    The kernels are summed into one, c (c[0] is the implicit diagonal).  The
+    lags 1.._BASE-1, which carry the largest weights, are one dot per level;
+    the rest come from the far field: once the left half [s, s+L) of a
+    dyadic node [s, s+2L), L >= _BASE, is complete, ``_add_node`` adds its
+    convolution with the lags >= _BASE of c to the targets [s+L, s+L+r)
+    inside x, by a lag-Toeplitz product or a cyclic FFT of length 2L
+    (``_direct``), O(N log^2 N) for N levels (Hairer, Lubich & Schlichte
+    1985).  Every node that reaches a run ends at or below its start, so a
+    run's far field is final once the levels below it are fed.  It starts as
+    ``fixed``, and ``feed(m)`` adds the starting-weight columns on x[1..m]
+    to every level at once."""
 
-    def __init__(self, terms, x: np.ndarray):
+    def __init__(self, terms, x: np.ndarray, fixed=0.0):
         self.x = x
         self.c = sum(t.scale * t.kernel for t in terms)
         self.terms = terms
         self.m = max((t.table.shape[1] for t in terms if t.table is not None), default=0)
-        self.far = np.zeros_like(x)
+        self.far = np.full_like(x, fixed)
         self._far2d = self.far.reshape(len(x), -1)
         self._nodes = {}  # per node size: its Toeplitz block or kernel spectrum
         self._near = np.ascontiguousarray(self.c[_BASE - 1 : 0 : -1])  # lags _BASE-1, ..., 1
 
     def feed(self, n: int) -> None:
-        if n == self.m:  # x[0..m] are final: fold the fixed columns into the far field
+        if n == self.m:  # x[0..m] are final: fold the starting-weight columns into the far field
             for t in self.terms:
                 if t.table is not None:
                     self.far += t.table[: len(self.x)] @ (t.scale * self.x[1 : t.table.shape[1] + 1])
-                if t.origin is not None:
-                    self.far += np.multiply.outer(t.origin[: len(self.x)], t.scale * self.x[0])
         L = (n + 1) & -(n + 1)  # x[n] completes the left half [n+1-L, n+1)
         if L < _BASE or n + 1 == len(self.x):
             return
         _add_node(self.c, self._nodes, self.x[n + 1 - L : n + 1].reshape(L, -1), self._far2d[n + 1 : n + 1 + L])
 
-    def known(self, n: int):
+    def near(self, n: int):
+        """The lags 1.._BASE-1 of level n, clipped at level 0."""
         if n >= _BASE - 1:
-            return self.far[n] + self._near.dot(self.x[n - _BASE + 1 : n])
-        return self.far[n] + self.c[n:0:-1].dot(self.x[:n])
+            return self._near.dot(self.x[n - _BASE + 1 : n])
+        return self.c[n:0:-1].dot(self.x[:n])
+
+    def far_run(self, s: int, e: int) -> list:
+        """The far field of the levels s..e-1 of a run, as Python floats."""
+        return self.far[s:e].tolist()
+
+    def known(self, n: int):
+        return self.far[n] + self.near(n)
 
     def known_run(self, s: int, e: int):
-        """The far field of levels s..e-1, e at most the next multiple of
-        _BASE above s, plus their lags up to _BASE-1 on the levels below s:
-        one product of the cached _BASE x (_BASE-1) lag block with
-        x[s-_BASE+1:s], clipped at level 0.  The lags on x[s:e] itself are
-        the run's own Toeplitz system."""
+        """The far field of the levels s..e-1 of a run plus their lags up to
+        _BASE-1 on x[s-_BASE+1:s] (clipped at level 0), by one product with a
+        cached lag block; the lags on x[s:e] are the run's own system."""
         lo = max(s - _BASE + 1, 0)
         return self.far[s:e] + self._run_lags[: e - s, lo - s + _BASE - 1 :] @ self.x[lo:s]
 
     @cached_property
     def _run_lags(self) -> np.ndarray:
-        """The lag block of ``known_run``, built on first use: the marches
-        that step level by level never read it."""
+        """The lag block of ``known_run``, built on first use."""
         a = np.zeros(2 * _BASE - 2)  # level s+i on x[s-_BASE+1+j]: lag i+_BASE-1-j, kept up to _BASE-1
         a[: len(self._near)] = self.c[1:_BASE]
         return _toeplitz(a, _BASE, _BASE - 1)
@@ -199,14 +191,10 @@ def run_inverse(c: np.ndarray, d: np.ndarray, dense: bool = True) -> np.ndarray:
     c[1], ..., c[RUN-1] below it, shared by every column (c of shape (lags,))
     or c[k, 1], ..., c[k, RUN-1] per column (shape (columns, lags)); lags past
     the end of c are zero.  Each inverse is Toeplitz; its first column is
-    forward substitution on the unit vector,
-    y_0 = 1 / d, y_i = -(c_i y_0 + ... + c_1 y_{i-1}) / d.
-    Shared lags take one matrix-vector product per lag, per-column lags one
-    row-wise dot.  The substitution runs in the precision of c and d, and its
-    result is rounded to double once.  ``dense`` gives one contiguous
-    (columns, RUN, RUN) array; otherwise a read-only strided view of that
-    shape on the first columns alone, (columns, 2 RUN - 1) in memory, the
-    same values at 1/16 of the bytes."""
+    forward substitution, y_0 = 1 / d, y_i = -(c_i y_0 + ... + c_1 y_{i-1}) / d,
+    in the precision of c and d, rounded to double once.  ``dense`` gives one
+    contiguous (columns, RUN, RUN) array, else a read-only strided view of
+    that shape on the first columns, (columns, 2 RUN - 1) in memory."""
     dtype = np.result_type(c, d)
     lags = np.zeros(c.shape[:-1] + (_BASE,), dtype)
     lags[..., : min(c.shape[-1], _BASE)] = c[..., :_BASE]
@@ -231,16 +219,14 @@ def solve_run(inverse: np.ndarray, loads: np.ndarray) -> np.ndarray:
 
 def convolve(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_{k=0}^{n} c[n-k] x[k] at every level n of x, shape (levels,) or
-    (levels, d), by the split of ``History`` without a march.  c covers at
-    least the lags 0..levels-1; an FFT node of size L reads it up to lag
-    2L-1 where it reaches.  Node sizes go largest first, as a march feeds
-    them: the full nodes of one size are one ``_add_node`` call on their
-    stack, and the last, clipped node of the size one more.  Then the lags
-    below _BASE are one product per block of _BASE levels, on the block and
-    the one before it.  Each node and block is computed as alone, so level n
-    does not depend on the number of levels when c reaches lag 2(levels-1),
-    except below a clipped node that ``_direct`` sums directly where a
-    longer x transforms the full node."""
+    (levels, d), by the split of ``History`` without a march; c is read up
+    to lag 2L-1 by an FFT node of size L, as far as it reaches.  Per node
+    size, largest first, the full nodes are one ``_add_node`` call on their
+    stack and the clipped last node one more; then the lags below _BASE are
+    one product per block of _BASE levels and the block before it.  So level
+    n does not depend on the number of levels when c reaches lag
+    2(levels-1), except below a clipped node that ``_direct`` sums directly
+    where a longer x transforms the full node."""
     n_levels = len(x)
     B, nb = _BASE, -(-n_levels // _BASE)
     x2 = x.reshape(n_levels, -1)
@@ -266,6 +252,20 @@ def convolve(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     a[B - 1 : B - 1 + min(B, len(c))] = c[:B]
     yt.reshape(d, nb, B).transpose(1, 2, 0)[...] += _toeplitz(a, B, 2 * B) @ windows  # block b-1, block b
     return yt[:, :n_levels].T.reshape(x.shape)
+
+
+def reciprocal(c: np.ndarray) -> np.ndarray:
+    """The power series 1 / c to the length of c (c[0] != 0), the kernel of
+    the inverse Toeplitz matrix, by Newton doubling: if c y = 1 + z^L e mod
+    z^2L, then 1 / c = y - z^L y e mod z^2L, two ``convolve`` products."""
+    n = len(c)
+    y = np.zeros(n)
+    y[0], L = 1.0 / c[0], 1
+    while L < n:
+        h = min(2 * L, n)
+        y[L:h] = -convolve(y[: h - L], convolve(c[:h], y[:h])[L:])
+        L = h
+    return y
 
 
 def startup_matrix(terms, m: int) -> np.ndarray:

@@ -64,30 +64,51 @@ def history(terms, x, n: int):
         acc = acc + t.scale * (x[:n].T @ t.kernel[n:0:-1])
         if t.table is not None:
             acc = acc + t.scale * (x[1 : t.table.shape[1] + 1].T @ t.table[n])
-        if t.origin is not None:
-            acc = acc + t.scale * t.origin[n] * x[0]
     return acc
+
+
+def known_parts(terms, x):
+    """``history`` at every level of x at once: one ``np.convolve`` (a direct
+    sum) per term and history column, its lag 0 left out, plus the
+    starting-weight columns."""
+    n = len(x)
+    columns = x.reshape(n, -1)
+    acc = np.zeros(columns.shape)
+    for t in terms:
+        lags = np.concatenate([[0.0], t.kernel[1:n]])
+        acc += t.scale * np.array([np.convolve(lags, col)[:n] for col in columns.T]).T
+        if t.table is not None:
+            acc += t.scale * (t.table[:n] @ columns[1 : t.table.shape[1] + 1])
+    return acc.reshape(x.shape)
 
 
 class DirectHistory:
     """``fracstep.memory.History`` by the direct sum, to march a solver
-    without the FFT far field."""
+    without the FFT far field: its far field is the ``fixed`` part alone, and
+    ``near(n)`` sums every lag."""
 
-    def __init__(self, terms, x):
+    def __init__(self, terms, x, fixed=0.0):
         self.terms, self.x = terms, x
         self.c = sum(t.scale * t.kernel for t in terms)  # c[0] is the implicit diagonal
+        self.fixed = np.full_like(x, fixed)
 
     def feed(self, n: int) -> None:
         pass
 
-    def known(self, n: int):
+    def near(self, n: int):
         return history(self.terms, self.x, n)
+
+    def far_run(self, s: int, e: int) -> list:
+        return self.fixed[s:e].tolist()
+
+    def known(self, n: int):
+        return self.fixed[n] + history(self.terms, self.x, n)
 
     def known_run(self, s: int, e: int):
         """Known parts of the levels s..e-1 from the levels below s alone."""
         below = np.zeros_like(self.x)
         below[:s] = self.x[:s]
-        return np.array([history(self.terms, below, n) for n in range(s, e)])
+        return self.fixed[s:e] + np.array([history(self.terms, below, n) for n in range(s, e)])
 
 
 def _power_rows(exponents) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +14,8 @@ from fracstep.fode import (
     solve_l1,
     solve_trapezoidal,
     two_term_sigma_rule,
-    _trap_a0,
     _trap_kernel,
+    _trap_memory,
 )
 from fracstep import fode
 from fracstep.glweights import SampledPath, l1_weights, step_count, wsgl_weights
@@ -215,21 +216,41 @@ def test_linear_rhs_step_takes_one_iterate():
     assert calls[0] <= 2.1 * path.n_steps
 
 
-def test_trapezoid_stores_f_at_the_returned_level(monkeypatch):
-    # the f-history holds f(t_n, y^n) at the very y^n the step returned
-    histories = []
+def _mp_trap_weights(alpha, n_t, tau):
+    """The product rule for I^alpha built in 30 digits and rounded to long
+    double: c_j = a_{n,n-j} (j = 0..n_t) and the endpoint weights a_{n,0}
+    (n = 0..n_t, a_{0,0} = 0)."""
 
-    class Recorded(fode.History):
-        def __init__(self, terms, x):
-            super().__init__(terms, x)
-            histories.append(x)
+    def rounded(values):
+        hi = [float(v) for v in values]
+        return np.array(hi, dtype=np.longdouble) + np.array([float(v - h) for v, h in zip(values, hi)], np.longdouble)
 
-    monkeypatch.setattr(fode, "History", Recorded)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        scale = mpmath.mpf(tau) ** a / mpmath.gamma(a + 2)
+        p = [mpmath.mpf(j) ** (a + 1) for j in range(n_t + 2)]
+        c = [scale] + [scale * (p[j + 1] - 2 * p[j] + p[j - 1]) for j in range(1, n_t + 1)]
+        a0 = [0] + [scale * (p[n - 1] - (n - 1 - a) * mpmath.mpf(n) ** a) for n in range(1, n_t + 1)]
+        return rounded(c), rounded(a0)
+
+
+def test_trapezoid_solves_its_scheme():
+    # the march against its scheme CD yhat = CF F + a_0 F^0 with weights
+    # built in 30 digits and sums in long double.  The endpoint weights a_0
+    # cancel to O(n^-2); formed in double they left a residual of 7.1e-12
+    # here, and the march now never forms them.
     prob = nonlinear_cubic_problem(0.2, 0.1)
     tau = 2.0**-9
     path = solve_trapezoidal(prob, tau)
-    stored = histories[1]
-    assert [float(v) for v in stored] == [prob.rhs(n * tau, float(y)) for n, y in enumerate(path.values)]
+    n = len(path.values)
+    cf, a0 = _mp_trap_weights(0.2, n - 1, tau)
+    cd = _mp_trap_weights(0.1, n - 1, tau)[0]
+    cd[0] += 1
+    yhat = (path.values - prob.y0).astype(np.longdouble)
+    fv = np.array([prob.rhs(t, y) for t, y in zip(path.times, path.values)], dtype=np.longdouble)
+    lhs = np.convolve(cd, yhat)[:n]
+    rhs = np.convolve(cf, np.append(0.0, fv[1:]))[:n] + a0 * fv[0]
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 def _slope_jump_rhs(t, y):
@@ -255,14 +276,11 @@ def test_slope_jump_takes_a_fresh_slope(march, monkeypatch):
     assert 0.5 in slopes
     n_t, yhat = path.n_steps, path.values - prob.y0
     fv = np.array([_slope_jump_rhs(t, y) for t, y in zip(path.times, path.values)])
-    if march == "trapezoidal":
-        cf = _trap_kernel(0.7, n_t, tau)
-        origin = np.zeros(n_t + 1)
-        origin[1:] = _trap_a0(0.7, n_t, tau) - cf[1:]
-        cd = _trap_kernel(0.2, n_t, tau)
-        cd[0] += 1.0
-        lhs, rhs, m = [Term(1.0, cd)], [Term(1.0, cf, origin=origin)], 0
+    if march == "trapezoidal":  # the scheme as marched, times cf_0 CF^-1
+        k, b, gu = _trap_memory(0.7, 0.5, n_t, tau)
+        lhs, m, load = [Term(1.0, k)], 0, fv[0] * (b - gu)
     else:
+        b, load = 1.0, np.zeros(n_t + 1)
         if march == "l1":
             lhs, m = [Term(1.0, l1_weights(a, n_t, tau)) for a in prob.alphas], 0
         else:
@@ -272,12 +290,10 @@ def test_slope_jump_takes_a_fresh_slope(march, monkeypatch):
                 for a in prob.alphas
             ]
             m = cset.m
-        rhs = [Term(1.0, np.eye(1, n_t + 1)[0])]  # f^n itself
     a = sum(t.scale * t.kernel[0] for t in lhs)
-    b = sum(t.scale * t.kernel[0] for t in rhs)
     slope = a + 50.0 * b  # the largest |dr/dx| of a step's residual r
     for n in range(m + 1, n_t + 1):
-        residual = a * yhat[n] + history(lhs, yhat, n) - b * fv[n] - history(rhs, fv, n)
+        residual = a * yhat[n] + history(lhs, yhat, n) + load[n] - b * fv[n]
         # each step stops within 1e-13 relative of its root
         assert abs(residual) <= 1e-13 * slope * max(1.0, abs(yhat[n])), (n, residual)
 
@@ -356,12 +372,9 @@ def test_trapezoidal_quadrature_exact_on_linear():
     kern = _trap_kernel(alpha, n_t, tau)
     ann = tau**alpha / gamma(2.0 + alpha)
     for n in (1, 7, 40):
-        quad = (
-            _trap_a0(alpha, n, tau)[-1] * gvals[0]
-            + float(np.dot(kern[1:n][::-1], gvals[1:n]))
-            + ann * gvals[n]
-        )
         tn = n * tau
+        a0 = tn**alpha / gamma(1.0 + alpha) - float(np.sum(kern[:n]))  # the endpoint weight exact on constants
+        quad = a0 * gvals[0] + float(np.dot(kern[1:n][::-1], gvals[1:n])) + ann * gvals[n]
         exact = c0 * tn**alpha / gamma(1.0 + alpha) + c1 * tn ** (1.0 + alpha) / gamma(2.0 + alpha)
         assert quad == pytest.approx(exact, rel=1e-12)
 
@@ -392,7 +405,9 @@ def test_trapezoidal_diagonal_coefficient():
         integral = float(np.dot(w, (tau - nodes ** (1.0 / alpha)) / alpha)) * upper / 2.0
         oracle = integral / (tau * gamma(alpha))
         assert tau**alpha / gamma(2.0 + alpha) == pytest.approx(oracle, rel=1e-8)
-        assert _trap_a0(alpha, 1, tau)[0] == pytest.approx(alpha * tau**alpha / gamma(2.0 + alpha))
+        # the k = 0 weight, implied by exactness on constants: u_1 - a_{1,1}
+        a0 = tau**alpha / gamma(1.0 + alpha) - _trap_kernel(alpha, 1, tau)[0]
+        assert a0 == pytest.approx(alpha * tau**alpha / gamma(2.0 + alpha))
 
 
 def test_trapezoidal_shape_errors():

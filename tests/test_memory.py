@@ -14,13 +14,12 @@ from fracstep.corrections import CorrectionSet, starting_weight_table
 from fracstep.fode import (
     MultiTermProblem,
     SolverConfig,
-    _trap_a0,
-    _trap_kernel,
+    _trap_memory,
     solve_corrected_wsgl,
     solve_l1,
     solve_trapezoidal,
 )
-from fracstep.glweights import l1_weights, rl_deriv_power, wsgl_weights
+from fracstep.glweights import gl_weights, l1_weights, rl_deriv_power, wsgl_weights
 from fracstep.memory import History, Term, startup_matrix
 from fracstep.problems import (
     nonlinear_cubic_problem,
@@ -38,7 +37,7 @@ from fracstep.tfpde import (
     solve_wave,
     solve_wave_l1_baseline,
 )
-from oracles import DirectHistory, history
+from oracles import DirectHistory, history, known_parts
 
 TAUS = (2.0**-5, 2.0**-6, 2.0**-7)
 
@@ -164,27 +163,23 @@ def test_startup_matrix_and_history_are_one_operator():
 
 
 def _memory(kind, n_t):
+    """(m, terms, load): the fixed part of the known parts is load[n] x^0."""
     tau = 2.0**-6
     if kind == "wsgl":
         cset = CorrectionSet((0.6, 1.2, 1.8))
         return 3, [
             Term(tau**-0.6, wsgl_weights(0.6, n_t), starting_weight_table(0.6, cset, n_t)),
             Term(0.5 * tau**-0.3, wsgl_weights(0.3, n_t), starting_weight_table(0.3, cset.truncated(2), n_t)),
-        ]
+        ], np.zeros(n_t + 1)
     if kind == "l1":
-        return 0, [Term(1.0, l1_weights(0.35, n_t, tau)), Term(2.0, l1_weights(0.7, n_t, tau))]
-    # the trapezoid f-history: its endpoint weight a_{n,0} is a level-0 column
-    cf = _trap_kernel(0.7, n_t, tau)
-    origin = np.zeros(n_t + 1)
-    origin[1:] = _trap_a0(0.7, n_t, tau) - cf[1:]
-    return 0, [Term(1.0, cf, origin=origin)]
+        return 0, [Term(1.0, l1_weights(0.35, n_t, tau)), Term(2.0, l1_weights(0.7, n_t, tau))], np.zeros(n_t + 1)
+    # the trapezoid: one kernel G cd and the load b - G u on f^0, here x^0
+    k, b, gu = _trap_memory(0.7, 0.2, n_t, tau)
+    return 0, [Term(1.0, k)], b - gu
 
 
 def _magnitude(t):
-    def mag(a):
-        return None if a is None else np.abs(a)
-
-    return Term(abs(t.scale), np.abs(t.kernel), mag(t.table), mag(t.origin))
+    return Term(abs(t.scale), np.abs(t.kernel), None if t.table is None else np.abs(t.table))
 
 
 NODE_RULES = {"direct": lambda r, L: True, "fft": lambda r, L: False}
@@ -201,14 +196,17 @@ def test_history_matches_direct_sum(kind, n_t, shape, monkeypatch):
     # runs once with every node by a direct product and once with every node
     # by FFT: at n_t = 1024 and 4096 the last node has one target, at 1025
     # and 5000 it is clipped to 2 and 905.
+    # The oracle is the direct sum, one np.convolve per term and column.
     monkeypatch.setattr(memory, "_CHUNK", 128)
-    m, terms = _memory(kind, n_t)
+    m, terms, load = _memory(kind, n_t)
     values = np.random.default_rng(n_t).standard_normal((n_t + 1, *shape))
-    magnitude = [_magnitude(t) for t in terms]
+    fixed = np.multiply.outer(load, values[0])
+    want = known_parts(terms, values) + fixed
+    scale = known_parts([_magnitude(t) for t in terms], np.abs(values)) + np.abs(fixed)
     for rule in NODE_RULES.values():
         monkeypatch.setattr(memory, "_direct", rule)
         x = np.full_like(values, np.nan)
-        hist = History(terms, x)
+        hist = History(terms, x, fixed)
         for n in range(n_t + 1):
             if n > m:
                 before = hist.known(n)
@@ -218,9 +216,7 @@ def test_history_matches_direct_sum(kind, n_t, shape, monkeypatch):
             if m <= n < n_t:
                 reads.append((n + 1, hist.known(n + 1)))
             for level, got in reads:
-                want = history(terms, values, level)
-                scale = history(magnitude, np.abs(values), level)
-                assert np.all(np.abs(got - want) <= 1e-13 * scale), (level, got, want)
+                assert np.all(np.abs(got - want[level]) <= 1e-13 * scale[level]), (level, got, want[level])
 
 
 @pytest.mark.parametrize("path", [*NODE_RULES, "rule"])
@@ -246,22 +242,23 @@ def test_convolve_matches_direct_sum(n_levels, shape, path, monkeypatch):
 @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "field"])
 @pytest.mark.parametrize("kind", ["wsgl", "trapezoid"])
 def test_fixed_columns_are_read_once(kind, shape):
-    # feed(m) folds the starting-weight tables and level-0 columns into the
-    # far field, so the march reads neither of them again
+    # the far field starts as the fixed part and feed(m) folds the
+    # starting-weight tables into it, so the march reads neither again
     n_t = 200
-    m, terms = _memory(kind, n_t)
+    m, terms, load = _memory(kind, n_t)
     values = np.random.default_rng(11).standard_normal((n_t + 1, *shape))
-    want = {n: history(terms, values, n) for n in range(m + 1, n_t + 1)}
-    scale = {n: history([_magnitude(t) for t in terms], np.abs(values), n) for n in want}
+    fixed = np.multiply.outer(load, values[0])
+    want = {n: history(terms, values, n) + fixed[n] for n in range(m + 1, n_t + 1)}
+    scale = {n: history([_magnitude(t) for t in terms], np.abs(values), n) + np.abs(fixed[n]) for n in want}
     x = np.full_like(values, np.nan)
-    hist = History(terms, x)
+    hist = History(terms, x, fixed)
     for n in range(m + 1):
         x[n] = values[n]
         hist.feed(n)
+    fixed[:] = np.nan
     for t in terms:
-        for fixed in (t.table, t.origin):
-            if fixed is not None:
-                fixed[:] = np.nan
+        if t.table is not None:
+            t.table[:] = np.nan
     for n in range(m + 1, n_t + 1):
         got = hist.known(n)
         assert np.all(np.abs(got - want[n]) <= 1e-13 * scale[n]), (n, got, want[n])
@@ -275,11 +272,12 @@ def test_feeding_run_ends_is_feeding_every_level(kind, shape):
     # the feed contract: a history fed at its startup levels and at the end
     # of each run reads every level bit for bit as one fed at every level,
     # through FFT nodes and the clipped last one; wsgl carries a table,
-    # trapezoid a level-0 column
+    # trapezoid a fixed part
     n_t = 1000
-    m, terms = _memory(kind, n_t)
+    m, terms, load = _memory(kind, n_t)
     x = np.random.default_rng(5).standard_normal((n_t + 1, *shape))
-    every, at_run_ends = History(terms, x), History(terms, x)
+    fixed = np.multiply.outer(load, x[0])
+    every, at_run_ends = History(terms, x, fixed), History(terms, x, fixed)
     for n in range(m + 1):
         every.feed(n)
         at_run_ends.feed(n)
@@ -298,11 +296,12 @@ def test_known_run_matches_direct_sum(kind, shape):
     # filled (NaN until then): the first run [m+1, 32) clipped at level 0, the
     # aligned runs and the clipped last run [192, 201)
     n_t = 200
-    m, terms = _memory(kind, n_t)
+    m, terms, load = _memory(kind, n_t)
     values = np.random.default_rng(13).standard_normal((n_t + 1, *shape))
+    fixed = np.multiply.outer(load, values[0])
     magnitude = [_magnitude(t) for t in terms]
     x = np.full_like(values, np.nan)
-    hist = History(terms, x)
+    hist = History(terms, x, fixed)
     for n in range(m + 1):
         x[n] = values[n]
         hist.feed(n)
@@ -311,11 +310,24 @@ def test_known_run_matches_direct_sum(kind, shape):
         below = np.zeros_like(values)
         below[:s] = values[:s]
         for n in range(s, e):
-            want = history(terms, below, n)
-            scale = history(magnitude, np.abs(below), n)
+            want = history(terms, below, n) + fixed[n]
+            scale = history(magnitude, np.abs(below), n) + np.abs(fixed[n])
             assert np.all(np.abs(got[n - s] - want) <= 1e-13 * scale), (s, n)
         x[s:e] = values[s:e]
         hist.feed(e - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 1023, 1024, 1025, 2**15, 2**15 + 1, 2**15 + 2])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_reciprocal_matches_gl_pair(alpha, n):
+    # gl_weights(alpha) and gl_weights(-alpha) are the series of (1 - z)^alpha
+    # and (1 - z)^-alpha, each other's reciprocal to rounding (their product
+    # is delta to 1.4e-17 at alpha = 0.3); lengths straddle the near field
+    # and powers of two, past which the last node has a target or two
+    got = memory.reciprocal(gl_weights(alpha, n - 1))
+    want = gl_weights(-alpha, n - 1)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 @st.composite
