@@ -13,11 +13,18 @@ every n and exponent, built as one field by the memory core's dyadic split
 (``memory.convolve``) in O(N log^2 N), which also rounds less than a direct
 sum at large n.  Two first-derivative variants (trapezoid-type averaging
 corrections) are used by the diffusion-wave scheme.
+
+None of these tables depends on tau, and row n of each is the same for every
+length (``starting_weight_table``), so a study builds each once, at its
+finest level: inside ``study_tables`` every ``shared_table`` key keeps the
+longest table built and each request reads a read-only prefix of it.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +40,41 @@ __all__ = [
     "d1_u_weight_table",
     "d1_v_weight_table",
     "vandermonde_diagnostics",
+    "shared_table",
+    "study_tables",
 ]
 
 MAX_CORRECTION_TERMS = 10
 _COND_WARN = 1e14
+_tables = ContextVar("study_tables", default=None)  # the open study's tables by key, each the longest built
+
+
+@contextmanager
+def study_tables():
+    """Scope of one study (``harness.run_study``): inside it ``shared_table``
+    builds each key's table once, at the longest length asked, and hands out
+    read-only prefixes; on exit the tables are dropped.  The scope belongs to
+    the calling context, so another thread sees none."""
+    token = _tables.set({})
+    try:
+        yield
+    finally:
+        _tables.reset(token)
+
+
+def shared_table(key, n_max: int, build) -> np.ndarray:
+    """Rows 0..n_max of ``build(n_max)``, a table whose rows do not depend on
+    its length.  Outside ``study_tables`` it is built anew; inside, the
+    longest table built for ``key`` serves every shorter request as a
+    read-only prefix, and a longer request builds and keeps a longer one."""
+    tables = _tables.get()
+    if tables is None:
+        return build(n_max)
+    table = tables.get(key)
+    if table is None or len(table) <= n_max:
+        table = tables[key] = build(n_max)
+        table.flags.writeable = False
+    return table[: n_max + 1]
 
 
 @dataclass(frozen=True)
@@ -120,25 +158,32 @@ def starting_weight_table(alpha: float, cset: CorrectionSet, n_max: int) -> np.n
     last node of a size L > 128 that is clipped to r <= 2^14 / L rows is
     summed directly (``memory._direct``), where a longer table transforms
     that node whole, so those r rows differ in rounding (a 520-row table
-    from a 5120-row one in rows 512..520)."""
+    from a 5120-row one in rows 512..520).  That is also where a cell of a
+    study, which reads a prefix of its column's longest table
+    (``study_tables``), can differ from a call on its own."""
     m = cset.m
     if m == 0:
         return np.zeros((n_max + 1, 0))
     A = _power_matrix(cset.sigmas)
     _check_condition(A, cset.sigmas)
-    W = np.linalg.solve(A, _fractional_rhs(alpha, cset.sigmas, n_max)).T
+    return shared_table((alpha, cset.sigmas), n_max, lambda n: _starting_weights(alpha, cset.sigmas, A, n))
+
+
+def _starting_weights(alpha: float, sigmas, A: np.ndarray, n_max: int) -> np.ndarray:
+    W = np.linalg.solve(A, _fractional_rhs(alpha, sigmas, n_max)).T
     W[0] = 0.0
     return W
 
 
 def _d1_table(exponents, n_max: int) -> np.ndarray:
-    mm = len(exponents)
-    if mm == 0:
-        return np.zeros((n_max + 1, 0))
     A = _power_matrix(exponents)
     _check_condition(A, exponents)
+    return shared_table(("d1", exponents), n_max, lambda n: _d1_weights(exponents, A, n))
+
+
+def _d1_weights(exponents, A: np.ndarray, n_max: int) -> np.ndarray:
     ns = np.arange(n_max + 1, dtype=float)
-    rhs = np.empty((mm, n_max + 1))
+    rhs = np.empty((len(exponents), n_max + 1))
     for r, s in enumerate(exponents):
         rhs[r] = s / 2.0 * ((ns + 1.0) ** (s - 1.0) + ns ** (s - 1.0)) - ((ns + 1.0) ** s - ns**s)
     return np.linalg.solve(A, rhs).T

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrections import CorrectionSet, starting_weight_table
+from .corrections import CorrectionSet, shared_table, starting_weight_table
 from .glweights import SampledPath, l1_weights, step_count, wsgl_weights
 from .memory import History, Term, convolve, reciprocal, runs, startup_matrix
 from .specfun import gamma
@@ -274,25 +274,36 @@ def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
     return _march(problem, tau, terms, 0, 200, "solve_l1")
 
 
-def _trap_kernel(alpha: float, n_t: int, tau: float) -> np.ndarray:
+def _trap_kernel(alpha: float, n_t: int) -> np.ndarray:
     """Convolution weights c_j = a_{n,n-j} (0 <= j <= n-1) of the
-    product-trapezoidal rule for I^alpha; index j = n - k."""
+    product-trapezoidal rule for I^alpha, divided by tau^alpha /
+    Gamma(2 + alpha), so c_0 = 1; index j = n - k."""
     j = np.arange(n_t + 1, dtype=float)
     c = np.ones(n_t + 1)
     c[1:] = (j[1:] + 1.0) ** (alpha + 1.0) - 2.0 * j[1:] ** (alpha + 1.0) + (j[1:] - 1.0) ** (
         alpha + 1.0
     )
-    return tau**alpha / gamma(2.0 + alpha) * c
+    return c
+
+
+def _trap_tables(a1: float, a2: float, n_t: int) -> np.ndarray:
+    """The tau-free columns G = 1 / c^(a1), G c^(a1-a2) and G n^a1 of
+    ``_trap_memory``, shape (n_t + 1, 3)."""
+    G = reciprocal(_trap_kernel(a1, n_t))
+    rhs = np.stack([_trap_kernel(a1 - a2, n_t), np.arange(n_t + 1.0) ** a1], axis=1)
+    return np.column_stack([G, convolve(G, rhs)])
 
 
 def _trap_memory(a1: float, a2: float, n_t: int, tau: float):
-    """The kernel G cd, b = cf_0 and G u of ``solve_trapezoidal``."""
-    cd = _trap_kernel(a1 - a2, n_t, tau)
-    cd[0] += 1.0  # the identity term (y - y0)
-    cf = _trap_kernel(a1, n_t, tau)
-    u = (np.arange(n_t + 1) * tau) ** a1 / gamma(1.0 + a1)
-    k, gu = convolve(reciprocal(cf / cf[0]), np.stack([cd, u], axis=1)).T
-    return k, float(cf[0]), gu
+    """The kernel G cd, b = cf_0 and G u of ``solve_trapezoidal``.  The rules
+    are cf = cf_0 c^(a1) and cd = s' c^(a1-a2) + 1 (at lag 0), with the
+    unscaled kernels c^(a) of ``_trap_kernel``, so G = 1 / c^(a1),
+    G cd = s' G c^(a1-a2) + G and G u = tau^a1 / Gamma(1 + a1) G n^a1: scales
+    times the tau-free tables of (a1, a2), built once per study
+    (``corrections.shared_table``)."""
+    G, H, V = shared_table(("trap", a1, a2), n_t, lambda n: _trap_tables(a1, a2, n)).T
+    k = tau ** (a1 - a2) / gamma(2.0 + a1 - a2) * H + G
+    return k, tau**a1 / gamma(2.0 + a1), tau**a1 / gamma(1.0 + a1) * V
 
 
 def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import problems
-from .corrections import CorrectionSet, starting_weight_table, vandermonde_diagnostics
+from .corrections import CorrectionSet, starting_weight_table, study_tables, vandermonde_diagnostics
 from .fode import (
     MultiTermProblem,
     SolverConfig,
@@ -244,6 +244,16 @@ def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact, taus):
     raise ValueError(f"unknown reference method '{method}'")
 
 
+def _finest_first(taus, cell) -> list:
+    """cell(tau) for every tau in the order of taus, solved finest first, so
+    that each tau-free table of a column is built once, at its finest level,
+    and the coarser cells read prefixes of it (``corrections.study_tables``)."""
+    done = {}
+    for tau in sorted(set(taus)):
+        done[tau] = cell(tau)
+    return [done[tau] for tau in taus]
+
+
 def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
     problem, exact = _fode_problem(cfg)
     taus = [_parse_number(t) for t in _parse_list(cfg.require("taus"))]
@@ -270,7 +280,7 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
 
     groups = []
     for col in columns:
-        reps = [run_cell(col, tau) for tau in taus]
+        reps = _finest_first(taus, lambda tau: run_cell(col, tau))
         label = col if col in ("l1", "trap", "trapezoidal") else f"m{col}"
         groups.append((label, {norm: [rep[norm] for rep in reps] for norm in norms}))
     return ConvergenceTable(taus, norms, groups)
@@ -337,7 +347,7 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
             # the error norms read U only; V is not held across the column
             ref = _decimated(solve_wave(problem, _parse_number(tau_s), sigma, m1, m2, m3), taus)
         at = "average" if norm == "average" else "final"
-        return [l2_error(solve_wave(problem, tau, sigma, m1, m2, m3), ref, at=at) for tau in taus]
+        return _finest_first(taus, lambda tau: l2_error(solve_wave(problem, tau, sigma, m1, m2, m3), ref, at=at))
 
     groups = [
         (f"a{alpha:g}_m{m}", {norm: run_column(alpha, m)}) for alpha in alphas for m in columns
@@ -350,7 +360,6 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
     columns = _parse_list(cfg.require("columns"))
     norm = cfg.get("norm", "average")
     rule = cfg.get("sigma_rule", "list:0.75 1.0 1.25 1.5 1.75 2.0 2.25 2.5 2.75 3.0")
-    drop = cfg.get("drop_far_field", "false").lower() in ("1", "true", "yes", "on")
     mesh = _mesh_from(cfg, problems.two_zone_unit_mesh)
     problem = problems.subdiffusion_forced_problem(mesh)
     ref_spec = cfg.require("reference")
@@ -364,7 +373,7 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
             return solve_subdiffusion_l1_baseline(problem, tau)
         m = int(col)
         sig = sigma_list(rule, m, problem.alpha1, problem.alpha2)
-        return solve_subdiffusion(problem, tau, sig, m1=m, m2=m, drop_far_field=drop)
+        return solve_subdiffusion(problem, tau, sig, m1=m, m2=m)
 
     refs = {col: _decimated(solve_col(col, ref_tau), taus) for col in columns}
     at = "average" if norm == "average" else "final"
@@ -446,8 +455,10 @@ _RUNNERS = {
 
 def run_study(config: StudyConfig, out: str | None = None):
     """Run one study; returns its table and writes the CSV when ``out`` (or
-    the config's own ``out`` key) names a target."""
-    table = _RUNNERS[config.kind](config)
+    the config's own ``out`` key) names a target.  Its tau-free tables are
+    built once per study (``corrections.study_tables``)."""
+    with study_tables():
+        table = _RUNNERS[config.kind](config)
     target = out or config.get("out")
     if target:
         table.to_csv(target)

@@ -217,53 +217,59 @@ def solve_run(inverse: np.ndarray, loads: np.ndarray) -> np.ndarray:
     return (inverse[:, :r, :r] @ loads.T[:, :, None])[:, :, 0].T
 
 
-def convolve(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_{k=0}^{n} c[n-k] x[k] at every level n of x, shape (levels,) or
-    (levels, d), by the split of ``History`` without a march; c is read up
-    to lag 2L-1 by an FFT node of size L, as far as it reaches.  Per node
-    size, largest first, the full nodes are one ``_add_node`` call on their
-    stack and the clipped last node one more; then the lags below _BASE are
-    one product per block of _BASE levels and the block before it.  So level
-    n does not depend on the number of levels when c reaches lag
-    2(levels-1), except below a clipped node that ``_direct`` sums directly
-    where a longer x transforms the full node."""
-    n_levels = len(x)
+def convolve(c: np.ndarray, x: np.ndarray, levels: int | None = None) -> np.ndarray:
+    """sum_{k=0}^{n} c[n-k] x[k] at every level n < ``levels`` (default
+    len(x)) of x, shape (levels,) or (levels, d), x zero past its end, by the
+    split of ``History`` without a march; c is read up to lag 2L-1 by an FFT
+    node of size L, as far as it reaches.  Per node size, largest first, the
+    full nodes are one ``_add_node`` call on their stack and the clipped
+    last node one more; then the lags below _BASE are one product per block
+    of _BASE levels and the block before it.  Nodes and blocks that read
+    only the zeros past the end of x are skipped: they would add exact
+    zeros.  So level n does not depend on the number of levels when c
+    reaches lag 2(levels-1), except below a clipped node that ``_direct``
+    sums directly where a longer x transforms the full node."""
+    n_x = len(x)
+    n_levels = n_x if levels is None else levels
     B, nb = _BASE, -(-n_levels // _BASE)
-    x2 = x.reshape(n_levels, -1)
+    x2 = x.reshape(n_x, -1)
     d = x2.shape[1]
     padded = np.zeros((d, (nb + 1) * B))  # x transposed, after a zero block: blocks are contiguous runs
-    padded[:, B : B + n_levels] = x2.T
+    padded[:, B : B + n_x] = x2.T
     xt = padded[:, B : B + n_levels]
     yt = np.zeros((d, nb * B))
     L = 1 << max(n_levels - 1, 1).bit_length() - 1  # the largest node size with a target
     while L >= _BASE:
         cache = {}  # one size at a time: its block or spectrum lives for one pass
         full = n_levels // (2 * L)
-        if full:  # nodes [2kL, 2kL+2L), k < full, as stacks (full, 2, L, d): left halves in, right out
-            src, dst = (z[:, : 2 * L * full].reshape(d, full, 2, L).transpose(1, 2, 3, 0) for z in (xt, yt))
+        live = min(full, -(-n_x // (2 * L)))  # the full nodes whose left half reads x
+        if live:  # nodes [2kL, 2kL+2L), k < live, as stacks (live, 2, L, d): left halves in, right out
+            src, dst = (z[:, : 2 * L * live].reshape(d, live, 2, L).transpose(1, 2, 3, 0) for z in (xt, yt))
             _add_node(c, cache, src[:, 0], dst[:, 1])
         s = 2 * L * full
-        if s + L < n_levels:
+        if s + L < n_levels and s < n_x:
             _add_node(c, cache, xt[:, s : s + L].T, yt[:, s + L : n_levels].T)
         L //= 2
+    nw = min(nb, -(-n_x // B) + 1)  # the blocks whose window reads x
     step = padded.itemsize  # windows[b] = levels [(b-1)B, (b+1)B) of x, read in place
-    windows = np.ndarray((nb, 2 * B, d), padded.dtype, padded, 0, (B * step, step, (nb + 1) * B * step))
+    windows = np.ndarray((nw, 2 * B, d), padded.dtype, padded, 0, (B * step, step, (nb + 1) * B * step))
     a = np.zeros(3 * B - 1)  # lags 1-B .. 2B-1 of a window; the near field keeps 0 .. B-1
     a[B - 1 : B - 1 + min(B, len(c))] = c[:B]
-    yt.reshape(d, nb, B).transpose(1, 2, 0)[...] += _toeplitz(a, B, 2 * B) @ windows  # block b-1, block b
-    return yt[:, :n_levels].T.reshape(x.shape)
+    yt.reshape(d, nb, B).transpose(1, 2, 0)[:nw] += _toeplitz(a, B, 2 * B) @ windows  # block b-1, block b
+    return yt[:, :n_levels].T.reshape((n_levels,) + x.shape[1:])
 
 
 def reciprocal(c: np.ndarray) -> np.ndarray:
     """The power series 1 / c to the length of c (c[0] != 0), the kernel of
     the inverse Toeplitz matrix, by Newton doubling: if c y = 1 + z^L e mod
-    z^2L, then 1 / c = y - z^L y e mod z^2L, two ``convolve`` products."""
+    z^2L, then 1 / c = y - z^L y e mod z^2L, two ``convolve`` products, the
+    first on y[:L] alone (y is zero from L on)."""
     n = len(c)
     y = np.zeros(n)
     y[0], L = 1.0 / c[0], 1
     while L < n:
         h = min(2 * L, n)
-        y[L:h] = -convolve(y[: h - L], convolve(c[:h], y[:h])[L:])
+        y[L:h] = -convolve(y[: h - L], convolve(c[:h], y[:L], h)[L:])
         L = h
     return y
 

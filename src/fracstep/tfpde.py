@@ -402,12 +402,10 @@ def solve_subdiffusion(
     sigma: CorrectionSet | tuple = (),
     m1: int = 0,
     m2: int = 0,
-    drop_far_field: bool = False,
 ) -> FieldHistory:
     """Advance the two-term subdiffusion scheme: both fractional terms act on
     U - U(0) through corrected WSGL operators (m1 terms for order alpha1, m2
-    for alpha2, exponents straight from ``sigma``).  ``drop_far_field`` zeroes
-    the correction sums for n >= ceil(n_T / 5)."""
+    for alpha2, exponents straight from ``sigma``)."""
     sigma = sigma if isinstance(sigma, CorrectionSet) else CorrectionSet(tuple(sigma))
     if max(m1, m2) > sigma.m:
         raise ValueError("sigma list shorter than requested correction counts")
@@ -418,8 +416,6 @@ def solve_subdiffusion(
     terms = []
     for scale, a, k in ((1.0, problem.alpha1, m1), (problem.nu, problem.alpha2, m2)):
         W = starting_weight_table(a, sigma.truncated(k), n_t) if k else None
-        if W is not None and drop_far_field:
-            W[math.ceil(n_t / 5) :] = 0.0
         terms.append(Term(scale * tau ** (-a), wsgl_weights(a, n_t), W))
     return _march_subdiffusion(problem, tau, terms, m, "solve_subdiffusion")
 

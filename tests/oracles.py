@@ -20,7 +20,7 @@ import numpy as np
 
 from fracstep.corrections import CorrectionSet, d1_u_weight_table, d1_v_weight_table, starting_weight_table
 from fracstep.glweights import SampledPath, gl_weights, l1_weights, step_count, wsgl_weights
-from fracstep.memory import History, Term, startup_matrix
+from fracstep.memory import History, Term, convolve, reciprocal, startup_matrix
 from fracstep.sem import h1_projection, spd_inverse
 from fracstep.specfun import gamma
 
@@ -327,3 +327,21 @@ def subdiffusion_march(problem, tau: float, terms, m: int):
         uh[n] = step_inv @ (rhs[n] - Md * hist.known(n))
         hist.feed(n)
     return uh + u0
+
+
+def trap_memory(a1: float, a2: float, n_t: int, tau: float):
+    """The kernel G cd, b = cf_0 and G u of the product trapezoid from its
+    tau-scaled rules, G = reciprocal(cf / cf_0): the form before the
+    tau-free tables, against which ``fode._trap_memory`` is checked."""
+
+    def kernel(alpha):
+        j = np.arange(1, n_t + 1, dtype=float)
+        c = np.ones(n_t + 1)
+        c[1:] = (j + 1.0) ** (alpha + 1.0) - 2.0 * j ** (alpha + 1.0) + (j - 1.0) ** (alpha + 1.0)
+        return tau**alpha / gamma(2.0 + alpha) * c
+
+    cd, cf = kernel(a1 - a2), kernel(a1)
+    cd[0] += 1.0
+    u = (np.arange(n_t + 1) * tau) ** a1 / gamma(1.0 + a1)
+    k, gu = convolve(reciprocal(cf / cf[0]), np.stack([cd, u], axis=1)).T
+    return k, float(cf[0]), gu

@@ -10,7 +10,9 @@ from fracstep.corrections import (
     _fractional_rhs,
     d1_u_weight_table,
     d1_v_weight_table,
+    shared_table,
     starting_weight_table,
+    study_tables,
     vandermonde_diagnostics,
 )
 from fracstep.glweights import rl_deriv_power, wsgl_weights
@@ -89,11 +91,33 @@ def test_fractional_rhs_against_exact_sum(alpha, sigmas):
 
 def test_table_rows_do_not_depend_on_its_length():
     # row n reads only node sizes L <= n and the weights to lag 2L - 1, so a
-    # shorter table is a bitwise prefix of a longer one
+    # shorter table is a bitwise prefix of a longer one; a d1 row reads n alone
     cset = CorrectionSet((0.3, 0.6, 0.9))
     np.testing.assert_array_equal(
         starting_weight_table(0.3, cset, 640), starting_weight_table(0.3, cset, 5120)[:641]
     )
+    wave = CorrectionSet((2.0, 2.5, 3.0))
+    for table in (d1_u_weight_table, d1_v_weight_table):
+        np.testing.assert_array_equal(table(wave, 3, 640), table(wave, 3, 5120)[:641])
+
+
+def test_study_tables_hand_out_prefixes_of_one_table():
+    cset = CorrectionSet((0.3, 0.6))
+    built = []
+
+    def build(n):
+        built.append(n)
+        return np.arange(n + 1.0)
+
+    with study_tables():
+        long = starting_weight_table(0.3, cset, 300)
+        short = starting_weight_table(0.3, cset, 100)
+        assert np.shares_memory(long, short) and not short.flags.writeable
+        np.testing.assert_array_equal(short, long[:101])
+        assert [len(shared_table("k", n, build)) for n in (5, 3, 8, 2)] == [6, 4, 9, 3]
+        assert built == [5, 8]  # a longer request builds anew and is kept
+    assert shared_table("k", 3, build).flags.writeable and built == [5, 8, 3]
+    assert starting_weight_table(0.3, cset, 100).flags.writeable
 
 
 def test_bdf2_starting_weight_decay():

@@ -27,6 +27,7 @@ from fracstep.problems import (
     two_term_ml_problem,
 )
 from fracstep.specfun import gamma
+import oracles
 from oracles import history
 
 
@@ -369,14 +370,28 @@ def test_trapezoidal_quadrature_exact_on_linear():
     c0, c1 = 0.7, -1.3
     t = np.arange(n_t + 1) * tau
     gvals = c0 + c1 * t
-    kern = _trap_kernel(alpha, n_t, tau)
     ann = tau**alpha / gamma(2.0 + alpha)
+    kern = ann * _trap_kernel(alpha, n_t)
     for n in (1, 7, 40):
         tn = n * tau
         a0 = tn**alpha / gamma(1.0 + alpha) - float(np.sum(kern[:n]))  # the endpoint weight exact on constants
         quad = a0 * gvals[0] + float(np.dot(kern[1:n][::-1], gvals[1:n])) + ann * gvals[n]
         exact = c0 * tn**alpha / gamma(1.0 + alpha) + c1 * tn ** (1.0 + alpha) / gamma(2.0 + alpha)
         assert quad == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a1,a2,n_t,tau",
+    [(0.2, 0.1, 5120, 2.0**-9), (0.3, 0.1, 5120, 2.0**-9), (0.2, 0.05, 5120, 2.0**-9), (0.7, 0.5, 320, 2.0**-5)],
+)
+def test_trapezoid_tables_match_the_scaled_form(a1, a2, n_t, tau):
+    # the tau-free tables, scaled per tau, against the kernels of the rules
+    # scaled first, G = reciprocal(cf / cf_0)
+    k, b, gu = _trap_memory(a1, a2, n_t, tau)
+    k_old, b_old, gu_old = oracles.trap_memory(a1, a2, n_t, tau)
+    assert b == b_old
+    for got, want in ((k, k_old), (gu, gu_old)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_trapezoidal_second_order_on_two_term_problem():
@@ -406,7 +421,7 @@ def test_trapezoidal_diagonal_coefficient():
         oracle = integral / (tau * gamma(alpha))
         assert tau**alpha / gamma(2.0 + alpha) == pytest.approx(oracle, rel=1e-8)
         # the k = 0 weight, implied by exactness on constants: u_1 - a_{1,1}
-        a0 = tau**alpha / gamma(1.0 + alpha) - _trap_kernel(alpha, 1, tau)[0]
+        a0 = tau**alpha / gamma(1.0 + alpha) - tau**alpha / gamma(2.0 + alpha) * _trap_kernel(alpha, 1)[0]
         assert a0 == pytest.approx(alpha * tau**alpha / gamma(2.0 + alpha))
 
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ columns = 0 2
 sigma_rule = (k+1)*alpha
 norms = max final
 reference = exact
+"""
+
+
+CUBIC_STUDY = """
+[cubic]
+kind = fode
+problem = nonlinear_cubic
+alphas = 0.7 0.5
+t_end = 1
+taus = 2^-4 2^-5 2^-3
+columns = l1
+sigma_rule = twoterm
+norms = max final
+reference = trapezoidal:2^-6
 """
 
 
@@ -326,6 +341,47 @@ def test_fode_exact_reference_matches_per_cell_evaluation(tmp_path, monkeypatch,
     monkeypatch.setattr(harness, "_fode_reference", lambda cfg, problem, exact, taus: exact)
     per_cell = run_study(study)
     assert shared.groups == per_cell.groups
+
+
+def test_fode_study_builds_each_tau_free_table_once(tmp_path, monkeypatch):
+    # one starting-weight table per (column, term) and one trapezoid table set
+    # per study, built finest first; the store ends with the study
+    from fracstep import corrections, fode
+
+    built = []
+
+    def spy(module, name):
+        build = getattr(module, name)
+
+        def counted(*args):
+            built.append((name, args[-1]))
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(corrections, "_starting_weights")
+    spy(fode, "_trap_tables")
+    text = CUBIC_STUDY.replace("columns = l1", "columns = 0 2 trap")
+    (study,) = parse_config(_write(tmp_path, "f.ini", text))
+    table = run_study(study)
+    # the reference's trapezoid at 64 steps, then column 2 from its finest cell
+    assert built == [("_trap_tables", 64)] + [("_starting_weights", 32)] * 2
+    assert [len(errors) for _, data in table.groups for errors in data.values()] == [3] * 6
+    built.clear()
+    fracstep.starting_weight_table(0.5, fracstep.CorrectionSet((1.0, 1.5)), 16)
+    assert built == [("_starting_weights", 16)]
+
+
+def test_package_modules_stay_below_the_compile_step():
+    # CPython 3.11 compiles a module of 4096 parser tokens or more with more
+    # memory, which the benchmark's peak_rss_mb reads on every workload;
+    # comments and non-logical newlines do not reach the parser
+    sizes = {}
+    for path in sorted(pathlib.Path(fracstep.__file__).parent.glob("*.py")):
+        with path.open("rb") as f:
+            skip = (tokenize.ENCODING, tokenize.NL, tokenize.COMMENT)
+            sizes[path.name] = sum(t.type not in skip for t in tokenize.tokenize(f.readline))
+    assert {name: n for name, n in sizes.items() if n >= 4096} == {}
 
 
 def test_fode_exact_reference_rejects_times_off_its_grids(tmp_path):

@@ -317,6 +317,20 @@ def test_known_run_matches_direct_sum(kind, shape):
         hist.feed(e - 1)
 
 
+@pytest.mark.parametrize("n_x,n_levels", [(1, 2), (16, 32), (32, 64), (33, 64), (100, 200), (1024, 2048), (1500, 2049)])
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["scalar", "field"])
+def test_convolve_past_the_end_of_x_is_zero_padding(n_x, n_levels, shape):
+    # the nodes and blocks that read only zeros are skipped: the levels are
+    # the same bits as those of x padded with zeros
+    rng = np.random.default_rng(n_levels)
+    c = rng.standard_normal(2 * n_levels)
+    x = rng.standard_normal((n_x, *shape))
+    padded = np.concatenate([x, np.zeros((n_levels - n_x, *shape))])
+    got = memory.convolve(c, x, n_levels)
+    assert got.shape == padded.shape
+    np.testing.assert_array_equal(got, memory.convolve(c, padded))
+
+
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 1023, 1024, 1025, 2**15, 2**15 + 1, 2**15 + 2])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_reciprocal_matches_gl_pair(alpha, n):

@@ -310,17 +310,6 @@ def test_subdiffusion_benchmark_value():
     assert math.log2(errs[0] / errs[1]) == pytest.approx(2.8, abs=0.3)
 
 
-def test_subdiffusion_drop_far_field_close_to_full():
-    prob = subdiffusion_forced_problem()
-    sig = tuple((2 + k) / 4 for k in range(1, 5))
-    ref = solve_subdiffusion(prob, 2.0**-12, sig, 3, 3)
-    e_full = l2_error(solve_subdiffusion(prob, 2.0**-9, sig, 3, 3), ref, at="average")
-    e_drop = l2_error(
-        solve_subdiffusion(prob, 2.0**-9, sig, 3, 3, drop_far_field=True), ref, at="average"
-    )
-    assert e_drop == pytest.approx(e_full, rel=0.1)
-
-
 def test_subdiffusion_scheme_equation_residual():
     prob = subdiffusion_forced_problem()
     tau = 2.0**-5
