@@ -31,11 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fracstep",
         description="fractional-derivative convergence studies (CSV output)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run '{_SUBCOMMANDS[name]}' studies from a config")
-        p.add_argument("--config", required=True, help="INI-style study config")
-        p.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("command", choices=list(_SUBCOMMANDS), help="run the config's studies of this kind")
+    parser.add_argument("--config", required=True, help="INI-style study config")
+    parser.add_argument("--out", required=True, help="output CSV path")
     return parser
 
 

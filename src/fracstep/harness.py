@@ -12,30 +12,18 @@ from __future__ import annotations
 import math
 from configparser import ConfigParser
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import problems
-from .corrections import CorrectionSet, starting_weight_table, study_tables, vandermonde_diagnostics
-from .fode import (
-    MultiTermProblem,
-    SolverConfig,
-    error_report,
-    solve_corrected_wsgl,
-    solve_l1,
-    solve_trapezoidal,
-    two_term_sigma_rule,
-)
-from .glweights import gl_weights, rl_deriv_power, step_count, wsgl_weights
-from .sem import SpectralMesh
-from .tfpde import (
-    FieldHistory,
-    l2_error,
-    solve_subdiffusion,
-    solve_subdiffusion_l1_baseline,
-    solve_wave,
-)
+
+if TYPE_CHECKING:
+    from .fode import MultiTermProblem
+    from .sem import SpectralMesh
+    from .tfpde import FieldHistory
 
 __all__ = [
     "StudyConfig",
@@ -45,9 +33,6 @@ __all__ = [
     "parse_config",
     "run_study",
 ]
-
-CONVERGENCE_KINDS = {"fode", "wave", "subdiff"}
-ALL_KINDS = CONVERGENCE_KINDS | {"operator", "diagnostics", "weights"}
 
 
 def _parse_number(tok: str) -> float:
@@ -80,7 +65,9 @@ class StudyConfig:
 
 
 def parse_config(path) -> list[StudyConfig]:
-    """Parse every study section of an INI-style config file."""
+    """Parse every study section of an INI-style config file, and import the
+    modules of each kind it names (``_KINDS``), so that a study run imports
+    none."""
     cp = ConfigParser()
     read = cp.read(path)
     if not read:
@@ -91,8 +78,10 @@ def parse_config(path) -> list[StudyConfig]:
         if "kind" not in raw:
             raise ValueError(f"section [{section}] has no 'kind'")
         kind = raw.pop("kind").strip()
-        if kind not in ALL_KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown study kind '{kind}' in [{section}]")
+        for module in _KINDS[kind][1]:
+            import_module(f".{module}", __package__)
         studies.append(StudyConfig(kind, section, raw))
     return studies
 
@@ -189,6 +178,8 @@ def sigma_list(rule: str, m: int, alpha: float, alpha2: float | None = None) -> 
     if rule == "twoterm":
         if alpha2 is None:
             raise ValueError("two-term sigma rule needs two orders")
+        from .fode import two_term_sigma_rule
+
         return two_term_sigma_rule(alpha, alpha2, m).sigmas
     if rule == "k+1":
         return tuple(float(k + 1) for k in range(1, m + 1))
@@ -217,6 +208,9 @@ def _fode_problem(cfg: StudyConfig):
 
 
 def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact, taus):
+    from .fode import solve_l1, solve_trapezoidal
+    from .glweights import step_count
+
     ref = cfg.get("reference", "exact")
     if ref == "exact":
         if exact is None:
@@ -255,6 +249,9 @@ def _finest_first(taus, cell) -> list:
 
 
 def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
+    from .corrections import CorrectionSet
+    from .fode import SolverConfig, error_report, solve_corrected_wsgl, solve_l1, solve_trapezoidal
+
     problem, exact = _fode_problem(cfg)
     taus = [_parse_number(t) for t in _parse_list(cfg.require("taus"))]
     columns = _parse_list(cfg.require("columns"))
@@ -292,6 +289,8 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
 
 def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
     """The config's ``mesh``/``degrees``, else ``default()``."""
+    from .sem import SpectralMesh
+
     if "mesh" not in cfg.params:
         return default()
     brk = [_parse_number(t) for t in _parse_list(cfg.require("mesh"))]
@@ -303,6 +302,8 @@ def _decimated(ref: FieldHistory, taus) -> FieldHistory:
     """A copy of the reference's U at every g-th level, g the gcd of the
     cells' ratios tau / ref.tau, its tau scaled to match; g = 1 unless every
     ratio is an integer as ``l2_error`` takes it, which then rejects the cell."""
+    from .tfpde import FieldHistory
+
     ratios = [tau / ref.tau for tau in taus]
     whole = all(round(r) >= 1 and abs(r - round(r)) <= 1e-9 for r in ratios)
     g = math.gcd(*(round(r) for r in ratios)) if whole else 1
@@ -310,6 +311,8 @@ def _decimated(ref: FieldHistory, taus) -> FieldHistory:
 
 
 def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
+    from .tfpde import l2_error, solve_wave
+
     case = cfg.get("case", "smooth")
     alphas = [_parse_number(t) for t in _parse_list(cfg.get("alphas", cfg.get("alpha", "0.5")))]
     taus = [_parse_number(t) for t in _parse_list(cfg.require("taus"))]
@@ -356,6 +359,8 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
 
 
 def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
+    from .tfpde import l2_error, solve_subdiffusion, solve_subdiffusion_l1_baseline
+
     taus = [_parse_number(t) for t in _parse_list(cfg.require("taus"))]
     columns = _parse_list(cfg.require("columns"))
     norm = cfg.get("norm", "average")
@@ -389,6 +394,9 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
 
 
 def _run_operator(cfg: StudyConfig) -> RowTable:
+    from .corrections import CorrectionSet, starting_weight_table
+    from .glweights import rl_deriv_power, step_count, wsgl_weights
+
     alpha = _parse_number(cfg.require("alpha"))
     tau = _parse_number(cfg.require("tau"))
     T = _parse_number(cfg.get("t_end", "1"))
@@ -422,6 +430,8 @@ def _run_operator(cfg: StudyConfig) -> RowTable:
 
 
 def _run_diagnostics(cfg: StudyConfig) -> RowTable:
+    from .corrections import CorrectionSet, vandermonde_diagnostics
+
     alphas = [_parse_number(t) for t in _parse_list(cfg.require("alphas"))]
     m_values = [int(t) for t in _parse_list(cfg.require("columns"))]
     rule = cfg.get("sigma_rule", "k*alpha")
@@ -435,6 +445,8 @@ def _run_diagnostics(cfg: StudyConfig) -> RowTable:
 
 
 def _run_weights(cfg: StudyConfig) -> RowTable:
+    from .glweights import gl_weights, wsgl_weights
+
     alpha = _parse_number(cfg.require("alpha"))
     count = int(cfg.require("count"))
     om = gl_weights(alpha, count)
@@ -443,13 +455,16 @@ def _run_weights(cfg: StudyConfig) -> RowTable:
     return RowTable(["k", "omega", "g"], rows)
 
 
-_RUNNERS = {
-    "fode": _run_fode,
-    "wave": _run_wave,
-    "subdiff": _run_subdiff,
-    "operator": _run_operator,
-    "diagnostics": _run_diagnostics,
-    "weights": _run_weights,
+# study kind -> (its runner, the fracstep modules the runner takes its names
+# from, which parse_config imports; each imports corrections, which run_study
+# reads, and the weights and memory core under it)
+_KINDS = {
+    "fode": (_run_fode, ("fode",)),
+    "wave": (_run_wave, ("sem", "tfpde")),
+    "subdiff": (_run_subdiff, ("sem", "tfpde")),
+    "operator": (_run_operator, ("corrections",)),
+    "diagnostics": (_run_diagnostics, ("corrections",)),
+    "weights": (_run_weights, ("corrections",)),
 }
 
 
@@ -457,8 +472,10 @@ def run_study(config: StudyConfig, out: str | None = None):
     """Run one study; returns its table and writes the CSV when ``out`` (or
     the config's own ``out`` key) names a target.  Its tau-free tables are
     built once per study (``corrections.study_tables``)."""
+    from .corrections import study_tables
+
     with study_tables():
-        table = _RUNNERS[config.kind](config)
+        table = _KINDS[config.kind][0](config)
     target = out or config.get("out")
     if target:
         table.to_csv(target)

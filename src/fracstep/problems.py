@@ -10,13 +10,16 @@ two-term subdiffusion problem.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fode import MultiTermProblem
-from .sem import SpectralMesh
 from .specfun import gamma, mittag_leffler
-from .tfpde import SubdiffusionProblem, WaveProblem
+
+if TYPE_CHECKING:  # each factory imports the type it builds, so no solver loads with this module
+    from .fode import MultiTermProblem
+    from .sem import SpectralMesh
+    from .tfpde import SubdiffusionProblem, WaveProblem
 
 __all__ = [
     "two_term_ml_problem",
@@ -36,6 +39,8 @@ def two_term_ml_problem(alpha: float, T: float = 1.0) -> MultiTermProblem:
     solution is 2 E_a(-t^a/2) - E_a(-t^a).  Requires alpha <= 1/2."""
     if not 0 < alpha <= 0.5:
         raise ValueError("alpha in (0, 1/2] required")
+    from .fode import MultiTermProblem
+
     return MultiTermProblem(
         nu=(1.0, 1.5),
         alphas=(2.0 * alpha, alpha),
@@ -67,6 +72,8 @@ def nonlinear_cubic_problem(alpha1: float, alpha2: float, T: float = 10.0) -> Mu
     """Two-term nonlinear ODE D^{a1} y + D^{a2} y = y (1 - y^2) + cos t,
     y(0) = 1/2.  No closed-form solution; reference runs use the trapezoidal
     or L1 schemes at a fine step."""
+    from .fode import MultiTermProblem
+
     return MultiTermProblem(
         nu=(1.0, 1.0),
         alphas=(alpha1, alpha2),
@@ -78,11 +85,15 @@ def nonlinear_cubic_problem(alpha1: float, alpha2: float, T: float = 10.0) -> Mu
 
 def three_zone_mesh() -> SpectralMesh:
     """(-1, 1) split at +-1/2 with degrees (24, 32, 24)."""
+    from .sem import SpectralMesh
+
     return SpectralMesh([-1.0, -0.5, 0.5, 1.0], (24, 32, 24))
 
 
 def two_zone_unit_mesh(degree: int = 16) -> SpectralMesh:
     """(0, 1) split at 1/2, equal degrees."""
+    from .sem import SpectralMesh
+
     return SpectralMesh([0.0, 0.5, 1.0], (degree, degree))
 
 
@@ -122,6 +133,8 @@ def wave_smooth_problem(alpha: float, nu: float = 2.0, mesh: SpectralMesh | None
         )
         return (dtt + nu * frac + 4.0 * math.pi**2 * poly) * np.sin(2.0 * np.pi * x)
 
+    from .tfpde import WaveProblem
+
     s2pi = lambda x: np.sin(2.0 * np.pi * np.asarray(x))
     return WaveProblem(
         nu=nu, mu=1.0, source=source, phi0=s2pi, psi0=s2pi, alpha=alpha, T=1.0, mesh=mesh
@@ -134,6 +147,8 @@ def wave_forced_problem(alpha: float = 0.5, mesh: SpectralMesh | None = None) ->
     exponents 2 + k (1 - alpha) plus integer powers (2 + j + k (1 - alpha),
     j, k >= 0); only at alpha = 1/2 are these sigma_k = (3 + k) alpha."""
     mesh = mesh if mesh is not None else three_zone_mesh()
+    from .tfpde import WaveProblem
+
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return WaveProblem(
         nu=1.0,
@@ -151,6 +166,8 @@ def subdiffusion_forced_problem(mesh: SpectralMesh | None = None) -> Subdiffusio
     """Two-term subdiffusion problem on (0, 1): D^{3/4} U + D^{1/2} U =
     U_xx + exp(-t) sin(pi x), zero data; solution exponents (2 + k)/4."""
     mesh = mesh if mesh is not None else two_zone_unit_mesh(16)
+    from .tfpde import SubdiffusionProblem
+
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return SubdiffusionProblem(
         alpha1=0.75,

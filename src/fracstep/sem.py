@@ -33,58 +33,53 @@ def lgl_nodes(N: int) -> tuple[np.ndarray, np.ndarray]:
     if N == 1:
         return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
     # Chebyshev-Gauss-Lobatto initial guess, then Newton on the Legendre
-    # Vandermonde recurrence.
+    # recurrence, which carries P_{k-1} and P_k at the nodes
     x = -np.cos(np.pi * np.arange(N + 1) / N)
-    P = np.zeros((N + 1, N + 1))
     for _ in range(50):
         x_old = x.copy()
-        P[:, 0] = 1.0
-        P[:, 1] = x
+        prev, P = np.ones(N + 1), x
         for k in range(2, N + 1):
-            P[:, k] = ((2 * k - 1) * x * P[:, k - 1] - (k - 1) * P[:, k - 2]) / k
-        x = x_old - (x * P[:, N] - P[:, N - 1]) / ((N + 1) * P[:, N])
+            prev, P = P, ((2 * k - 1) * x * P - (k - 1) * prev) / k
+        x = x_old - (x * P - prev) / ((N + 1) * P)
         if np.max(np.abs(x - x_old)) < 1e-15:
             break
-    w = 2.0 / (N * (N + 1) * P[:, N] ** 2)
+    w = 2.0 / (N * (N + 1) * P**2)
     # enforce exact symmetry of the computed rule
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     return x, w
 
 
+def _off_diagonal(A: np.ndarray) -> np.ndarray:
+    """The (n, n - 1) entries of a square A off its diagonal, each row in order."""
+    n = len(A)
+    return A[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
 def _barycentric_weights(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    b = np.ones(n)
-    for j in range(n):
-        b[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
-    return b
+    return 1.0 / np.prod(_off_diagonal(np.subtract.outer(x, x)), axis=1)
 
 
 def _diff_matrix(x: np.ndarray) -> np.ndarray:
     """Differentiation matrix of the Lagrange basis on nodes x (barycentric)."""
-    n = len(x)
     b = _barycentric_weights(x)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (b[j] / b[i]) / (x[i] - x[j])
-        D[i, i] = -np.sum(D[i, np.arange(n) != i])
+    D = b / b[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D /= np.subtract.outer(x, x)
+    np.fill_diagonal(D, -np.sum(_off_diagonal(D), axis=1))
     return D
 
 
 def _lagrange_eval_matrix(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """E with E[i, j] = l_j(pts[i]) for the Lagrange basis on ``nodes``."""
-    b = _barycentric_weights(nodes)
-    E = np.zeros((len(pts), len(nodes)))
-    for i, xp in enumerate(pts):
-        diff = xp - nodes
-        hit = np.where(diff == 0.0)[0]
-        if hit.size:
-            E[i, hit[0]] = 1.0
-        else:
-            t = b / diff
-            E[i] = t / np.sum(t)
+    """E with E[i, j] = l_j(pts[i]) for the Lagrange basis on ``nodes``; a
+    point on a node takes that node's row of the identity."""
+    E = np.subtract.outer(pts, nodes)
+    hit = E == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(_barycentric_weights(nodes), E, out=E)
+        E /= np.sum(E, axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    E[rows] = hit[rows]
     return E
 
 

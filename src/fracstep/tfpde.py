@@ -217,9 +217,14 @@ def solve_wave(
         _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, problem.mesh, u0_x, v0_x)
     # D vh^{n+1} = (1/tau - nu sc g_0 / 2 - mu tau lam / 4) vh^n - mu lam u^n - nu (K_n + K_{n+1}) / 2 + F^n,
     # K_n the known memory at level n; vh^{n+1} enters holding F^n: the averaged
-    # source, the V-correction and the v^0 and U-correction parts of the stiffness term
-    vh[m + 1 :] = 0.5 * (fh[m:-1] + fh[m + 1 :]) - (Wv2[m:n_t] @ vh[1 : m2 + 1]) / tau - (0.5 * mu * tau) * lam * v0
+    # source, the V-correction and the v^0 and U-correction parts of the stiffness term,
+    # formed in place to hold no full-size temporary besides the V-correction's
+    F = vh[m + 1 :]
+    np.add(fh[m:-1], fh[m + 1 :], out=F)
     del fh
+    F *= 0.5
+    F -= (Wv2[m:n_t] @ vh[1 : m2 + 1]) / tau
+    F -= (0.5 * mu * tau) * lam * v0
     # the U-correction uc^n = sum_r u_{n,r} (u^r - u^0 - t_r v^0), r = 1..m1,
     # comes off u^{n+1}: that level enters holding -uc^n + tau v^0
     if m1:
@@ -281,7 +286,7 @@ def _march_wave(solver: str, hist: History, uh, vh, start: int, tau: float, D, P
         uh[a] += uh[a - 1]
         np.cumsum(uh[a:e], axis=0, out=uh[a:e])
         hist.feed(e - 1)
-    _check_march(solver, vh, start, tau, lambda a, e: finite[a:e])
+    _check_march(solver, vh, start, tau, finite)
 
 
 def _levels(W: np.ndarray, m: int) -> np.ndarray:
@@ -334,22 +339,20 @@ def _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, mesh, u0, v0)
     uh[1 : m + 1] = Kuu_inv @ ((Md * b_u) @ Phi - Kuv @ V)
 
 
-def _check_march(solver: str, x: np.ndarray, m: int, tau: float, finite_loads=None) -> None:
+def _check_march(solver: str, x: np.ndarray, m: int, tau: float, finite: np.ndarray) -> None:
     """Name the first non-finite level of a finished march, or the startup
     block 1..m that holds it; the march is causal, so the levels before it
     are unaffected.  A run solve spreads a non-finite load over its whole
     run, since its product multiplies the zero upper triangle by the load
-    and 0 * nan is nan; given ``finite_loads(s, e)``, whether each load of the
-    levels s..e-1 of a run, from the levels below s, is finite, the level
-    named is that of the first non-finite load of the run from the first
-    non-finite level on."""
+    and 0 * nan is nan; given ``finite``, whether the load of each level,
+    less its memory, was finite before the march, the level named is that of
+    the first non-finite load of the run from the first non-finite level on."""
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size and 1 <= bad[0] <= m:
         raise ValueError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
     if bad.size:
-        n = int(bad[0])
-        if finite_loads is not None:  # argmin is the first False, or 0
-            n += int(np.argmin(finite_loads(*next(runs(n, len(x))))))
+        s, e = next(runs(int(bad[0]), len(x)))
+        n = s + int(np.argmin(finite[s:e]))  # argmin is the first False, or 0
         raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
 
 
@@ -369,6 +372,7 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
     Phi, lam, uh, (u0_x, u0) = _space(problem, n_t, tau, solver, problem.phi0)
     uh -= mu * lam * u0  # the loads, which the march overwrites run by run with uh = U - U(0)
     uh[0] = 0.0
+    finite = np.isfinite(uh).all(axis=1)
     if m >= 1:
         A = startup_matrix(terms, m)[1:] + np.multiply.outer(mu * lam, np.eye(m))  # (modes, m, m)
         try:
@@ -385,14 +389,8 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
     for s, e in runs(m + 1, n_t + 1):
         uh[s:e] = solve_run(inverse, uh[s:e] - hist.known_run(s, e))
         hist.feed(e - 1)
-    del inverse
-
-    def finite_loads(s, e):  # the march overwrote them: evaluate the source again
-        loads = _space(problem, n_t, tau, solver)[2][s:e] - mu * lam * u0 - hist.known_run(s, e)
-        return np.isfinite(loads).all(axis=1)
-
-    _check_march(solver, uh, m, tau, finite_loads)
-    del hist
+    del inverse, hist
+    _check_march(solver, uh, m, tau, finite)
     return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh, u0_x))
 
 

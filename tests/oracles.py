@@ -11,7 +11,9 @@ tests compare with the observed error decay.  ``wave_march``,
 physical space: each step solves its SPD step matrix with a Cholesky inverse
 (a mat-vec per step), against which the modal marches of ``fracstep.tfpde``
 are checked.  ``wave_march_by_level`` is the modal wave march one level at a
-time, against which its run solve is checked.
+time, against which its run solve is checked.  ``lgl_nodes_by_table`` and the
+``*_by_loop`` functions are the spectral-element set-up in loop form, which
+``fracstep.sem`` must match bit for bit.
 """
 
 import math
@@ -345,3 +347,59 @@ def trap_memory(a1: float, a2: float, n_t: int, tau: float):
     u = (np.arange(n_t + 1) * tau) ** a1 / gamma(1.0 + a1)
     k, gu = convolve(reciprocal(cf / cf[0]), np.stack([cd, u], axis=1)).T
     return k, float(cf[0]), gu
+
+
+def lgl_nodes_by_table(N: int):
+    """``fracstep.sem.lgl_nodes`` with the Legendre recurrence filling the
+    whole (N + 1)^2 Vandermonde table, column by column (N >= 2)."""
+    x = -np.cos(np.pi * np.arange(N + 1) / N)
+    P = np.zeros((N + 1, N + 1))
+    for _ in range(50):
+        x_old = x.copy()
+        P[:, 0] = 1.0
+        P[:, 1] = x
+        for k in range(2, N + 1):
+            P[:, k] = ((2 * k - 1) * x * P[:, k - 1] - (k - 1) * P[:, k - 2]) / k
+        x = x_old - (x * P[:, N] - P[:, N - 1]) / ((N + 1) * P[:, N])
+        if np.max(np.abs(x - x_old)) < 1e-15:
+            break
+    w = 2.0 / (N * (N + 1) * P[:, N] ** 2)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+def barycentric_weights_by_loop(x: np.ndarray) -> np.ndarray:
+    """b_j = 1 / prod_{k != j} (x_j - x_k), one node at a time."""
+    b = np.ones(len(x))
+    for j in range(len(x)):
+        b[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
+    return b
+
+
+def diff_matrix_by_loop(x: np.ndarray) -> np.ndarray:
+    """The barycentric differentiation matrix entry by entry, each diagonal
+    entry minus the sum of its row."""
+    n = len(x)
+    b = barycentric_weights_by_loop(x)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (b[j] / b[i]) / (x[i] - x[j])
+        D[i, i] = -np.sum(D[i, np.arange(n) != i])
+    return D
+
+
+def lagrange_eval_matrix_by_loop(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The Lagrange basis on ``nodes`` at ``pts``, one point at a time, by
+    the barycentric formula, or a row of the identity on a node."""
+    b = barycentric_weights_by_loop(nodes)
+    E = np.zeros((len(pts), len(nodes)))
+    for i, xp in enumerate(pts):
+        diff = xp - nodes
+        hit = np.where(diff == 0.0)[0]
+        if hit.size:
+            E[i, hit[0]] = 1.0
+        else:
+            t = b / diff
+            E[i] = t / np.sum(t)
+    return E

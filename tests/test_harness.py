@@ -1,4 +1,6 @@
 import ast
+import importlib
+import json
 import math
 import os
 import pathlib
@@ -278,16 +280,16 @@ def test_wave_forced_study_self_reference(tmp_path):
 
 
 def test_wave_self_reference_solved_once_per_column(tmp_path, monkeypatch):
-    from fracstep import harness
+    from fracstep import tfpde
 
     taus_solved = []
-    solve = harness.solve_wave
+    solve = tfpde.solve_wave
 
     def counting_solve(problem, tau, *args):
         taus_solved.append(tau)
         return solve(problem, tau, *args)
 
-    monkeypatch.setattr(harness, "solve_wave", counting_solve)
+    monkeypatch.setattr(tfpde, "solve_wave", counting_solve)
     cfg = _write(
         tmp_path,
         "wf.ini",
@@ -500,16 +502,44 @@ def test_shipped_study_configs_parse():
     assert {"fode", "wave", "subdiff", "diagnostics", "operator"} <= kinds
 
 
-def test_import_path_loads_neither_scipy_nor_mpmath():
+def test_import_path_loads_neither_scipy_nor_mpmath(tmp_path):
     # the CLI's set-up (import and config parse) stays on numpy alone; mpmath
-    # is imported only by the rare Mittag-Leffler re-sum
+    # is imported only by the rare Mittag-Leffler re-sum.  Importing the CLI
+    # loads no solver, the parse loads the modules of the config's study
+    # kinds and no others, and the run that follows loads no fracstep module
     src = pathlib.Path(fracstep.__file__).resolve().parent.parent
-    study = src.parent / "studies" / "subdiffusion.ini"
     code = (
-        "import sys, fracstep, fracstep.cli; "
-        f"fracstep.parse_config({str(study)!r}); "
-        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+        "import json, sys, fracstep, fracstep.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('fracstep.') or m in ('scipy', 'mpmath'))\n"
+        "imported = loaded()\n"
+        "fracstep.parse_config(sys.argv[2])\n"
+        "parsed = loaded()\n"
+        "rc = fracstep.cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(json.dumps([rc, imported, parsed, loaded()]))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    runs = {
+        kind: subprocess.Popen(
+            [sys.executable, "-c", code, kind, str(src.parent / "studies" / ini), str(tmp_path / f"{kind}.csv")],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        for kind, ini in (("fode", "two_term_alpha_half.ini"), ("wave", "wave_smooth.ini"), ("subdiff", "subdiffusion.ini"))
+    }
+    cli = {f"fracstep.{m}" for m in ("cli", "harness", "problems", "specfun")}
+    core = cli | {f"fracstep.{m}" for m in ("corrections", "glweights", "memory")}
+    kinds = {"fode": core | {"fracstep.fode"}, "wave": core | {"fracstep.sem", "fracstep.tfpde"}}
+    kinds["subdiff"] = kinds["wave"]
+    for kind, proc in runs.items():
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        rc, imported, parsed, ran = json.loads(out.splitlines()[-1])
+        assert rc == 0 and set(imported) == cli and set(parsed) == kinds[kind] and ran == parsed, kind
+
+
+def test_package_names_load_their_submodule_on_access():
+    for name in fracstep.__all__:
+        assert name in dir(fracstep)
+        module = importlib.import_module(f"fracstep.{fracstep._SUBMODULE[name]}")
+        assert getattr(fracstep, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'solve_heat'"):
+        fracstep.solve_heat

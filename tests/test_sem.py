@@ -12,6 +12,8 @@ from fracstep.sem import (
     lgl_nodes,
 )
 
+import oracles
+
 
 def test_lgl_degree_two_closed_form():
     x, w = lgl_nodes(2)
@@ -236,3 +238,19 @@ def test_modal_basis_diagonalises_the_pencil(mesh):
     assert np.all(np.diff(lam) > 0.0)
     assert not Phi.flags.writeable and not lam.flags.writeable
     assert forms.modes is forms.modes  # one eigendecomposition per mesh
+
+
+def test_element_setup_matches_loops_bitwise():
+    # the array forms keep every sum and product in the loops' order
+    from fracstep.sem import _barycentric_weights, _diff_matrix, _lagrange_eval_matrix
+
+    for N in range(1, 60):
+        x, w = lgl_nodes(N)
+        if N >= 2:
+            xt, wt = oracles.lgl_nodes_by_table(N)
+            assert np.array_equal(x, xt) and np.array_equal(w, wt), N
+        assert np.array_equal(_barycentric_weights(x), oracles.barycentric_weights_by_loop(x)), N
+        assert np.array_equal(_diff_matrix(x), oracles.diff_matrix_by_loop(x)), N
+        # dense points as the error norms use them, plus nodes hit exactly
+        pts = np.concatenate((lgl_nodes(N + 16)[0], x[::2], [0.3, -0.7]))
+        assert np.array_equal(_lagrange_eval_matrix(x, pts), oracles.lagrange_eval_matrix_by_loop(x, pts)), N
