@@ -47,6 +47,10 @@ def _parse_list(val: str) -> list:
     return [tok for tok in val.replace(",", " ").split() if tok]
 
 
+def _numbers(val: str) -> list[float]:
+    return [_parse_number(t) for t in _parse_list(val)]
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """One parsed study section."""
@@ -124,10 +128,7 @@ class ConvergenceTable:
     groups: list  # (label, {norm: [errors]})
 
     def orders(self, label: str, norm: str) -> list[float]:
-        for lab, data in self.groups:
-            if lab == label:
-                return observed_order(data[norm])
-        raise KeyError(label)
+        return observed_order(self.errors(label, norm))
 
     def errors(self, label: str, norm: str) -> list[float]:
         for lab, data in self.groups:
@@ -171,7 +172,7 @@ def sigma_list(rule: str, m: int, alpha: float, alpha2: float | None = None) -> 
     if m == 0:
         return ()
     if rule.startswith("list:"):
-        vals = [_parse_number(t) for t in _parse_list(rule[5:])]
+        vals = _numbers(rule[5:])
         if len(vals) < m:
             raise ValueError("explicit sigma list shorter than m")
         return tuple(vals[:m])
@@ -191,7 +192,54 @@ def sigma_list(rule: str, m: int, alpha: float, alpha2: float | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# fode studies
+# convergence studies
+
+
+def _norms(key: str, norms: list, allowed: tuple) -> list:
+    """The study's error norms, checked against ``allowed``."""
+    if not set(norms) <= set(allowed):
+        raise ValueError(f"{key} = {' '.join(norms)}: pick from {', '.join(allowed)}")
+    return norms
+
+
+def _reference(cfg: StudyConfig, exact, *methods):
+    """(method, tau) of the study's ``reference``: ``exact`` (the default,
+    tau None) or ``<method>:<tau>`` with one of the kind's methods."""
+    spec = cfg.get("reference", "exact")
+    method, _, tau = spec.partition(":")
+    if spec == "exact" and exact is not None or method in methods and tau:
+        return method, _parse_number(tau) if tau else None
+    forms = ["exact"] * (exact is not None) + [f"{m}:<tau>" for m in methods]
+    raise ValueError(f"reference = {spec}: this {cfg.kind} study takes {' or '.join(forms)}")
+
+
+def _columns(cfg: StudyConfig) -> list:
+    """(label, spec) of each of the study's columns: a baseline, or a
+    correction count m labelled m<m>."""
+    return [(col if col in ("l1", "trap") else f"m{col}", col) for col in _parse_list(cfg.require("columns"))]
+
+
+def _convergence(taus, norms, columns, reference_for, solve, error) -> ConvergenceTable:
+    """The errors error(solve(spec, tau), ref), each a {norm: value} dict, of
+    every (label, spec) column down the tau chain, ref = reference_for(spec)
+    made first.  The cells are solved finest first, so that each tau-free
+    table of a column is built once, at its finest level, and the coarser
+    cells read prefixes of it (``corrections.study_tables``).  An error of a
+    column's reference or cell is raised again with its label (and tau)."""
+
+    def column(label, spec):
+        # a column's reference is dropped before the next column makes its own
+        where = f"{label} reference"
+        try:
+            ref, done = reference_for(spec), {}
+            for tau in sorted(set(taus)):
+                where = f"{label}, tau = {tau:g}"
+                done[tau] = error(solve(spec, tau), ref)
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+        return label, {norm: [done[tau][norm] for tau in taus] for norm in norms}
+
+    return ConvergenceTable(taus, norms, [column(label, spec) for label, spec in columns])
 
 
 def _fode_problem(cfg: StudyConfig):
@@ -201,51 +249,33 @@ def _fode_problem(cfg: StudyConfig):
         T = _parse_number(cfg.get("t_end", "1"))
         return problems.two_term_ml_problem(alpha, T), problems.two_term_ml_exact(alpha)
     if name == "nonlinear_cubic":
-        a1, a2 = (_parse_number(t) for t in _parse_list(cfg.require("alphas")))
+        a1, a2 = _numbers(cfg.require("alphas"))
         T = _parse_number(cfg.get("t_end", "10"))
         return problems.nonlinear_cubic_problem(a1, a2, T), None
     raise ValueError(f"unknown fode problem '{name}'")
 
 
 def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact, taus):
-    from .fode import solve_l1, solve_trapezoidal
+    from . import fode
     from .glweights import step_count
 
-    ref = cfg.get("reference", "exact")
-    if ref == "exact":
-        if exact is None:
-            raise ValueError("problem has no exact solution; pick a reference method")
-        # one call over the union of the cells' grids; each cell reads its own
-        # times back, with the same bits as a call on its own grid
-        grids = [np.arange(step_count(tau, problem.T) + 1) * tau for tau in taus]
-        times = sorted({t for grid in grids for t in grid.tolist()})
-        index = {t: i for i, t in enumerate(times)}
-        values = exact(times)
+    method, tau = _reference(cfg, exact, "trapezoidal", "l1")
+    if method != "exact":
+        return getattr(fode, f"solve_{method}")(problem, tau)
+    # one call over the union of the cells' grids; each cell reads its own
+    # times back, with the same bits as a call on its own grid
+    grids = [np.arange(step_count(tau, problem.T) + 1) * tau for tau in taus]
+    times = sorted({t for grid in grids for t in grid.tolist()})
+    index = {t: i for i, t in enumerate(times)}
+    values = exact(times)
 
-        def sampled(t):
-            try:
-                return values[[index[tk] for tk in np.ravel(t).tolist()]]
-            except KeyError as exc:
-                raise ValueError(f"exact reference was not evaluated at t = {exc.args[0]!r}") from None
+    def sampled(t):
+        try:
+            return values[[index[tk] for tk in np.ravel(t).tolist()]]
+        except KeyError as exc:
+            raise ValueError(f"exact reference was not evaluated at t = {exc.args[0]!r}") from None
 
-        return sampled
-    method, tau_s = ref.split(":")
-    tau = _parse_number(tau_s)
-    if method == "trapezoidal":
-        return solve_trapezoidal(problem, tau)
-    if method == "l1":
-        return solve_l1(problem, tau)
-    raise ValueError(f"unknown reference method '{method}'")
-
-
-def _finest_first(taus, cell) -> list:
-    """cell(tau) for every tau in the order of taus, solved finest first, so
-    that each tau-free table of a column is built once, at its finest level,
-    and the coarser cells read prefixes of it (``corrections.study_tables``)."""
-    done = {}
-    for tau in sorted(set(taus)):
-        done[tau] = cell(tau)
-    return [done[tau] for tau in taus]
+    return sampled
 
 
 def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
@@ -253,9 +283,8 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
     from .fode import SolverConfig, error_report, solve_corrected_wsgl, solve_l1, solve_trapezoidal
 
     problem, exact = _fode_problem(cfg)
-    taus = [_parse_number(t) for t in _parse_list(cfg.require("taus"))]
-    columns = _parse_list(cfg.require("columns"))
-    norms = _parse_list(cfg.get("norms", "max final avg"))
+    taus = _numbers(cfg.require("taus"))
+    norms = _norms("norms", _parse_list(cfg.get("norms", "max final avg")), ("max", "final", "avg"))
     # sigma rules count in the study's base order (the config alpha when
     # given), not the problem's leading order
     rule_alpha = _parse_number(cfg.get("alpha", str(problem.alphas[0])))
@@ -263,28 +292,19 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
     rule = cfg.get("sigma_rule", "k*alpha")
     reference = _fode_reference(cfg, problem, exact, taus)
 
-    def run_cell(col, tau):
+    def solve(col, tau):
         if col == "l1":
-            path = solve_l1(problem, tau)
-        elif col in ("trap", "trapezoidal"):
-            path = solve_trapezoidal(problem, tau)
-        else:
-            m = int(col)
-            cset = CorrectionSet(sigma_list(rule, m, rule_alpha, alpha2))
-            path = solve_corrected_wsgl(problem, SolverConfig(tau=tau, corrections=cset))
-        rep = error_report(path, reference)
+            return solve_l1(problem, tau)
+        if col == "trap":
+            return solve_trapezoidal(problem, tau)
+        cset = CorrectionSet(sigma_list(rule, int(col), rule_alpha, alpha2))
+        return solve_corrected_wsgl(problem, SolverConfig(tau=tau, corrections=cset))
+
+    def error(path, ref):
+        rep = error_report(path, ref)
         return {"max": rep.max_error, "final": rep.final_error, "avg": rep.avg_error}
 
-    groups = []
-    for col in columns:
-        reps = _finest_first(taus, lambda tau: run_cell(col, tau))
-        label = col if col in ("l1", "trap", "trapezoidal") else f"m{col}"
-        groups.append((label, {norm: [rep[norm] for rep in reps] for norm in norms}))
-    return ConvergenceTable(taus, norms, groups)
-
-
-# ---------------------------------------------------------------------------
-# wave / subdiffusion studies
+    return _convergence(taus, norms, _columns(cfg), lambda col: reference, solve, error)
 
 
 def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
@@ -293,9 +313,7 @@ def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
 
     if "mesh" not in cfg.params:
         return default()
-    brk = [_parse_number(t) for t in _parse_list(cfg.require("mesh"))]
-    degs = [int(t) for t in _parse_list(cfg.require("degrees"))]
-    return SpectralMesh(brk, degs)
+    return SpectralMesh(_numbers(cfg.require("mesh")), [int(t) for t in _parse_list(cfg.require("degrees"))])
 
 
 def _decimated(ref: FieldHistory, taus) -> FieldHistory:
@@ -310,83 +328,67 @@ def _decimated(ref: FieldHistory, taus) -> FieldHistory:
     return FieldHistory(ref.mesh, ref.tau * g, ref.u[::g].copy())
 
 
+def _field_study(cfg: StudyConfig, columns, solve, default_norm: str, exact=None) -> ConvergenceTable:
+    """A wave or subdiff study: L2 errors of U against the exact solution, or
+    against a ``self:<tau>`` solve of each column, made once per column and
+    ``_decimated`` (the error norms read U only)."""
+    from .tfpde import l2_error
+
+    taus = _numbers(cfg.require("taus"))
+    norms = _norms("norm", [cfg.get("norm", default_norm)], ("final", "average"))
+    method, ref_tau = _reference(cfg, exact, "self")
+    return _convergence(
+        taus,
+        norms,
+        columns,
+        lambda spec: exact if method == "exact" else _decimated(solve(spec, ref_tau), taus),
+        solve,
+        lambda hist, ref: {n: l2_error(hist, ref, at=n) for n in norms},
+    )
+
+
 def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
-    from .tfpde import l2_error, solve_wave
+    from .tfpde import solve_wave
 
     case = cfg.get("case", "smooth")
-    alphas = [_parse_number(t) for t in _parse_list(cfg.get("alphas", cfg.get("alpha", "0.5")))]
-    taus = [_parse_number(t) for t in _parse_list(cfg.require("taus"))]
-    columns = [int(t) for t in _parse_list(cfg.require("columns"))]
     apply_to = cfg.get("apply_to", "all")
-    norm = cfg.get("norm", "final")
     rule = cfg.get("sigma_rule", "k+1" if case == "smooth" else "(k+1)*alpha")
     mesh = _mesh_from(cfg, problems.three_zone_mesh)
-
-    def make_problem(alpha):
-        if case == "smooth":
-            nu = _parse_number(cfg.get("nu", "2"))
-            return problems.wave_smooth_problem(alpha, nu, mesh), problems.wave_smooth_exact()
-        if case == "forced":
-            return problems.wave_forced_problem(alpha, mesh), None
+    if case == "smooth":
+        nu = _parse_number(cfg.get("nu", "2"))
+        problem, exact = lambda alpha: problems.wave_smooth_problem(alpha, nu, mesh), problems.wave_smooth_exact()
+    elif case == "forced":
+        problem, exact = lambda alpha: problems.wave_forced_problem(alpha, mesh), None
+    else:
         raise ValueError(f"unknown wave case '{case}'")
-
-    def counts(m):
-        if apply_to == "m3":
-            return 0, 0, m
-        if apply_to == "all":
-            return m, m, m
+    if apply_to not in ("all", "m3"):
         raise ValueError(f"unknown apply_to '{apply_to}'")
 
-    def run_column(alpha, m):
-        """Errors down the tau chain; a self reference is solved once."""
-        problem, exact = make_problem(alpha)
-        m1, m2, m3 = counts(m)
-        sigma = sigma_list(rule, m, alpha)
-        ref = exact
-        if ref is None:
-            method, tau_s = cfg.require("reference").split(":")
-            if method != "self":
-                raise ValueError("wave studies support reference = exact or self:<tau>")
-            # the error norms read U only; V is not held across the column
-            ref = _decimated(solve_wave(problem, _parse_number(tau_s), sigma, m1, m2, m3), taus)
-        at = "average" if norm == "average" else "final"
-        return _finest_first(taus, lambda tau: l2_error(solve_wave(problem, tau, sigma, m1, m2, m3), ref, at=at))
+    def column(alpha, m):
+        k = m if apply_to == "all" else 0
+        return f"a{alpha:g}_m{m}", (problem(alpha), sigma_list(rule, m, alpha), k, k, m)
 
-    groups = [
-        (f"a{alpha:g}_m{m}", {norm: run_column(alpha, m)}) for alpha in alphas for m in columns
+    columns = [
+        column(alpha, int(m))
+        for alpha in _numbers(cfg.get("alphas", cfg.get("alpha", "0.5")))
+        for m in _parse_list(cfg.require("columns"))
     ]
-    return ConvergenceTable(taus, [norm], groups)
+    return _field_study(cfg, columns, lambda spec, tau: solve_wave(spec[0], tau, *spec[1:]), "final", exact)
 
 
 def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
-    from .tfpde import l2_error, solve_subdiffusion, solve_subdiffusion_l1_baseline
+    from .tfpde import solve_subdiffusion, solve_subdiffusion_l1_baseline
 
-    taus = [_parse_number(t) for t in _parse_list(cfg.require("taus"))]
-    columns = _parse_list(cfg.require("columns"))
-    norm = cfg.get("norm", "average")
     rule = cfg.get("sigma_rule", "list:0.75 1.0 1.25 1.5 1.75 2.0 2.25 2.5 2.75 3.0")
-    mesh = _mesh_from(cfg, problems.two_zone_unit_mesh)
-    problem = problems.subdiffusion_forced_problem(mesh)
-    ref_spec = cfg.require("reference")
-    method, tau_s = ref_spec.split(":")
-    if method != "self":
-        raise ValueError("subdiff studies support reference = self:<tau> only")
-    ref_tau = _parse_number(tau_s)
+    problem = problems.subdiffusion_forced_problem(_mesh_from(cfg, problems.two_zone_unit_mesh))
 
-    def solve_col(col, tau):
+    def solve(col, tau):
         if col == "l1":
             return solve_subdiffusion_l1_baseline(problem, tau)
         m = int(col)
-        sig = sigma_list(rule, m, problem.alpha1, problem.alpha2)
-        return solve_subdiffusion(problem, tau, sig, m1=m, m2=m)
+        return solve_subdiffusion(problem, tau, sigma_list(rule, m, problem.alpha1, problem.alpha2), m1=m, m2=m)
 
-    refs = {col: _decimated(solve_col(col, ref_tau), taus) for col in columns}
-    at = "average" if norm == "average" else "final"
-    groups = []
-    for col in columns:
-        errs = [l2_error(solve_col(col, tau), refs[col], at=at) for tau in taus]
-        groups.append((col if col == "l1" else f"m{col}", {norm: errs}))
-    return ConvergenceTable(taus, [norm], groups)
+    return _field_study(cfg, _columns(cfg), solve, "average")
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +404,8 @@ def _run_operator(cfg: StudyConfig) -> RowTable:
     T = _parse_number(cfg.get("t_end", "1"))
     m_values = [int(t) for t in _parse_list(cfg.require("columns"))]
     rule = cfg.get("sigma_rule", "k*alpha")
-    expos = [_parse_number(t) for t in _parse_list(cfg.require("u_exponents"))]
-    coeffs = [_parse_number(t) for t in _parse_list(cfg.get("u_coefficients", ""))] or [1.0] * len(
-        expos
-    )
+    expos = _numbers(cfg.require("u_exponents"))
+    coeffs = _numbers(cfg.get("u_coefficients", "")) or [1.0] * len(expos)
     n_t = step_count(tau, T)
     t = np.arange(n_t + 1) * tau
     U = sum(c * t**p for c, p in zip(coeffs, expos))
@@ -432,7 +432,7 @@ def _run_operator(cfg: StudyConfig) -> RowTable:
 def _run_diagnostics(cfg: StudyConfig) -> RowTable:
     from .corrections import CorrectionSet, vandermonde_diagnostics
 
-    alphas = [_parse_number(t) for t in _parse_list(cfg.require("alphas"))]
+    alphas = _numbers(cfg.require("alphas"))
     m_values = [int(t) for t in _parse_list(cfg.require("columns"))]
     rule = cfg.get("sigma_rule", "k*alpha")
 

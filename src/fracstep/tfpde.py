@@ -453,15 +453,13 @@ def l2_error(history: FieldHistory, reference, at="final"):
     on its quadrature points and the levels' times, or a finer FieldHistory
     on the same mesh.
 
-    at = "final" gives the error at t = T, an integer gives the error at that
-    step, and "average" gives (tau * sum_{n=0}^{n_T} ||e^n||^2)^(1/2).
+    at = "final" gives the error at t = T, and "average" gives
+    (tau * sum_{n=0}^{n_T} ||e^n||^2)^(1/2).
     """
     if at == "final":
         steps = [history.n_steps]
     elif at == "average":
         steps = list(range(history.n_steps + 1))
-    elif isinstance(at, int):
-        steps = [at]
     else:
         raise ValueError(f"unknown error mode {at!r}")
 

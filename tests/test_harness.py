@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tokenize
@@ -279,27 +280,128 @@ def test_wave_forced_study_self_reference(tmp_path):
     assert len(table.errors("a0.5_m1", "final")) == 2
 
 
-def test_wave_self_reference_solved_once_per_column(tmp_path, monkeypatch):
+FIELD_STUDIES = {
+    # kind -> (its solvers, the rest of a two-column study with a self reference)
+    "wave": (("solve_wave",), "case = forced\nalpha = 0.5\ncolumns = 0 1\nsigma_rule = list: 2.0 2.5\nmesh = -1 0 1\n"),
+    "subdiff": (
+        ("solve_subdiffusion", "solve_subdiffusion_l1_baseline"),
+        "columns = l1 1\nsigma_rule = list: 0.75 1.0\nmesh = 0 0.5 1\n",
+    ),
+}
+
+
+def _field_study(tmp_path, kind, extra=""):
+    text = f"[f]\nkind = {kind}\ntaus = 2^-4 2^-5\nreference = self:2^-7\ndegrees = 8 8\n"
+    (study,) = parse_config(_write(tmp_path, "f.ini", text + FIELD_STUDIES[kind][1] + extra))
+    return study
+
+
+@pytest.mark.parametrize("kind", ["wave", "subdiff"])
+def test_wave_self_reference_solved_once_per_column(tmp_path, monkeypatch, kind):
+    # each column solves its reference once, then its cells finest first, so
+    # that each of its tau-free tables is built once, at the reference's level
     from fracstep import tfpde
 
     taus_solved = []
-    solve = tfpde.solve_wave
+    for name in FIELD_STUDIES[kind][0]:
 
-    def counting_solve(problem, tau, *args):
-        taus_solved.append(tau)
-        return solve(problem, tau, *args)
+        def counting_solve(problem, tau, *args, solve=getattr(tfpde, name), **kwargs):
+            taus_solved.append(tau)
+            return solve(problem, tau, *args, **kwargs)
 
-    monkeypatch.setattr(tfpde, "solve_wave", counting_solve)
-    cfg = _write(
-        tmp_path,
-        "wf.ini",
-        "[wf]\nkind = wave\ncase = forced\nalpha = 0.5\ntaus = 2^-4 2^-5\n"
-        "columns = 0 1\nsigma_rule = list: 2.0 2.5\nreference = self:2^-7\n"
-        "mesh = -1 0 1\ndegrees = 8 8\n",
-    )
+        monkeypatch.setattr(tfpde, name, counting_solve)
+    table = run_study(_field_study(tmp_path, kind))
+    assert taus_solved == [2.0**-7, 2.0**-5, 2.0**-4] * 2
+    assert [len(errors) for _, data in table.groups for errors in data.values()] == [2, 2]
+
+
+@pytest.mark.parametrize("norm", ["max", "final average"])
+@pytest.mark.parametrize("kind", ["fode", "wave", "subdiff"])
+def test_unknown_norm_is_rejected_before_any_solve(tmp_path, monkeypatch, kind, norm):
+    # a PDE norm other than final or average used to be written as a final-time
+    # error under its own name; a bad fode norm used to fail after the solves
+    from fracstep import fode, tfpde
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the norms were checked")
+
+    for name in ("solve_corrected_wsgl", "solve_l1", "solve_trapezoidal"):
+        monkeypatch.setattr(fode, name, no_solve)
+    for name in ("solve_wave", "solve_subdiffusion", "solve_subdiffusion_l1_baseline"):
+        monkeypatch.setattr(tfpde, name, no_solve)
+    if kind == "fode":
+        (study,) = parse_config(_write(tmp_path, "f.ini", CUBIC_STUDY.replace("max final", f"{norm} bogus")))
+        what = f"norms = {norm} bogus: pick from max, final, avg"
+    else:
+        study = _field_study(tmp_path, kind, f"norm = {norm}\n")
+        what = f"norm = {norm}: pick from final, average"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        run_study(study)
+
+
+REFERENCE_FORMS = {
+    # study -> (its kind and problem, the reference forms it takes)
+    "subdiff": ("kind = subdiff\n", "self:<tau>"),
+    "wave-forced": ("kind = wave\ncase = forced\n", "self:<tau>"),
+    "wave-smooth": ("kind = wave\ncase = smooth\n", "exact or self:<tau>"),
+    "fode-cubic": ("kind = fode\nproblem = nonlinear_cubic\nalphas = 0.7 0.5\n", "trapezoidal:<tau> or l1:<tau>"),
+    "fode-ml": ("kind = fode\nproblem = two_term_ml\nalpha = 0.5\n", "exact or trapezoidal:<tau> or l1:<tau>"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, reference",
+    [
+        (name, ref)
+        for name, (_, forms) in REFERENCE_FORMS.items()
+        for ref in ("exact", "self", "l1:", "bogus:2^-6")
+        if not (ref == "exact" and forms.startswith("exact"))
+    ],
+)
+def test_bad_reference_names_the_accepted_forms(tmp_path, name, reference):
+    # reference = exact on a problem with no exact solution used to fail on an
+    # unpacking error
+    kind, forms = REFERENCE_FORMS[name]
+    cfg = f"[r]\n{kind}taus = 2^-3\ncolumns = 1\nreference = {reference}\n"
+    (study,) = parse_config(_write(tmp_path, "r.ini", cfg))
+    what = f"reference = {reference}: this {study.kind} study takes {forms}"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        run_study(study)
+
+
+def test_smooth_wave_honours_a_self_reference(tmp_path):
+    # a smooth wave study given self:<tau> used to be scored against the exact
+    # solution
+    from fracstep import problems, sem, tfpde
+
+    text = "case = smooth\nalpha = 0.5\ntaus = 2^-3 2^-4\ncolumns = 1\napply_to = m3\nmesh = -1 0 1\ndegrees = 8 8\n"
+    tables = {}
+    for reference in ("exact", "self:2^-5"):
+        (study,) = parse_config(_write(tmp_path, "w.ini", f"[w]\nkind = wave\n{text}reference = {reference}\n"))
+        tables[reference] = run_study(study).errors("a0.5_m1", "final")
+    prob = problems.wave_smooth_problem(0.5, 2.0, sem.SpectralMesh([-1.0, 0.0, 1.0], (8, 8)))
+    ref = tfpde.solve_wave(prob, 2.0**-5, (2.0,), 0, 0, 1)
+    assert tables["self:2^-5"] == [tfpde.l2_error(tfpde.solve_wave(prob, 2.0**-p, (2.0,), 0, 0, 1), ref) for p in (3, 4)]
+    assert tables["exact"] == [
+        tfpde.l2_error(tfpde.solve_wave(prob, 2.0**-p, (2.0,), 0, 0, 1), problems.wave_smooth_exact()) for p in (3, 4)
+    ]
+
+
+def test_failing_cell_names_its_column_and_tau(tmp_path, capsys):
+    cfg = _write(tmp_path, "f.ini", FODE_STUDY.replace("2^-5 2^-6", "0.5").replace("0 2", "0 3"))
     (study,) = parse_config(cfg)
-    run_study(study)
-    assert sorted(taus_solved) == [2.0**-7] * 2 + [2.0**-5] * 2 + [2.0**-4] * 2
+    what = "m3, tau = 0.5: horizon too short for the correction stencil"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        run_study(study)
+    assert cli_main(["fode", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "[table]" in err and what in err
+    # a self reference is made per column, and a failing one names its column
+    text = "[w]\nkind = wave\ncase = forced\ntaus = 2^-4\ncolumns = 2\nsigma_rule = list: 2.0 2.5\nreference = self:0.5\n"
+    (study,) = parse_config(_write(tmp_path, "w.ini", text + "mesh = -1 0 1\ndegrees = 8 8\n"))
+    what = "a0.5_m2 reference: horizon too short for the correction stencil"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        run_study(study)
 
 
 def test_fode_exact_reference_evaluated_once(tmp_path, monkeypatch):
@@ -470,7 +572,7 @@ def test_decimated_reference_gives_bit_identical_errors():
     assert kept.tau == 2.0**-6 and kept.n_steps == 64 and not np.shares_memory(kept.u, ref.u)
     for tau in taus:
         hist = solve_subdiffusion(prob, tau, (0.75, 1.0), 2, 2)
-        for at in ("final", "average", 3):
+        for at in ("final", "average"):
             assert l2_error(hist, kept, at=at) == l2_error(hist, ref, at=at)
     # a ratio that is not an integer keeps every level, and is still rejected
     full = _decimated(ref, [2.0**-4, 0.1])
