@@ -20,8 +20,8 @@ _SUBMODULE = {
     for module, names in (
         ("corrections", "CorrectionSet VandermondeDiagnostics d1_u_weight_table d1_v_weight_table "
          "starting_weight_table vandermonde_diagnostics"),
-        ("fode", "ConvergenceError ErrorReport MultiTermProblem SolverConfig error_report "
-         "solve_corrected_wsgl solve_l1 solve_trapezoidal two_term_sigma_rule"),
+        ("fode", "ConvergenceError ErrorReport MultiTermProblem error_report solve_corrected_wsgl "
+         "solve_l1 solve_trapezoidal two_term_sigma_rule"),
         ("glweights", "SampledPath gl_weights rl_deriv_power wsgl_weights"),
         ("harness", "ConvergenceTable StudyConfig observed_order parse_config run_study"),
         ("sem", "AssembledForms SpectralMesh assemble h1_projection interpolate lgl_nodes"),

@@ -97,6 +97,9 @@ class CorrectionSet:
             raise ValueError("correction exponents must be strictly increasing")
         object.__setattr__(self, "sigmas", sig)
 
+    def __iter__(self):  # a set is its exponents, so CorrectionSet(cset) copies it
+        return iter(self.sigmas)
+
     @property
     def m(self) -> int:
         return len(self.sigmas)

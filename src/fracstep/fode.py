@@ -30,7 +30,6 @@ from .specfun import gamma
 
 __all__ = [
     "MultiTermProblem",
-    "SolverConfig",
     "ErrorReport",
     "ConvergenceError",
     "solve_corrected_wsgl",
@@ -79,39 +78,7 @@ class MultiTermProblem:
 
 
 _STARTUP_TOL, _STEP_TOL = 1e-14, 1e-13  # Newton: the coupled startup block, each step
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Time step, per-term correction sets and the Newton iteration cap of
-    the startup block and the per-step solves.  ``corrections`` may be a
-    single CorrectionSet (shared by all terms), a sequence of per-term sets,
-    or None."""
-
-    tau: float
-    corrections: object = None
-    newton_max_iters: int = 100
-
-    def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"finite tau > 0 required, got tau = {self.tau!r}")
-        if not self.newton_max_iters >= 1:
-            raise ValueError(
-                f"newton_max_iters >= 1 required, got newton_max_iters = {self.newton_max_iters!r}"
-            )
-
-    def per_term_sets(self, n_terms: int) -> list[CorrectionSet]:
-        empty = CorrectionSet(())
-        c = self.corrections
-        if c is None:
-            return [empty] * n_terms
-        if isinstance(c, CorrectionSet):
-            return [c] * n_terms
-        sets = [cs if cs is not None else empty for cs in c]
-        if len(sets) != n_terms:
-            raise ValueError("one correction set per term required")
-        return sets
+_MAX_ITERS = 200  # the iteration cap of the startup block and of each step's solve
 
 
 @dataclass(frozen=True)
@@ -129,7 +96,7 @@ def _fd_slope(f, t: float, y: float) -> float:
 
 
 def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, guess: float,
-                   d: float, max_iters: int) -> tuple[float, float]:
+                   d: float) -> tuple[float, float]:
     """Solve r(x) = a*x + known - b*f(t_n, y0 + x) = 0 for x by a chord/secant
     iteration from ``guess``: the first iterate uses the slope ``d`` the previous
     step ended with, each later one the secant slope of the last two iterates
@@ -146,7 +113,7 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     abs_r = r if r >= 0.0 else -r
     scale = x if x > 1.0 else -x if x < -1.0 else 1.0  # max(1, |x|)
     refreshed = False
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         if abs_r <= tol * scale:
             return x, d
         x_new = x - r / d
@@ -174,7 +141,7 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
                 break
             refreshed = True
     x = guess
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         x_new = (b * f(t_n, y0 + x) - known) / a
         if not isfinite(x_new):
             break
@@ -184,12 +151,12 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     raise ConvergenceError("implicit step did not converge")
 
 
-def _startup_block(f, y0: float, tau: float, L: np.ndarray, max_iters: int) -> np.ndarray:
+def _startup_block(f, y0: float, tau: float, L: np.ndarray) -> np.ndarray:
     """Newton iteration on the coupled steps 1..m: L x = f(t_r, y0 + x_r)."""
     m = len(L)
     ts = np.arange(1, m + 1) * tau
     x = np.zeros(m)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         res = L @ x - np.array([f(ts[i], y0 + x[i]) for i in range(m)])
         if np.max(np.abs(res)) <= _STARTUP_TOL * max(1.0, float(np.max(np.abs(x)))):
             return x
@@ -203,10 +170,10 @@ def _startup_block(f, y0: float, tau: float, L: np.ndarray, max_iters: int) -> n
             raise ConvergenceError("startup iteration diverged")
         if np.max(np.abs(dx)) <= _STARTUP_TOL * max(1.0, float(np.max(np.abs(x)))):
             return x
-    raise ConvergenceError(f"startup block did not converge in {max_iters} iterations")
+    raise ConvergenceError(f"startup block did not converge in {_MAX_ITERS} iterations")
 
 
-def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int, solver: str,
+def _march(problem: MultiTermProblem, tau: float, terms, m: int, solver: str,
            b: float = 1.0, fixed=0.0) -> SampledPath:
     """March yhat = y - y0 through  a yhat^n + known = b f(t_n, y0 + yhat^n),
     known from the memory ``terms`` on yhat plus its ``fixed`` part.  Steps
@@ -220,7 +187,7 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
         if n_t < m:
             raise ValueError("horizon too short for the correction stencil")
         try:
-            yhat[1 : m + 1] = _startup_block(f, y0, tau, startup_matrix(terms, m)[1:], max_iters)
+            yhat[1 : m + 1] = _startup_block(f, y0, tau, startup_matrix(terms, m)[1:])
         except ConvergenceError as exc:
             raise ConvergenceError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: {exc}") from exc
     mem = History(terms, yhat, fixed)
@@ -235,7 +202,7 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
         for s, e in runs(m + 1, n_t + 1):
             for n, far in zip(range(s, e), mem.far_run(s, e)):
                 known = far + float(mem.near(n))
-                x, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d, max_iters)
+                x, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d)
                 yhat[n] = x
                 y1, y2 = x, y1
             mem.feed(e - 1)
@@ -244,23 +211,21 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, max_iters: int,
     return SampledPath(tau, yhat + y0)
 
 
-def solve_corrected_wsgl(problem: MultiTermProblem, config: SolverConfig) -> SampledPath:
-    """March the corrected-WSGL implicit scheme.
+def solve_corrected_wsgl(problem: MultiTermProblem, tau: float, sigma: CorrectionSet | tuple = ()) -> SampledPath:
+    """March the corrected-WSGL implicit scheme; ``sigma`` corrects every term.
 
     Each step solves  sum_j nu_j tau^{-a_j} [g-convolution + corrections](yhat)
     = f(t_n, y0 + yhat^n)  for yhat^n = y^n - y0.  Steps 1..m couple through
     the starting weights and are solved as one dense block with the
     nonlinearity handled by Newton iteration (finite-difference slope).
     """
-    tau = config.tau
+    cset = CorrectionSet(sigma)
     n_t = step_count(tau, problem.T)
-    csets = config.per_term_sets(problem.n_terms)
     terms = [
-        Term(nu * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, cs, n_t) if cs.m else None)
-        for nu, a, cs in zip(problem.nu, problem.alphas, csets)
+        Term(nu * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, cset, n_t) if cset.m else None)
+        for nu, a in zip(problem.nu, problem.alphas)
     ]
-    m = max(cs.m for cs in csets)
-    return _march(problem, tau, terms, m, config.newton_max_iters, "solve_corrected_wsgl")
+    return _march(problem, tau, terms, cset.m, "solve_corrected_wsgl")
 
 
 def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
@@ -271,7 +236,7 @@ def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
     """
     n_t = step_count(tau, problem.T)
     terms = [Term(nu, l1_weights(a, n_t, tau)) for nu, a in zip(problem.nu, problem.alphas)]
-    return _march(problem, tau, terms, 0, 200, "solve_l1")
+    return _march(problem, tau, terms, 0, "solve_l1")
 
 
 def _trap_kernel(alpha: float, n_t: int) -> np.ndarray:
@@ -330,7 +295,7 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
         raise ValueError("alpha_1 > alpha_2 required")
     k, b, gu = _trap_memory(a1, a2, step_count(tau, problem.T), tau)
     f0 = problem.rhs(0.0, problem.y0)
-    return _march(problem, tau, [Term(1.0, k)], 0, 200, "solve_trapezoidal", b, f0 * (b - gu))
+    return _march(problem, tau, [Term(1.0, k)], 0, "solve_trapezoidal", b, f0 * (b - gu))
 
 
 def error_report(path: SampledPath, exact) -> ErrorReport:

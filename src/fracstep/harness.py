@@ -213,10 +213,20 @@ def _reference(cfg: StudyConfig, exact, *methods):
     raise ValueError(f"reference = {spec}: this {cfg.kind} study takes {' or '.join(forms)}")
 
 
+def _distinct(key: str, tokens: list, parse=str) -> list:
+    """``parse`` of the config ``key``'s tokens; a repeat, solved twice under one header, raises."""
+    values = [parse(tok) for tok in tokens]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{key} = {' '.join(tokens)}: {tokens[i]} repeats")
+    return values
+
+
 def _columns(cfg: StudyConfig) -> list:
     """(label, spec) of each of the study's columns: a baseline, or a
     correction count m labelled m<m>."""
-    return [(col if col in ("l1", "trap") else f"m{col}", col) for col in _parse_list(cfg.require("columns"))]
+    cols = _distinct("columns", _parse_list(cfg.require("columns")))
+    return [(col if col in ("l1", "trap") else f"m{col}", col) for col in cols]
 
 
 def _convergence(taus, norms, columns, reference_for, solve, error) -> ConvergenceTable:
@@ -261,7 +271,10 @@ def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact, taus):
 
     method, tau = _reference(cfg, exact, "trapezoidal", "l1")
     if method != "exact":
-        return getattr(fode, f"solve_{method}")(problem, tau)
+        try:
+            return getattr(fode, f"solve_{method}")(problem, tau)
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"reference = {cfg.get('reference')}: {exc}") from exc
     # one call over the union of the cells' grids; each cell reads its own
     # times back, with the same bits as a call on its own grid
     grids = [np.arange(step_count(tau, problem.T) + 1) * tau for tau in taus]
@@ -279,11 +292,10 @@ def _fode_reference(cfg: StudyConfig, problem: MultiTermProblem, exact, taus):
 
 
 def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
-    from .corrections import CorrectionSet
-    from .fode import SolverConfig, error_report, solve_corrected_wsgl, solve_l1, solve_trapezoidal
+    from .fode import error_report, solve_corrected_wsgl, solve_l1, solve_trapezoidal
 
     problem, exact = _fode_problem(cfg)
-    taus = _numbers(cfg.require("taus"))
+    taus, columns = _numbers(cfg.require("taus")), _columns(cfg)
     norms = _norms("norms", _parse_list(cfg.get("norms", "max final avg")), ("max", "final", "avg"))
     # sigma rules count in the study's base order (the config alpha when
     # given), not the problem's leading order
@@ -297,14 +309,13 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
             return solve_l1(problem, tau)
         if col == "trap":
             return solve_trapezoidal(problem, tau)
-        cset = CorrectionSet(sigma_list(rule, int(col), rule_alpha, alpha2))
-        return solve_corrected_wsgl(problem, SolverConfig(tau=tau, corrections=cset))
+        return solve_corrected_wsgl(problem, tau, sigma_list(rule, int(col), rule_alpha, alpha2))
 
     def error(path, ref):
         rep = error_report(path, ref)
         return {"max": rep.max_error, "final": rep.final_error, "avg": rep.avg_error}
 
-    return _convergence(taus, norms, _columns(cfg), lambda col: reference, solve, error)
+    return _convergence(taus, norms, columns, lambda col: reference, solve, error)
 
 
 def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
@@ -368,11 +379,10 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
         k = m if apply_to == "all" else 0
         return f"a{alpha:g}_m{m}", (problem(alpha), sigma_list(rule, m, alpha), k, k, m)
 
-    columns = [
-        column(alpha, int(m))
-        for alpha in _numbers(cfg.get("alphas", cfg.get("alpha", "0.5")))
-        for m in _parse_list(cfg.require("columns"))
-    ]
+    key = "alphas" if "alphas" in cfg.params else "alpha"
+    alphas = _distinct(key, _parse_list(cfg.get(key, "0.5")), _parse_number)
+    ms = _distinct("columns", _parse_list(cfg.require("columns")), int)
+    columns = [column(alpha, m) for alpha in alphas for m in ms]
     return _field_study(cfg, columns, lambda spec, tau: solve_wave(spec[0], tau, *spec[1:]), "final", exact)
 
 
@@ -385,8 +395,7 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
     def solve(col, tau):
         if col == "l1":
             return solve_subdiffusion_l1_baseline(problem, tau)
-        m = int(col)
-        return solve_subdiffusion(problem, tau, sigma_list(rule, m, problem.alpha1, problem.alpha2), m1=m, m2=m)
+        return solve_subdiffusion(problem, tau, sigma_list(rule, int(col), problem.alpha1, problem.alpha2))
 
     return _field_study(cfg, _columns(cfg), solve, "average")
 

@@ -127,10 +127,6 @@ class SpectralMesh:
         self._forms: AssembledForms | None = None
         self._dense_rules: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
     def element_nodes(self, i: int) -> np.ndarray:
         return self.nodes[self.element_dofs[i]]
 
@@ -138,22 +134,6 @@ class SpectralMesh:
         if self._forms is None:
             self._forms = assemble(self)
         return self._forms
-
-    def evaluate(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Evaluate the piecewise interpolant at arbitrary points of the
-        closed domain (points on interfaces take the shared nodal value)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        out = np.empty_like(pts)
-        brk = self.breakpoints
-        elem = np.clip(np.searchsorted(brk, pts, side="right") - 1, 0, len(self.degrees) - 1)
-        for i in range(len(self.degrees)):
-            sel = elem == i
-            if not np.any(sel):
-                continue
-            E = _lagrange_eval_matrix(self.element_nodes(i), pts[sel])
-            out[sel] = E @ coeffs[self.element_dofs[i]]
-        return out
 
     def _dense_quadrature(self):
         """Per-element refined LGL rule plus the evaluation matrix of the

@@ -22,10 +22,11 @@ trapezoid is folded into the lags of its V unknowns), a step matrix
 a Md + b S0 is positive definite exactly when every a + b lam > 0, and the
 memory core runs on the modal history, as the time convolution commutes with
 any spatial map.  Both start from the H1 projection of the initial data; the
-first m = max(m1, m2, m3) steps couple through the starting weights and are
-solved together first, one m x m system per mode.  Each solve evaluates its
-source once: ``source(x, t)`` is called with x of shape (1, dofs) and t of
-shape (levels, 1), and its result must broadcast to (levels, dofs).
+first m steps (the wave's max(m1, m2, m3), the subdiffusion's len(sigma))
+couple through the starting weights and are solved together first, one m x m
+system per mode.  Each solve evaluates its source once: ``source(x, t)`` is
+called with x of shape (1, dofs) and t of shape (levels, 1), and its result
+must broadcast to (levels, dofs).
 L1-in-time baselines with the same spatial kernel are included for
 comparison studies.  Every fractional term, WSGL or L1, is a
 ``fracstep.memory`` term; the wave schemes share one march, and so do the
@@ -182,21 +183,15 @@ def _validate_wave_corrections(sigma: CorrectionSet, m1: int, m2: int, m3: int):
         raise ValueError("stability requires sigma_{m3} <= 4")
 
 
-def solve_wave(
-    problem: WaveProblem,
-    tau: float,
-    sigma: CorrectionSet | tuple = (),
-    m1: int = 0,
-    m2: int = 0,
-    m3: int = 0,
-) -> FieldHistory:
+def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = (), m1: int = 0, m2: int = 0,
+               m3: int = 0) -> FieldHistory:
     """Advance the coupled U-V diffusion-wave scheme.
 
     ``sigma`` lists the assumed solution exponents (>1, increasing); m1/m2/m3
     select how many of them correct the averaged U-difference, the averaged
     V-difference, and the fractional memory term respectively.
     """
-    sigma = sigma if isinstance(sigma, CorrectionSet) else CorrectionSet(tuple(sigma))
+    sigma = CorrectionSet(sigma)
     _validate_wave_corrections(sigma, m1, m2, m3)
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
     n_t = step_count(tau, problem.T)
@@ -394,28 +389,19 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
     return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh, u0_x))
 
 
-def solve_subdiffusion(
-    problem: SubdiffusionProblem,
-    tau: float,
-    sigma: CorrectionSet | tuple = (),
-    m1: int = 0,
-    m2: int = 0,
-) -> FieldHistory:
+def solve_subdiffusion(problem: SubdiffusionProblem, tau: float, sigma: CorrectionSet | tuple = ()) -> FieldHistory:
     """Advance the two-term subdiffusion scheme: both fractional terms act on
-    U - U(0) through corrected WSGL operators (m1 terms for order alpha1, m2
-    for alpha2, exponents straight from ``sigma``)."""
-    sigma = sigma if isinstance(sigma, CorrectionSet) else CorrectionSet(tuple(sigma))
-    if max(m1, m2) > sigma.m:
-        raise ValueError("sigma list shorter than requested correction counts")
+    U - U(0) through WSGL operators corrected on the exponents ``sigma`` (a
+    CorrectionSet or a tuple)."""
+    sigma = CorrectionSet(sigma)
     n_t = step_count(tau, problem.T)
-    m = max(m1, m2)
-    if m and n_t <= m:
+    if sigma.m and n_t <= sigma.m:
         raise ValueError("horizon too short for the correction stencil")
-    terms = []
-    for scale, a, k in ((1.0, problem.alpha1, m1), (problem.nu, problem.alpha2, m2)):
-        W = starting_weight_table(a, sigma.truncated(k), n_t) if k else None
-        terms.append(Term(scale * tau ** (-a), wsgl_weights(a, n_t), W))
-    return _march_subdiffusion(problem, tau, terms, m, "solve_subdiffusion")
+    terms = [
+        Term(scale * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, sigma, n_t) if sigma.m else None)
+        for scale, a in ((1.0, problem.alpha1), (problem.nu, problem.alpha2))
+    ]
+    return _march_subdiffusion(problem, tau, terms, sigma.m, "solve_subdiffusion")
 
 
 def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fracstep.corrections import CorrectionSet, starting_weight_table, vandermonde_diagnostics
-from fracstep.fode import MultiTermProblem, SolverConfig, error_report, solve_corrected_wsgl
+from fracstep.fode import MultiTermProblem, error_report, solve_corrected_wsgl
 from fracstep.glweights import gl_weights, rl_deriv_power, wsgl_weights
 from fracstep.problems import (
     subdiffusion_forced_problem,
@@ -59,7 +59,7 @@ def ml_exact_grid_tenth():
 def _solve_two_term(alpha, tau, sigmas):
     prob = two_term_ml_problem(alpha)
     cset = CorrectionSet(tuple(sigmas))
-    return solve_corrected_wsgl(prob, SolverConfig(tau=tau, corrections=cset))
+    return solve_corrected_wsgl(prob, tau, cset)
 
 
 @pytest.fixture(scope="module")
@@ -254,9 +254,9 @@ def test_criterion_subdiffusion_table():
     prob = subdiffusion_forced_problem()
     sig = tuple((2 + k) / 4 for k in range(1, 5))
     taus = [2.0**-p for p in (9, 10, 11)]
-    ref_c = solve_subdiffusion(prob, 2.0**-13, sig, 3, 3)
+    ref_c = solve_subdiffusion(prob, 2.0**-13, sig[:3])
     ref_l1 = solve_subdiffusion_l1_baseline(prob, 2.0**-13)
-    e_c = [l2_error(solve_subdiffusion(prob, t, sig, 3, 3), ref_c, at="average") for t in taus]
+    e_c = [l2_error(solve_subdiffusion(prob, t, sig[:3]), ref_c, at="average") for t in taus]
     e_l1 = [l2_error(solve_subdiffusion_l1_baseline(prob, t), ref_l1, at="average") for t in taus]
     o_c = [math.log2(e_c[i] / e_c[i + 1]) for i in range(2)]
     o_l1 = [math.log2(e_l1[i] / e_l1[i + 1]) for i in range(2)]
@@ -332,14 +332,12 @@ def test_criterion_property_suite():
 
     # zero data stays zero across the solvers
     prob = MultiTermProblem((1.0, 1.0), (0.7, 0.3), lambda t, y: 0.0, 0.0, 1.0)
-    p1 = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-5, corrections=CorrectionSet((0.7, 1.0))))
+    p1 = solve_corrected_wsgl(prob, 2.0**-5, CorrectionSet((0.7, 1.0)))
     sub = subdiffusion_forced_problem()
     zero_sub = solve_subdiffusion(
         type(sub)(sub.alpha1, sub.alpha2, sub.nu, sub.mu, lambda x, t: np.zeros_like(x), sub.phi0, sub.T, sub.mesh),
         2.0**-4,
         (0.75, 1.0),
-        2,
-        2,
     )
     wv = wave_forced_problem(0.5)
     zero_wave = solve_wave(
@@ -367,13 +365,13 @@ def test_criterion_property_suite():
                         (1.0,), (alpha,), lambda t, y, lam=lam: -lam * y, 1.0, 1.0
                     )
                     cs = CorrectionSet(tuple(k * alpha for k in range(1, m + 1)))
-                    path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-p, corrections=cs))
+                    path = solve_corrected_wsgl(prob, 2.0**-p, cs)
                     y = np.abs(path.values)
                     if not (np.all(y <= 1.0 + 1e-12) and np.all(np.diff(y[m + 1 :]) <= 1e-14)):
                         mono = False
     # bounded (not monotone) in the oscillatory corner
     prob = MultiTermProblem((1.0,), (0.9,), lambda t, y: -100.0 * y, 1.0, 1.0)
-    path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-4))
+    path = solve_corrected_wsgl(prob, 2.0**-4)
     bounded = bool(np.all(np.abs(path.values) <= 1.0 + 1e-12))
     checks.append((mono and bounded, "linear-decay paths monotone (bounded at alpha=0.9)"))
 

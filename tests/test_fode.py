@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -8,7 +9,6 @@ from fracstep.corrections import CorrectionSet
 from fracstep.fode import (
     ConvergenceError,
     MultiTermProblem,
-    SolverConfig,
     error_report,
     solve_corrected_wsgl,
     solve_l1,
@@ -58,10 +58,8 @@ def test_problem_rejects_nan_parameters_by_name(nu, alphas, T, match):
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: SolverConfig(math.nan), r"tau = nan"),
-        (lambda: SolverConfig(math.inf), r"tau = inf"),
-        (lambda: SolverConfig(0.1, newton_max_iters=0), r"newton_max_iters = 0"),
-        (lambda: SolverConfig(0.1, newton_max_iters=math.nan), r"newton_max_iters = nan"),
+        (lambda: solve_corrected_wsgl(two_term_ml_problem(0.5), math.nan), r"tau = nan"),
+        (lambda: solve_corrected_wsgl(two_term_ml_problem(0.5), math.inf), r"tau = inf"),
         (lambda: SampledPath(math.nan, np.zeros(3)), r"tau = nan"),
         (lambda: solve_l1(nonlinear_cubic_problem(0.2, 0.1), math.nan), r"tau = nan"),
         (lambda: step_count(0.1, math.nan), r"T = nan"),
@@ -74,13 +72,13 @@ def test_step_input_rejected_by_name(build, match):
 
 def test_zero_problem_stays_zero():
     prob = MultiTermProblem((1.0, 1.5), (1.0, 0.5), lambda t, y: 0.0, 0.0, 1.0)
-    path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-6))
+    path = solve_corrected_wsgl(prob, 2.0**-6)
     assert np.all(path.values == 0.0)
 
 
 def test_constant_preserved_without_forcing():
     prob = MultiTermProblem((1.0,), (0.6,), lambda t, y: 0.0, 3.5, 1.0)
-    path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-6))
+    path = solve_corrected_wsgl(prob, 2.0**-6)
     np.testing.assert_allclose(path.values, 3.5, rtol=1e-13)
 
 
@@ -92,7 +90,7 @@ def test_two_term_benchmark_row():
     expected = {0: 8.1812e-4, 1: 6.5427e-5, 2: 3.2368e-6, 3: 1.0496e-6}
     for m, target in expected.items():
         cset = CorrectionSet(tuple((k + 1) * alpha for k in range(1, m + 1)))
-        path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-8, corrections=cset))
+        path = solve_corrected_wsgl(prob, 2.0**-8, cset)
         rep = error_report(path, exact)
         assert rep.max_error == pytest.approx(target, rel=5e-4)
 
@@ -102,7 +100,7 @@ def test_two_term_final_time_row():
     prob = two_term_ml_problem(alpha)
     exact = two_term_ml_exact(alpha)
     cset = CorrectionSet((1.0, 1.5))
-    path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-8, corrections=cset))
+    path = solve_corrected_wsgl(prob, 2.0**-8, cset)
     rep = error_report(path, exact)
     assert rep.final_error == pytest.approx(1.8122e-7, rel=1e-3)
 
@@ -117,7 +115,7 @@ def test_max_norm_order_law():
         cset = CorrectionSet(tuple((k + 1) * alpha for k in range(1, m + 1)))
         errs = []
         for p in (11, 12):
-            path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-p, corrections=cset))
+            path = solve_corrected_wsgl(prob, 2.0**-p, cset)
             errs.append(error_report(path, exact).max_error)
         order = math.log2(errs[0] / errs[1])
         assert order == pytest.approx(min(2.0, (m + 2) * alpha), abs=0.1)
@@ -129,7 +127,7 @@ def test_startup_block_is_fixed_point():
     prob = two_term_ml_problem(alpha)
     cset = CorrectionSet((1.0, 1.5, 2.0))
     tau = 2.0**-6
-    path = solve_corrected_wsgl(prob, SolverConfig(tau=tau, corrections=cset))
+    path = solve_corrected_wsgl(prob, tau, cset)
     yhat = path.values - prob.y0
     m = cset.m
     n_t = path.n_steps
@@ -148,7 +146,7 @@ def test_startup_block_is_fixed_point():
 def test_nonlinear_solver_converges():
     prob = nonlinear_cubic_problem(0.7, 0.5, T=2.0)
     cset = two_term_sigma_rule(0.7, 0.5, 3)
-    path = solve_corrected_wsgl(prob, SolverConfig(tau=2.0**-7, corrections=cset))
+    path = solve_corrected_wsgl(prob, 2.0**-7, cset)
     assert np.all(np.isfinite(path.values))
     # cross-check against the trapezoidal reference at a fine step
     ref = solve_trapezoidal(prob, 2.0**-12)
@@ -157,11 +155,12 @@ def test_nonlinear_solver_converges():
 
 
 def test_startup_failure_raises():
-    prob = nonlinear_cubic_problem(0.7, 0.5, T=1.0)
-    cset = two_term_sigma_rule(0.7, 0.5, 2)
-    cfg = SolverConfig(tau=2.0**-4, corrections=cset, newton_max_iters=1)
-    with pytest.raises(ConvergenceError):
-        solve_corrected_wsgl(prob, cfg)
+    # f is NaN on the two coupled startup steps, so the block's first Newton
+    # update is not finite; the error names the solver and the block's steps
+    prob = MultiTermProblem((1.0, 1.0), (0.7, 0.5), lambda t, y: math.nan if t <= 0.1 else -y, 1.0, 1.0)
+    what = "solve_corrected_wsgl: steps 1..2, t <= 0.125: startup iteration diverged"
+    with pytest.raises(ConvergenceError, match=f"^{re.escape(what)}$"):
+        solve_corrected_wsgl(prob, 2.0**-4, (0.5, 0.7))
 
 
 def test_nan_rhs_names_solver_step_and_time():
@@ -172,9 +171,8 @@ def test_nan_rhs_names_solver_step_and_time():
             return math.nan if t >= t0 else -y
 
         prob = MultiTermProblem((1.0, 1.0), (0.7, 0.5), rhs, 1.0, 1.0)
-        cfg = SolverConfig(tau=tau, corrections=CorrectionSet((0.5, 0.7)))
         with pytest.raises(ConvergenceError, match=r"solve_corrected_wsgl: " + where):
-            solve_corrected_wsgl(prob, cfg)
+            solve_corrected_wsgl(prob, tau, (0.5, 0.7))
         with pytest.raises(ConvergenceError, match=r"solve_l1: " + where):
             solve_l1(prob, tau)
         with pytest.raises(ConvergenceError, match=r"solve_trapezoidal: " + where):
@@ -194,9 +192,7 @@ def _counting(problem):
 CUBIC_MARCHES = {
     "l1": solve_l1,
     "trapezoidal": solve_trapezoidal,
-    "wsgl": lambda p, tau: solve_corrected_wsgl(
-        p, SolverConfig(tau, two_term_sigma_rule(*p.alphas, 3))
-    ),
+    "wsgl": lambda p, tau: solve_corrected_wsgl(p, tau, two_term_sigma_rule(*p.alphas, 3)),
 }
 
 
@@ -213,7 +209,7 @@ def test_linear_rhs_step_takes_one_iterate():
     # the secant slope of a linear f is exact, so the next step's first
     # iterate solves it: f at the guess and at that iterate
     calls, prob = _counting(two_term_ml_problem(0.1))
-    path = solve_corrected_wsgl(prob, SolverConfig(2.0**-9, CorrectionSet((0.1, 0.2, 0.3))))
+    path = solve_corrected_wsgl(prob, 2.0**-9, (0.1, 0.2, 0.3))
     assert calls[0] <= 2.1 * path.n_steps
 
 
@@ -308,9 +304,7 @@ def test_linear_decay_is_monotone_and_bounded():
                         (1.0,), (alpha,), lambda t, y, lam=lam: -lam * y, 1.0, 1.0
                     )
                     cset = CorrectionSet(tuple(k * alpha for k in range(1, m + 1)))
-                    path = solve_corrected_wsgl(
-                        prob, SolverConfig(tau=2.0**-p, corrections=cset)
-                    )
+                    path = solve_corrected_wsgl(prob, 2.0**-p, cset)
                     y = np.abs(path.values)
                     assert np.all(y <= 1.0 + 1e-12)
                     assert np.all(np.diff(y[m + 1 :]) <= 1e-14)
@@ -356,7 +350,7 @@ def test_l1_less_accurate_than_corrected():
     e_l1 = error_report(solve_l1(prob, tau), ref).final_error
     cset = two_term_sigma_rule(0.7, 0.5, 3)
     e_wsgl = error_report(
-        solve_corrected_wsgl(prob, SolverConfig(tau=tau, corrections=cset)), ref
+        solve_corrected_wsgl(prob, tau, cset), ref
     ).final_error
     assert e_l1 > e_wsgl
 

@@ -315,20 +315,24 @@ def test_wave_self_reference_solved_once_per_column(tmp_path, monkeypatch, kind)
     assert [len(errors) for _, data in table.groups for errors in data.values()] == [2, 2]
 
 
-@pytest.mark.parametrize("norm", ["max", "final average"])
-@pytest.mark.parametrize("kind", ["fode", "wave", "subdiff"])
-def test_unknown_norm_is_rejected_before_any_solve(tmp_path, monkeypatch, kind, norm):
-    # a PDE norm other than final or average used to be written as a final-time
-    # error under its own name; a bad fode norm used to fail after the solves
+def _no_solves(monkeypatch):
     from fracstep import fode, tfpde
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the norms were checked")
+        raise AssertionError("solved before the study was checked")
 
     for name in ("solve_corrected_wsgl", "solve_l1", "solve_trapezoidal"):
         monkeypatch.setattr(fode, name, no_solve)
     for name in ("solve_wave", "solve_subdiffusion", "solve_subdiffusion_l1_baseline"):
         monkeypatch.setattr(tfpde, name, no_solve)
+
+
+@pytest.mark.parametrize("norm", ["max", "final average"])
+@pytest.mark.parametrize("kind", ["fode", "wave", "subdiff"])
+def test_unknown_norm_is_rejected_before_any_solve(tmp_path, monkeypatch, kind, norm):
+    # a PDE norm other than final or average used to be written as a final-time
+    # error under its own name; a bad fode norm used to fail after the solves
+    _no_solves(monkeypatch)
     if kind == "fode":
         (study,) = parse_config(_write(tmp_path, "f.ini", CUBIC_STUDY.replace("max final", f"{norm} bogus")))
         what = f"norms = {norm} bogus: pick from max, final, avg"
@@ -337,6 +341,44 @@ def test_unknown_norm_is_rejected_before_any_solve(tmp_path, monkeypatch, kind, 
         what = f"norm = {norm}: pick from final, average"
     with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
         run_study(study)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, repeated",
+    [
+        ("fode", "columns", "l1 1 l1", "l1"),
+        ("fode", "columns", "0 2 2", "2"),
+        ("wave", "columns", "0 1 0", "0"),
+        ("wave", "alphas", "0.5 0.2 0.50", "0.50"),
+        ("subdiff", "columns", "l1 1 1", "1"),
+    ],
+)
+def test_repeated_column_is_rejected_before_any_solve(tmp_path, monkeypatch, kind, key, value, repeated):
+    # a repeated column used to be solved again and written twice under one
+    # CSV header; the fode study's trapezoidal reference is not solved either
+    _no_solves(monkeypatch)
+    if kind == "fode":
+        (study,) = parse_config(_write(tmp_path, "f.ini", CUBIC_STUDY.replace("columns = l1", f"columns = {value}")))
+    else:  # replace the key's line, which reads "alpha = 0.5" for the wave's alphas
+        solvers, text = FIELD_STUDIES[kind]
+        text = re.sub(rf"^{key.rstrip('s')}s? = .*$", f"{key} = {value}", text, flags=re.M)
+        monkeypatch.setitem(FIELD_STUDIES, kind, (solvers, text))
+        study = _field_study(tmp_path, kind)
+    what = f"{key} = {value}: {repeated} repeats"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        run_study(study)
+
+
+def test_failing_fode_reference_names_its_spec(tmp_path, capsys):
+    # the cells' taus divide t_end = 1 but the reference's does not; the
+    # error used to be a bare "tau=0.3 must divide T=1"
+    cfg = _write(tmp_path, "tr.ini", CUBIC_STUDY.replace("[cubic]", "[tr]").replace("trapezoidal:2^-6", "trapezoidal:0.3"))
+    (study,) = parse_config(cfg)
+    what = "reference = trapezoidal:0.3: tau=0.3 must divide T=1"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        run_study(study)
+    assert cli_main(["fode", "--config", str(cfg), "--out", str(tmp_path / "tr.csv")]) == 1
+    assert f"error in study [tr]: {what}" in capsys.readouterr().err
 
 
 REFERENCE_FORMS = {
@@ -566,19 +608,19 @@ def test_decimated_reference_gives_bit_identical_errors():
     from fracstep.tfpde import l2_error, solve_subdiffusion
 
     prob = subdiffusion_forced_problem(two_zone_unit_mesh(8))
-    ref = solve_subdiffusion(prob, 2.0**-8, (0.75, 1.0), 2, 2)
+    ref = solve_subdiffusion(prob, 2.0**-8, (0.75, 1.0))
     taus = [2.0**-4, 2.0**-6]
     kept = _decimated(ref, taus)
     assert kept.tau == 2.0**-6 and kept.n_steps == 64 and not np.shares_memory(kept.u, ref.u)
     for tau in taus:
-        hist = solve_subdiffusion(prob, tau, (0.75, 1.0), 2, 2)
+        hist = solve_subdiffusion(prob, tau, (0.75, 1.0))
         for at in ("final", "average"):
             assert l2_error(hist, kept, at=at) == l2_error(hist, ref, at=at)
     # a ratio that is not an integer keeps every level, and is still rejected
     full = _decimated(ref, [2.0**-4, 0.1])
     assert full.tau == ref.tau and np.array_equal(full.u, ref.u)
     with pytest.raises(ValueError, match="integer multiple"):
-        l2_error(solve_subdiffusion(prob, 0.1, (0.75, 1.0), 2, 2), full)
+        l2_error(solve_subdiffusion(prob, 0.1, (0.75, 1.0)), full)
 
 
 def test_package_has_no_cross_module_private_imports():
@@ -645,3 +687,13 @@ def test_package_names_load_their_submodule_on_access():
         assert getattr(fracstep, name) is getattr(module, name), name
     with pytest.raises(AttributeError, match="no attribute 'solve_heat'"):
         fracstep.solve_heat
+
+
+def test_readme_library_example_runs():
+    # README's "Library example" block, run as written: a name it imports or
+    # calls that leaves the API fails here, not silently in the docs
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library example\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].max_error < 1e-6

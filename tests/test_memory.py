@@ -13,7 +13,6 @@ from fracstep import fode, memory, tfpde
 from fracstep.corrections import CorrectionSet, starting_weight_table
 from fracstep.fode import (
     MultiTermProblem,
-    SolverConfig,
     _trap_memory,
     solve_corrected_wsgl,
     solve_l1,
@@ -56,8 +55,7 @@ def _fode_power_span_error(tau, m):
         return sum(v * rl_deriv_power(a, s, t) for v, a in zip(nu, alphas) for s in powers)
 
     problem = MultiTermProblem(nu, alphas, rhs, 1.0, 1.0)
-    config = SolverConfig(tau=tau, corrections=CorrectionSet(powers[:m]))
-    path = solve_corrected_wsgl(problem, config)
+    path = solve_corrected_wsgl(problem, tau, powers[:m])
     return float(np.max(np.abs(path.values - [exact(t) for t in path.times])))
 
 
@@ -81,7 +79,7 @@ def _subdiffusion_power_span_error(tau, m):
 
     mesh = two_zone_unit_mesh(8)
     problem = SubdiffusionProblem(a1, a2, nu, mu, source, _zero, 1.0, mesh)
-    hist = solve_subdiffusion(problem, tau, powers, m, m)
+    hist = solve_subdiffusion(problem, tau, powers[:m])
     x = mesh.nodes
     exact = np.array([time_part(t) * x * (1.0 - x) for t in np.arange(len(hist.u)) * hist.tau])
     return float(np.max(np.abs(hist.u - exact)))
@@ -404,12 +402,10 @@ def test_run_solve_matches_substitution(kind, alpha, exponents, run, dense):
 
 SOLVES = {
     # alpha_1 = 1: the BDF2 weights tau^-1 (3/2, -2, 1/2) dwarf the far field
-    "wsgl": lambda: solve_corrected_wsgl(
-        two_term_ml_problem(0.5), SolverConfig(2.0**-12, CorrectionSet((0.5, 1.0)))
-    ).values,
+    "wsgl": lambda: solve_corrected_wsgl(two_term_ml_problem(0.5), 2.0**-12, (0.5, 1.0)).values,
     "l1": lambda: solve_l1(nonlinear_cubic_problem(0.2, 0.1), 10.0 * 2.0**-12).values,
     "trapezoidal": lambda: solve_trapezoidal(nonlinear_cubic_problem(0.2, 0.1), 10.0 * 2.0**-12).values,
-    "subdiffusion": lambda: solve_subdiffusion(subdiffusion_forced_problem(), 2.0**-10, (0.75, 1.0), 2, 2).u,
+    "subdiffusion": lambda: solve_subdiffusion(subdiffusion_forced_problem(), 2.0**-10, (0.75, 1.0)).u,
     "subdiffusion_l1": lambda: solve_subdiffusion_l1_baseline(subdiffusion_forced_problem(), 2.0**-10).u,
     "wave": lambda: solve_wave(wave_forced_problem(0.5), 2.0**-9, (2.0, 2.5, 3.0), 2, 3, 2).u,
     "wave_l1": lambda: solve_wave_l1_baseline(wave_forced_problem(0.5), 2.0**-9).u,
