@@ -3,7 +3,7 @@
 Convolution-quadrature discretizations of Caputo/Riemann-Liouville
 derivatives with Lubich-style starting-weight corrections, solvers for
 multi-term fractional ODEs, and time-fractional PDE schemes (diffusion-wave
-and two-term subdiffusion) over a 1D Legendre spectral-element kernel,
+and multi-term subdiffusion) over a 1D Legendre spectral-element kernel,
 plus a study harness that reproduces the reference convergence tables.
 
 The public names load their submodule on first access (PEP 562), so
@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in (
-        ("corrections", "CorrectionSet VandermondeDiagnostics d1_u_weight_table d1_v_weight_table "
-         "starting_weight_table vandermonde_diagnostics"),
+        ("corrections", "CorrectionSet VandermondeDiagnostics d1_weight_table starting_weight_table "
+         "vandermonde_diagnostics"),
         ("fode", "ConvergenceError ErrorReport MultiTermProblem error_report solve_corrected_wsgl "
          "solve_l1 solve_trapezoidal two_term_sigma_rule"),
         ("glweights", "SampledPath gl_weights rl_deriv_power wsgl_weights"),

@@ -2,7 +2,7 @@
 
     fracstep <subcommand> --config study.ini --out table.csv
 
-Subcommands (weights, diagnostics, operator-study, fode, wave, subdiff) must
+Subcommands (diagnostics, operator-study, fode, wave, subdiff) must
 match the ``kind`` of the study sections they run.  With several sections in
 one file, each writes ``<out-stem>-<section><suffix>``.  Exit code 0 on
 success; any cell failure aborts with a diagnostic naming the study.
@@ -17,7 +17,6 @@ from pathlib import Path
 from .harness import parse_config, run_study
 
 _SUBCOMMANDS = {
-    "weights": "weights",
     "diagnostics": "diagnostics",
     "operator-study": "operator",
     "fode": "fode",

@@ -11,8 +11,10 @@ ill-conditioned in m, which is why m is capped at 10 and why the residual
 diagnostics exist.  The right-hand sides hold sum_k g_{n-k} k^{sigma_r} for
 every n and exponent, built as one field by the memory core's dyadic split
 (``memory.convolve``) in O(N log^2 N), which also rounds less than a direct
-sum at large n.  Two first-derivative variants (trapezoid-type averaging
-corrections) are used by the diffusion-wave scheme.
+sum at large n.  A first-derivative variant (trapezoid-type averaging
+corrections) serves both averaged differences of the diffusion-wave scheme.
+Every solver's memory terms, one ``memory.Term`` per term weight nu_j and
+order alpha_j (``check_terms``), are built here (``wsgl_terms``, ``l1_terms``).
 
 None of these tables depends on tau, and row n of each is the same for every
 length (``starting_weight_table``), so a study builds each once, at its
@@ -29,17 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .glweights import wsgl_weights
-from .memory import convolve
+from .glweights import l1_weights, wsgl_weights
+from .memory import Term, convolve
 from .specfun import gamma
 
 __all__ = [
     "CorrectionSet",
     "VandermondeDiagnostics",
     "starting_weight_table",
-    "d1_u_weight_table",
-    "d1_v_weight_table",
+    "d1_weight_table",
     "vandermonde_diagnostics",
+    "check_terms",
+    "wsgl_terms",
+    "l1_terms",
     "shared_table",
     "study_tables",
 ]
@@ -178,10 +182,25 @@ def _starting_weights(alpha: float, sigmas, A: np.ndarray, n_max: int) -> np.nda
     return W
 
 
-def _d1_table(exponents, n_max: int) -> np.ndarray:
-    A = _power_matrix(exponents)
-    _check_condition(A, exponents)
-    return shared_table(("d1", exponents), n_max, lambda n: _d1_weights(exponents, A, n))
+def d1_weight_table(cset: CorrectionSet, n_max: int) -> np.ndarray:
+    """Correction weights u_{n,1..m} for n = 0..n_max, shape (n_max+1, m),
+    making the averaged first difference exact on t^{s_r}, s_r the exponents
+    of ``cset``: row n solves
+
+        sum_k u_{n,k} k^{s_r} = s_r/2 ((n+1)^{s_r-1} + n^{s_r-1})
+                                - ((n+1)^{s_r} - n^{s_r}).
+
+    Row 0 holds 0^(s_r - 1), so s_r >= 1 is required.  The wave's
+    U-identity passes its exponents sigma_r, its V-identity sigma_r - 1.
+    """
+    sigmas = cset.sigmas
+    if cset.m == 0:
+        return np.zeros((n_max + 1, 0))
+    if any(s < 1.0 for s in sigmas):
+        raise ValueError(f"averaged-difference corrections need sigma_r >= 1, got sigma = {sigmas}")
+    A = _power_matrix(sigmas)
+    _check_condition(A, sigmas)
+    return shared_table(("d1", sigmas), n_max, lambda n: _d1_weights(sigmas, A, n))
 
 
 def _d1_weights(exponents, A: np.ndarray, n_max: int) -> np.ndarray:
@@ -190,35 +209,6 @@ def _d1_weights(exponents, A: np.ndarray, n_max: int) -> np.ndarray:
     for r, s in enumerate(exponents):
         rhs[r] = s / 2.0 * ((ns + 1.0) ** (s - 1.0) + ns ** (s - 1.0)) - ((ns + 1.0) ** s - ns**s)
     return np.linalg.solve(A, rhs).T
-
-
-def d1_u_weight_table(cset: CorrectionSet, m1: int, n_max: int) -> np.ndarray:
-    """Correction weights u_{n,1..m1} for n = 0..n_max, shape (n_max+1, m1),
-    making the averaged first difference exact on t^{sigma_r}: row n solves
-
-        sum_k u_{n,k} k^{s_r} = s_r/2 ((n+1)^{s_r-1} + n^{s_r-1})
-                                - ((n+1)^{s_r} - n^{s_r}).
-
-    Row 0 holds 0^(sigma_r - 1), so sigma_r >= 1 is required.
-    """
-    if m1 == 0:
-        return np.zeros((n_max + 1, 0))
-    sigmas = cset.truncated(m1).sigmas
-    if any(s < 1.0 for s in sigmas):
-        raise ValueError(f"U-difference corrections need sigma_r >= 1, got sigma = {sigmas}")
-    return _d1_table(sigmas, n_max)
-
-
-def d1_v_weight_table(cset: CorrectionSet, m2: int, n_max: int) -> np.ndarray:
-    """Same as ``d1_u_weight_table`` with every exponent lowered by one (the
-    corrections act on the time-derivative field).  Row 0 holds
-    0^(sigma_r - 2), so sigma_r >= 2 is required."""
-    if m2 == 0:
-        return np.zeros((n_max + 1, 0))
-    sigmas = cset.truncated(m2).sigmas
-    if any(s < 2.0 for s in sigmas):
-        raise ValueError(f"V-difference corrections need sigma_r >= 2, got sigma = {sigmas}")
-    return _d1_table(tuple(s - 1.0 for s in sigmas), n_max)
 
 
 def vandermonde_diagnostics(alpha: float, cset: CorrectionSet) -> VandermondeDiagnostics:
@@ -230,3 +220,36 @@ def vandermonde_diagnostics(alpha: float, cset: CorrectionSet) -> VandermondeDia
     rhs = _fractional_rhs(alpha, cset.sigmas, 100)[:, 1:]
     resid = A @ np.linalg.solve(A, rhs) - rhs
     return VandermondeDiagnostics(float(np.linalg.cond(A, 2)), float(np.max(np.abs(resid))))
+
+
+def check_terms(nu, alphas) -> tuple[tuple, tuple]:
+    """The weights nu_j and orders alpha_j of the fractional terms
+    sum_j nu_j D_c^{alpha_j} as float tuples, checked: equal-length and
+    nonempty, nu_1 > 0 and nu_j >= 0, orders nonincreasing in (0, 1]."""
+    nu = tuple(float(v) for v in nu)
+    al = tuple(float(a) for a in alphas)
+    if len(nu) != len(al) or not nu:
+        raise ValueError("nu and alphas must be equal-length and nonempty")
+    # each check is written so that NaN fails it
+    if not nu[0] > 0 or not all(v >= 0 for v in nu):
+        raise ValueError(f"nu_1 > 0 and nu_j >= 0 required, got nu = {nu}")
+    if any(not 0 < a <= 1 for a in al):
+        raise ValueError(f"orders must lie in (0, 1], got alphas = {al}")
+    if any(b > a for a, b in zip(al, al[1:])):
+        raise ValueError(f"orders must be nonincreasing, got alphas = {al}")
+    return nu, al
+
+
+def wsgl_terms(nu, alphas, tau: float, n_t: int, cset: CorrectionSet) -> list:
+    """The memory terms nu_j tau^(-alpha_j) (WSGL weights to lag n_t + the
+    starting-weight table of ``cset``, none when it is empty), one per term."""
+    return [
+        Term(v * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, cset, n_t) if cset.m else None)
+        for v, a in zip(nu, alphas)
+    ]
+
+
+def l1_terms(nu, alphas, tau: float, n_t: int) -> list:
+    """The memory terms nu_j (L1 weights of order alpha_j to lag n_t), one
+    per term."""
+    return [Term(v, l1_weights(a, n_t, tau)) for v, a in zip(nu, alphas)]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrections import CorrectionSet, shared_table, starting_weight_table
-from .glweights import SampledPath, l1_weights, step_count, wsgl_weights
+from .corrections import CorrectionSet, check_terms, l1_terms, shared_table, wsgl_terms
+from .glweights import SampledPath, step_count
 from .memory import History, Term, convolve, reciprocal, runs, startup_matrix
 from .specfun import gamma
 
@@ -47,7 +47,7 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class MultiTermProblem:
     """Problem data: term weights nu_j, orders alpha_j (nonincreasing, in
-    (0,1]), right-hand side f(t, y), initial value and horizon."""
+    (0,1]; ``check_terms``), right-hand side f(t, y), initial value and horizon."""
 
     nu: tuple
     alphas: tuple
@@ -56,17 +56,7 @@ class MultiTermProblem:
     T: float
 
     def __post_init__(self):
-        nu = tuple(float(v) for v in self.nu)
-        al = tuple(float(a) for a in self.alphas)
-        if len(nu) != len(al) or not nu:
-            raise ValueError("nu and alphas must be equal-length and nonempty")
-        # each check is written so that NaN fails it
-        if not nu[0] > 0 or not all(v >= 0 for v in nu):
-            raise ValueError(f"nu_1 > 0 and nu_j >= 0 required, got nu = {nu}")
-        if any(not 0 < a <= 1 for a in al):
-            raise ValueError(f"orders must lie in (0, 1], got alphas = {al}")
-        if any(b > a for a, b in zip(al, al[1:])):
-            raise ValueError(f"orders must be nonincreasing, got alphas = {al}")
+        nu, al = check_terms(self.nu, self.alphas)
         if not 0 < self.T < math.inf:
             raise ValueError(f"finite T > 0 required, got T = {self.T!r}")
         object.__setattr__(self, "nu", nu)
@@ -220,11 +210,7 @@ def solve_corrected_wsgl(problem: MultiTermProblem, tau: float, sigma: Correctio
     nonlinearity handled by Newton iteration (finite-difference slope).
     """
     cset = CorrectionSet(sigma)
-    n_t = step_count(tau, problem.T)
-    terms = [
-        Term(nu * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, cset, n_t) if cset.m else None)
-        for nu, a in zip(problem.nu, problem.alphas)
-    ]
+    terms = wsgl_terms(problem.nu, problem.alphas, tau, step_count(tau, problem.T), cset)
     return _march(problem, tau, terms, cset.m, "solve_corrected_wsgl")
 
 
@@ -234,8 +220,7 @@ def solve_l1(problem: MultiTermProblem, tau: float) -> SampledPath:
 
         sum_j nu_j sum_{k=0}^{n-1} b^{(a_j)}_{n-k-1} (y^{k+1} - y^k) = f(t_n, y^n).
     """
-    n_t = step_count(tau, problem.T)
-    terms = [Term(nu, l1_weights(a, n_t, tau)) for nu, a in zip(problem.nu, problem.alphas)]
+    terms = l1_terms(problem.nu, problem.alphas, tau, step_count(tau, problem.T))
     return _march(problem, tau, terms, 0, "solve_l1")
 
 

@@ -4,7 +4,7 @@ observed orders, and emit CSV tables.
 
 Config files are INI-style: one study per section, one assignment per line.
 Numbers may use the ``2^-9`` power notation.  See the README for the schema
-of each study kind (fode, wave, subdiff, operator, diagnostics, weights).
+of each study kind (fode, wave, subdiff, operator, diagnostics).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def observed_order(errors) -> list[float]:
 
 @dataclass
 class RowTable:
-    """Plain header + rows table (diagnostics, weights, operator studies)."""
+    """Plain header + rows table (diagnostics and operator studies)."""
 
     header: list
     rows: list
@@ -377,7 +377,8 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
 
     def column(alpha, m):
         k = m if apply_to == "all" else 0
-        return f"a{alpha:g}_m{m}", (problem(alpha), sigma_list(rule, m, alpha), k, k, m)
+        # repr: the shortest string that reads back as alpha, so distinct alphas get distinct labels
+        return f"a{alpha!r}_m{m}", (problem(alpha), sigma_list(rule, m, alpha), k, k, m)
 
     key = "alphas" if "alphas" in cfg.params else "alpha"
     alphas = _distinct(key, _parse_list(cfg.get(key, "0.5")), _parse_number)
@@ -395,13 +396,13 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
     def solve(col, tau):
         if col == "l1":
             return solve_subdiffusion_l1_baseline(problem, tau)
-        return solve_subdiffusion(problem, tau, sigma_list(rule, int(col), problem.alpha1, problem.alpha2))
+        return solve_subdiffusion(problem, tau, sigma_list(rule, int(col), *problem.alphas[:2]))
 
     return _field_study(cfg, _columns(cfg), solve, "average")
 
 
 # ---------------------------------------------------------------------------
-# operator / diagnostics / weights studies
+# operator / diagnostics studies
 
 
 def _run_operator(cfg: StudyConfig) -> RowTable:
@@ -453,17 +454,6 @@ def _run_diagnostics(cfg: StudyConfig) -> RowTable:
     return RowTable(["alpha", "m", "condition", "residual"], rows)
 
 
-def _run_weights(cfg: StudyConfig) -> RowTable:
-    from .glweights import gl_weights, wsgl_weights
-
-    alpha = _parse_number(cfg.require("alpha"))
-    count = int(cfg.require("count"))
-    om = gl_weights(alpha, count)
-    g = wsgl_weights(alpha, max(count, 1))
-    rows = [[f"{k}", f"{om[k]:.16e}", f"{g[k]:.16e}"] for k in range(count + 1)]
-    return RowTable(["k", "omega", "g"], rows)
-
-
 # study kind -> (its runner, the fracstep modules the runner takes its names
 # from, which parse_config imports; each imports corrections, which run_study
 # reads, and the weights and memory core under it)
@@ -473,7 +463,6 @@ _KINDS = {
     "subdiff": (_run_subdiff, ("sem", "tfpde")),
     "operator": (_run_operator, ("corrections",)),
     "diagnostics": (_run_diagnostics, ("corrections",)),
-    "weights": (_run_weights, ("corrections",)),
 }
 
 

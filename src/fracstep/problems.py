@@ -170,9 +170,8 @@ def subdiffusion_forced_problem(mesh: SpectralMesh | None = None) -> Subdiffusio
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return SubdiffusionProblem(
-        alpha1=0.75,
-        alpha2=0.5,
-        nu=1.0,
+        nu=(1.0, 1.0),
+        alphas=(0.75, 0.5),
         mu=1.0,
         source=lambda x, t: np.exp(-t) * np.sin(np.pi * np.asarray(x)),
         phi0=zero,

@@ -11,7 +11,7 @@ Two schemes:
   sigma_r - 1).
 
 * multi-term subdiffusion: one corrected WSGL operator per fractional term,
-  applied to U - U(0), implicit in space.
+  applied to U - U(0), implicit in space; any number of terms, as the FODE's.
 
 Both are linear with a time-invariant spatial operator, so every march runs in
 the mesh's modal coordinates x^ = Phi^T Md x (``AssembledForms.modes``:
@@ -40,14 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrections import (
-    CorrectionSet,
-    d1_u_weight_table,
-    d1_v_weight_table,
-    starting_weight_table,
-)
-from .glweights import l1_weights, step_count, wsgl_weights
-from .memory import RUN, History, Term, run_inverse, runs, solve_run, startup_matrix
+from .corrections import CorrectionSet, check_terms, d1_weight_table, l1_terms, wsgl_terms
+from .glweights import step_count
+from .memory import RUN, History, run_inverse, runs, solve_run, startup_matrix
 from .sem import SpectralMesh, h1_projection
 
 __all__ = [
@@ -62,13 +57,11 @@ __all__ = [
 ]
 
 
-def _check_coefficients(nu, mu, T) -> None:
+def _check_coefficients(mu, T) -> None:
     """Reject a bad field-problem coefficient by name; each check is written
     so that NaN fails it."""
     if not mu > 0:
         raise ValueError(f"mu > 0 required, got mu = {mu!r}")
-    if not nu >= 0:
-        raise ValueError(f"nu >= 0 required, got nu = {nu!r}")
     if not 0 < T < math.inf:
         raise ValueError(f"finite T > 0 required, got T = {T!r}")
 
@@ -91,20 +84,22 @@ class WaveProblem:
     mesh: SpectralMesh
 
     def __post_init__(self):
-        _check_coefficients(self.nu, self.mu, self.T)
+        _check_coefficients(self.mu, self.T)
+        if not self.nu >= 0:
+            raise ValueError(f"nu >= 0 required, got nu = {self.nu!r}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha in (0, 1] required, got alpha = {self.alpha!r}")
 
 
 @dataclass(frozen=True)
 class SubdiffusionProblem:
-    """Two-term subdiffusion problem
-    D_c^{alpha1} U + nu * D_c^{alpha2} U = mu * d2U/dx2 + f(x,t);
-    ``source`` is f, as for ``WaveProblem``."""
+    """Multi-term subdiffusion problem
+    sum_j nu_j D_c^{alpha_j} U = mu * d2U/dx2 + f(x,t), with the term
+    weights and orders of ``MultiTermProblem``; ``source`` is f, as for
+    ``WaveProblem``."""
 
-    alpha1: float
-    alpha2: float
-    nu: float
+    nu: tuple
+    alphas: tuple
     mu: float
     source: callable
     phi0: callable
@@ -112,10 +107,10 @@ class SubdiffusionProblem:
     mesh: SpectralMesh
 
     def __post_init__(self):
-        _check_coefficients(self.nu, self.mu, self.T)
-        for name, a in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
-            if not 0 < a <= 1:
-                raise ValueError(f"{name} in (0, 1] required, got {name} = {a!r}")
+        nu, alphas = check_terms(self.nu, self.alphas)
+        _check_coefficients(self.mu, self.T)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "alphas", alphas)
 
 
 @dataclass(frozen=True)
@@ -181,6 +176,9 @@ def _validate_wave_corrections(sigma: CorrectionSet, m1: int, m2: int, m3: int):
         raise ValueError("stability requires sigma_{m2} <= 4")
     if m3 and sigma.sigmas[m3 - 1] > 4.0:
         raise ValueError("stability requires sigma_{m3} <= 4")
+    # the V-identity's row 0 holds 0^(sigma_r - 2)
+    if m2 and sigma.sigmas[0] < 2.0:
+        raise ValueError(f"V-difference corrections need sigma_r >= 2, got sigma = {sigma.truncated(m2).sigmas}")
 
 
 def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = (), m1: int = 0, m2: int = 0,
@@ -200,12 +198,10 @@ def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = 
         raise ValueError("horizon too short for the correction stencil")
     Phi, lam, fh, (u0_x, u0), (v0_x, v0) = _space(problem, n_t, tau, "solve_wave", problem.phi0, problem.psi0)
 
-    g = wsgl_weights(alpha, n_t + 1)
-    sc = tau ** (-alpha)
-    Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1) if m3 else None
-    mem = [Term(sc, g, Wv3)]
-    Wu1 = d1_u_weight_table(sigma, m1, n_t)
-    Wv2 = d1_v_weight_table(sigma, m2, n_t)
+    mem = wsgl_terms((1.0,), (alpha,), tau, n_t + 1, sigma.truncated(m3).shifted(-1.0))
+    sc, g = mem[0].scale, mem[0].kernel
+    Wu1 = d1_weight_table(sigma.truncated(m1), n_t)
+    Wv2 = d1_weight_table(sigma.truncated(m2).shifted(-1.0), n_t)
     uh, vh = np.zeros((2, n_t + 1, len(lam)))  # vh = v - v^0, which the memory acts on
     uh[0] = u0
     if m >= 1:
@@ -353,8 +349,8 @@ def _check_march(solver: str, x: np.ndarray, m: int, tau: float, finite: np.ndar
 
 def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int, solver: str):
     """March uh = U - U(0) mode by mode through (c_0 + mu lam) uh^n + history
-    = Phi^T Md f^n - mu lam U(0), with the memory ``terms`` of both fractional
-    terms.  Steps 1..m couple through the starting weights and are solved as
+    = Phi^T Md f^n - mu lam U(0), with the memory ``terms`` of each fractional
+    term.  Steps 1..m couple through the starting weights and are solved as
     one m x m system per mode.  Every later run of levels (``memory.runs``)
     is one lower-triangular Toeplitz system per mode, solved whole: its loads,
     the right-hand sides less ``known_run``, times the per-mode inverses
@@ -390,17 +386,14 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
 
 
 def solve_subdiffusion(problem: SubdiffusionProblem, tau: float, sigma: CorrectionSet | tuple = ()) -> FieldHistory:
-    """Advance the two-term subdiffusion scheme: both fractional terms act on
-    U - U(0) through WSGL operators corrected on the exponents ``sigma`` (a
+    """Advance the subdiffusion scheme: every fractional term acts on
+    U - U(0) through a WSGL operator corrected on the exponents ``sigma`` (a
     CorrectionSet or a tuple)."""
     sigma = CorrectionSet(sigma)
     n_t = step_count(tau, problem.T)
     if sigma.m and n_t <= sigma.m:
         raise ValueError("horizon too short for the correction stencil")
-    terms = [
-        Term(scale * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, sigma, n_t) if sigma.m else None)
-        for scale, a in ((1.0, problem.alpha1), (problem.nu, problem.alpha2))
-    ]
+    terms = wsgl_terms(problem.nu, problem.alphas, tau, n_t, sigma)
     return _march_subdiffusion(problem, tau, terms, sigma.m, "solve_subdiffusion")
 
 
@@ -414,7 +407,7 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
     Phi, lam, fh, (_, u0), (v0_x, v0) = _space(problem, n_t, tau, solver, problem.phi0, problem.psi0)
     uh, vh = np.zeros((2, n_t + 1, len(lam)))  # vh = v - v^0
     uh[0], uh[1:] = u0, tau * v0
-    hist = History([Term(nu, l1_weights(problem.alpha, n_t, tau))], vh)
+    hist = History(l1_terms((nu,), (problem.alpha,), tau, n_t), vh)
     # D vh^n = (1/tau - mu tau lam / 2) vh^{n-1} - mu lam u^{n-1} - K_n + f^n - mu tau lam v^0
     D = 1.0 / tau + hist.c[0] + (mu * tau / 2.0) * lam
     vh[1:] = fh[1:] - mu * tau * lam * v0
@@ -423,13 +416,9 @@ def solve_wave_l1_baseline(problem: WaveProblem, tau: float) -> FieldHistory:
 
 
 def solve_subdiffusion_l1_baseline(problem: SubdiffusionProblem, tau: float) -> FieldHistory:
-    """L1-in-time discretization of both Caputo terms with the same spatial
+    """L1-in-time discretization of every Caputo term with the same spatial
     kernel (the first-order comparison scheme)."""
-    n_t = step_count(tau, problem.T)
-    terms = [
-        Term(1.0, l1_weights(problem.alpha1, n_t, tau)),
-        Term(problem.nu, l1_weights(problem.alpha2, n_t, tau)),
-    ]
+    terms = l1_terms(problem.nu, problem.alphas, tau, step_count(tau, problem.T))
     return _march_subdiffusion(problem, tau, terms, 0, "solve_subdiffusion_l1_baseline")
 
 

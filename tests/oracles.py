@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from fracstep.corrections import CorrectionSet, d1_u_weight_table, d1_v_weight_table, starting_weight_table
+from fracstep.corrections import CorrectionSet, d1_weight_table, starting_weight_table
 from fracstep.glweights import SampledPath, gl_weights, l1_weights, step_count, wsgl_weights
 from fracstep.memory import History, Term, convolve, reciprocal, startup_matrix
 from fracstep.sem import h1_projection, spd_inverse
@@ -224,8 +224,8 @@ def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int 
     sc = tau ** (-alpha)
     Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1) if m3 else None
     mem = [Term(sc, g, Wv3)]
-    Wu1 = d1_u_weight_table(sigma, m1, n_t)
-    Wv2 = d1_v_weight_table(sigma, m2, n_t)
+    Wu1 = d1_weight_table(sigma.truncated(m1), n_t)
+    Wv2 = d1_weight_table(sigma.truncated(m2).shifted(-1.0), n_t)
     u = np.zeros((n_t + 1, len(I)))
     v = np.zeros((n_t + 1, len(I)))
     u[0] = h1_projection(problem.phi0, problem.mesh)[I]

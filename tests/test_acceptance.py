@@ -211,7 +211,7 @@ def test_criterion_wave_forced_self_reference():
     # than its uncorrected form.  The uncorrected averaged V-difference (the
     # trapezoid rule for V_t) is already exact on V ~ t and t^2.  Its m2
     # weights use the exponents sigma_r - 1, so m2 = 2 fits them to (1, 1.5)
-    # and drops the native t^2: d1_v_weight_table gives sum_r w_{n,r} r^2 =
+    # and drops the native t^2: the V-table gives sum_r w_{n,r} r^2 =
     # -0.043 at n = 1, not 0.  m2 = 3, exponents (1, 1.5, 2), keeps it
     # (sum <= 1.4e-17).  The U-identity at m1 = 2, exponents (2, 2.5), keeps
     # its native t^2, and the memory term has no native exactness to lose.
@@ -335,7 +335,7 @@ def test_criterion_property_suite():
     p1 = solve_corrected_wsgl(prob, 2.0**-5, CorrectionSet((0.7, 1.0)))
     sub = subdiffusion_forced_problem()
     zero_sub = solve_subdiffusion(
-        type(sub)(sub.alpha1, sub.alpha2, sub.nu, sub.mu, lambda x, t: np.zeros_like(x), sub.phi0, sub.T, sub.mesh),
+        type(sub)(sub.nu, sub.alphas, sub.mu, lambda x, t: np.zeros_like(x), sub.phi0, sub.T, sub.mesh),
         2.0**-4,
         (0.75, 1.0),
     )

@@ -8,8 +8,7 @@ import pytest
 from fracstep.corrections import (
     CorrectionSet,
     _fractional_rhs,
-    d1_u_weight_table,
-    d1_v_weight_table,
+    d1_weight_table,
     shared_table,
     starting_weight_table,
     study_tables,
@@ -97,8 +96,8 @@ def test_table_rows_do_not_depend_on_its_length():
         starting_weight_table(0.3, cset, 640), starting_weight_table(0.3, cset, 5120)[:641]
     )
     wave = CorrectionSet((2.0, 2.5, 3.0))
-    for table in (d1_u_weight_table, d1_v_weight_table):
-        np.testing.assert_array_equal(table(wave, 3, 640), table(wave, 3, 5120)[:641])
+    for cset in (wave, wave.shifted(-1.0)):
+        np.testing.assert_array_equal(d1_weight_table(cset, 640), d1_weight_table(cset, 5120)[:641])
 
 
 def test_study_tables_hand_out_prefixes_of_one_table():
@@ -166,29 +165,29 @@ def test_d1_u_exact_for_matching_powers():
     cset2 = CorrectionSet((2.0,))
     cset1 = CorrectionSet((1.0,))
     for n in (1, 4, 9):
-        assert d1_u_weight_table(cset2, 1, n)[n, 0] == pytest.approx(0.0, abs=1e-13)
-        assert d1_u_weight_table(cset1, 1, n)[n, 0] == pytest.approx(0.0, abs=1e-13)
+        assert d1_weight_table(cset2, n)[n, 0] == pytest.approx(0.0, abs=1e-13)
+        assert d1_weight_table(cset1, n)[n, 0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_d1_u_rejects_sigma_below_one():
     # row 0 holds 0^(sigma - 1), which is inf for sigma < 1
     with pytest.raises(ValueError, match=r"sigma_r >= 1.*0\.5"):
-        d1_u_weight_table(CorrectionSet((0.5,)), 1, 3)
+        d1_weight_table(CorrectionSet((0.5,)), 3)
     with pytest.raises(ValueError, match="sigma_r >= 1"):
-        d1_u_weight_table(CorrectionSet((0.5, 2.0)), 2, 3)
-    assert np.all(np.isfinite(d1_u_weight_table(CorrectionSet((1.0, 2.0)), 2, 3)))
+        d1_weight_table(CorrectionSet((0.5, 2.0)), 3)
+    assert np.all(np.isfinite(d1_weight_table(CorrectionSet((1.0, 2.0)), 3)))
 
 
 def test_d1_u_fractional_power_value():
     # direct arithmetic oracle for sigma = 2.5, n = 4
     expected = 1.25 * (5.0**1.5 + 4.0**1.5) - (5.0**2.5 - 4.0**2.5)
-    w = d1_u_weight_table(CorrectionSet((2.5,)), 1, 4)[4]
+    w = d1_weight_table(CorrectionSet((2.5,)), 4)[4]
     assert w[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_d1_v_exact_for_matching_powers():
     for sigma in (3.0, 2.0):  # effective exponents 2 and 1
-        w = d1_v_weight_table(CorrectionSet((sigma,)), 1, 5)[5]
+        w = d1_weight_table(CorrectionSet((sigma,)).shifted(-1.0), 5)[5]
         assert w[0] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -197,14 +196,14 @@ def test_d1_v_fractional_power_value():
     s = 2.5
     n = 4
     expected = s / 2.0 * ((n + 1.0) ** (s - 1.0) + n ** (s - 1.0)) - ((n + 1.0) ** s - n**s)
-    w = d1_v_weight_table(CorrectionSet((3.5,)), 1, n)[n]
+    w = d1_weight_table(CorrectionSet((3.5,)).shifted(-1.0), n)[n]
     assert w[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_d1_tables_match_rows():
     cset = CorrectionSet((2.0, 2.5, 3.5))
-    Wu = d1_u_weight_table(cset, 3, 20)
-    Wv = d1_v_weight_table(cset, 2, 20)
+    Wu = d1_weight_table(cset, 20)
+    Wv = d1_weight_table(cset.truncated(2).shifted(-1.0), 20)
     for n in (0, 3, 20):
         np.testing.assert_allclose(Wu[n], d1_weights_step((2.0, 2.5, 3.5), n), atol=1e-14)
         np.testing.assert_allclose(Wv[n], d1_weights_step((1.0, 1.5), n), atol=1e-14)
@@ -218,9 +217,9 @@ def test_d1_corrections_keep_native_t2_exactness():
     cset = CorrectionSet((2.0, 2.5, 3.0))
     n_max = 64
     k = np.arange(1, 4, dtype=float)
-    assert np.max(np.abs(d1_v_weight_table(cset, 3, n_max) @ k**2)) <= 1e-14
-    assert np.max(np.abs(d1_v_weight_table(cset, 2, n_max) @ k[:2] ** 2)) > 1e-2
-    assert np.max(np.abs(d1_u_weight_table(cset, 2, n_max) @ k[:2] ** 2)) <= 1e-14
+    assert np.max(np.abs(d1_weight_table(cset.shifted(-1.0), n_max) @ k**2)) <= 1e-14
+    assert np.max(np.abs(d1_weight_table(cset.truncated(2).shifted(-1.0), n_max) @ k[:2] ** 2)) > 1e-2
+    assert np.max(np.abs(d1_weight_table(cset.truncated(2), n_max) @ k[:2] ** 2)) <= 1e-14
 
 
 def test_corrected_apply_empty_set_is_plain_operator():

@@ -162,14 +162,6 @@ def test_diagnostics_study(tmp_path):
     assert float(row[2]) == pytest.approx(3.20e3, rel=0.05)
 
 
-def test_weights_study(tmp_path):
-    path = _write(tmp_path, "w.ini", "[w]\nkind = weights\nalpha = 0.5\ncount = 2\n")
-    (study,) = parse_config(path)
-    table = run_study(study)
-    assert [r[0] for r in table.rows] == ["0", "1", "2"]
-    assert float(table.rows[2][2]) == pytest.approx(-0.03125)
-
-
 def test_operator_study(tmp_path):
     path = _write(
         tmp_path,
@@ -203,25 +195,28 @@ def test_operator_study_rejects_tau_not_dividing_t_end(tmp_path, capsys):
     assert not (tmp_path / "op.csv").exists()
 
 
+DIAGNOSTICS = "[d]\nkind = diagnostics\nalphas = 0.5\ncolumns = 1 2\n"
+
+
 def test_cli_roundtrip(tmp_path, capsys):
-    cfg = _write(tmp_path, "w.ini", "[w]\nkind = weights\nalpha = 0.5\ncount = 3\n")
-    out = tmp_path / "weights.csv"
-    code = cli_main(["weights", "--config", str(cfg), "--out", str(out)])
+    cfg = _write(tmp_path, "d.ini", DIAGNOSTICS)
+    out = tmp_path / "diag.csv"
+    code = cli_main(["diagnostics", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert out.exists()
     header = out.read_text().splitlines()[0]
-    assert header == "k,omega,g"
+    assert header == "alpha,m,condition,residual"
 
 
 def test_cli_kind_mismatch(tmp_path):
-    cfg = _write(tmp_path, "w.ini", "[w]\nkind = weights\nalpha = 0.5\ncount = 3\n")
+    cfg = _write(tmp_path, "d.ini", DIAGNOSTICS)
     code = cli_main(["fode", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 2
 
 
 def test_cli_error_path(tmp_path):
-    cfg = _write(tmp_path, "bad.ini", "[w]\nkind = weights\nalpha = 0.5\n")  # missing count
-    code = cli_main(["weights", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    cfg = _write(tmp_path, "bad.ini", "[d]\nkind = diagnostics\nalphas = 0.5\n")  # missing columns
+    code = cli_main(["diagnostics", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 1
 
 
@@ -229,13 +224,12 @@ def test_cli_error_names_the_study(tmp_path, capsys):
     cfg = _write(
         tmp_path,
         "two.ini",
-        "[fine]\nkind = weights\nalpha = 0.5\ncount = 3\n"
-        "[broken]\nkind = weights\nalpha = 0.5\n",
+        DIAGNOSTICS.replace("[d]", "[fine]") + "[broken]\nkind = diagnostics\nalphas = 0.5\n",
     )
-    code = cli_main(["weights", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    code = cli_main(["diagnostics", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "[broken]" in err and "count" in err
+    assert "[broken]" in err and "columns" in err
 
 
 def test_wave_study_smoke(tmp_path):
@@ -251,6 +245,24 @@ def test_wave_study_smoke(tmp_path):
     assert [label for label, _ in table.groups] == ["a0.5_m0", "a0.5_m1"]
     orders = table.orders("a0.5_m1", "final")
     assert 1.5 <= orders[0] <= 2.5
+
+
+def test_wave_labels_tell_close_alphas_apart(tmp_path):
+    # both alphas read 0.5 at 6 significant digits; each label must still
+    # name its own column, in the table and in the CSV header
+    cfg = _write(
+        tmp_path,
+        "wave.ini",
+        "[wave]\nkind = wave\ncase = smooth\nalphas = 0.5000001 0.5000002\n"
+        "taus = 2^-2\ncolumns = 0\nmesh = -1 0 1\ndegrees = 4 4\n",
+    )
+    (study,) = parse_config(cfg)
+    table = run_study(study, str(tmp_path / "wave.csv"))
+    assert [label for label, _ in table.groups] == ["a0.5000001_m0", "a0.5000002_m0"]
+    header = (tmp_path / "wave.csv").read_text().splitlines()[0].split(",")
+    assert len(header) == len(set(header)) == 5
+    first, second = (table.errors(label, "final") for label, _ in table.groups)
+    assert first != second
 
 
 def test_subdiff_study_smoke(tmp_path):

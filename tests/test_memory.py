@@ -65,20 +65,19 @@ def test_fode_exact_on_power_span(tau):
     assert _fode_power_span_error(tau, 0) >= 1e-3
 
 
-def _subdiffusion_power_span_error(tau, m):
-    a1, a2, nu, mu = 0.75, 0.5, 1.0, 1.0
-    powers = (0.75, 1.0)
+def _subdiffusion_power_span_error(tau, m, nu=(1.0, 1.0), alphas=(0.75, 0.5), powers=(0.75, 1.0)):
+    mu = 1.0
 
     def time_part(t):
         return sum(t**s for s in powers)
 
     def source(x, t):
-        frac = sum(rl_deriv_power(a1, s, t) + nu * rl_deriv_power(a2, s, t) for s in powers)
+        frac = sum(sum(v * rl_deriv_power(a, s, t) for v, a in zip(nu, alphas)) for s in powers)
         x = np.asarray(x)
         return frac * x * (1.0 - x) + 2.0 * mu * time_part(t)
 
     mesh = two_zone_unit_mesh(8)
-    problem = SubdiffusionProblem(a1, a2, nu, mu, source, _zero, 1.0, mesh)
+    problem = SubdiffusionProblem(nu, alphas, mu, source, _zero, 1.0, mesh)
     hist = solve_subdiffusion(problem, tau, powers[:m])
     x = mesh.nodes
     exact = np.array([time_part(t) * x * (1.0 - x) for t in np.arange(len(hist.u)) * hist.tau])
@@ -89,6 +88,14 @@ def _subdiffusion_power_span_error(tau, m):
 def test_subdiffusion_exact_on_power_span(tau):
     assert _subdiffusion_power_span_error(tau, 2) <= 1e-13
     assert _subdiffusion_power_span_error(tau, 0) >= 1e-4
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_three_term_subdiffusion_exact_on_power_span(tau):
+    # Q = 3 takes no code of its own: History sums the three terms' kernels
+    span = {"nu": (1.0, 0.7, 0.3), "alphas": (0.75, 0.5, 0.25), "powers": (0.75, 1.0, 1.25)}
+    assert _subdiffusion_power_span_error(tau, 3, **span) <= 1e-13
+    assert _subdiffusion_power_span_error(tau, 0, **span) >= 1e-4
 
 
 def _wave_power_span_error(tau, counts):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from fracstep import tfpde
 from fracstep.corrections import (
     CorrectionSet,
-    d1_u_weight_table,
-    d1_v_weight_table,
+    d1_weight_table,
     starting_weight_table,
 )
+from fracstep.fode import MultiTermProblem
 from fracstep.glweights import l1_weights, wsgl_weights
 from fracstep.memory import Term
 from fracstep.problems import (
@@ -62,13 +63,35 @@ def test_wave_problem_rejects_nan_parameters_by_name(small_mesh, field, match):
 
 @pytest.mark.parametrize(
     "field, match",
-    [("nu", r"nu = nan"), ("mu", r"mu = nan"), ("T", r"T = inf"), ("alpha2", r"alpha2 = nan")],
+    [
+        ("nu", r"nu = \(1\.0, nan\)"),
+        ("mu", r"mu = nan"),
+        ("T", r"T = inf"),
+        ("alphas", r"alphas = \(0\.75, nan\)"),
+    ],
 )
 def test_subdiffusion_problem_rejects_nan_parameters_by_name(unit_mesh, field, match):
-    prob = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
-    value = math.inf if field == "T" else math.nan
+    prob = SubdiffusionProblem((1.0, 1.0), (0.75, 0.5), 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
+    value = {"nu": (1.0, math.nan), "alphas": (0.75, math.nan), "T": math.inf}.get(field, math.nan)
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(prob, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "nu, alphas, match",
+    [
+        ((1.0, 1.0), (0.5, 0.75), "orders must be nonincreasing"),
+        ((0.0, 1.0), (0.75, 0.5), "nu_1 > 0"),
+        ((math.nan, 1.0), (0.75, 0.5), r"nu = \(nan, 1\.0\)"),
+        ((1.0, 1.0), (math.nan, 0.5), r"alphas = \(nan, 0\.5\)"),
+    ],
+    ids=["increasing-orders", "nu1-zero", "nan-nu", "nan-alpha"],
+)
+def test_subdiffusion_problem_checks_terms_as_the_fode_does(unit_mesh, nu, alphas, match):
+    with pytest.raises(ValueError, match=match) as fode_error:
+        MultiTermProblem(nu, alphas, lambda t, y: 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(str(fode_error.value))):
+        SubdiffusionProblem(nu, alphas, 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
 
 
 def test_zero_wave_history(small_mesh):
@@ -81,7 +104,7 @@ def test_zero_wave_history(small_mesh):
 
 
 def test_zero_subdiffusion_history(unit_mesh):
-    prob = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
+    prob = SubdiffusionProblem((1.0, 1.0), (0.75, 0.5), 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
     hist = solve_subdiffusion(prob, 2.0**-4, (0.75, 1.0))
     assert np.all(hist.u == 0.0)
     assert np.all(solve_subdiffusion_l1_baseline(prob, 2.0**-4).u == 0.0)
@@ -99,7 +122,7 @@ def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
     # step 16 starts a run of the field marches; step 48 lies inside the
     # run 32..63, which one product solves whole
     for tau, t0, where in ((2.0**-5, 0.5, r"step 16, t = 0\.5"), (2.0**-6, 0.75, r"step 48, t = 0\.75")):
-        sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, _nan_after(t0), _zero, 1.0, unit_mesh)
+        sub = SubdiffusionProblem((1.0, 1.0), (0.75, 0.5), 1.0, _nan_after(t0), _zero, 1.0, unit_mesh)
         with pytest.raises(ValueError, match="solve_subdiffusion: " + where):
             solve_subdiffusion(sub, tau, (0.75, 1.0))
         with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
@@ -130,7 +153,7 @@ def test_indefinite_step_matrix_names_solver(small_mesh, unit_mesh, monkeypatch)
     tau = 2.0**-5
     what = r": step matrix is not positive definite"
     source = lambda x, t: _zero(x)
-    sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, source, _zero, 1.0, unit_mesh)
+    sub = SubdiffusionProblem((1.0, 1.0), (0.75, 0.5), 1.0, source, _zero, 1.0, unit_mesh)
     with pytest.raises(ValueError, match="solve_subdiffusion" + what):
         solve_subdiffusion(sub, tau)
     with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline" + what):
@@ -200,8 +223,8 @@ def test_wave_scheme_equation_residual():
     g = wsgl_weights(alpha, n_t + 1)
     sc = tau**-alpha
     Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1)
-    Wu1 = d1_u_weight_table(sigma, m1, n_t)
-    Wv2 = d1_v_weight_table(sigma, m2, n_t)
+    Wu1 = d1_weight_table(sigma.truncated(m1), n_t)
+    Wv2 = d1_weight_table(sigma.truncated(m2).shifted(-1.0), n_t)
     x = mesh.nodes[I]
     fr = np.array([prob.source(x, n * tau) for n in range(n_t + 1)])
     vhat = v - v[0]
@@ -288,7 +311,7 @@ def test_subdiffusion_l1_baseline_exact_for_linear_time():
         frac = t ** (1.0 - a1) / gamma(2.0 - a1) + t ** (1.0 - a2) / gamma(2.0 - a2)
         return np.where(t == 0.0, 0.0, (frac + math.pi**2 * t) * spi(x))
 
-    prob = SubdiffusionProblem(a1, a2, 1.0, 1.0, source, _zero, 1.0, mesh)
+    prob = SubdiffusionProblem((1.0, 1.0), (a1, a2), 1.0, source, _zero, 1.0, mesh)
     hist = solve_subdiffusion_l1_baseline(prob, 2.0**-4)
     err = l2_error(hist, lambda x, t: t * np.sin(np.pi * x))
     assert err <= 1e-10
@@ -374,8 +397,8 @@ def test_wave_startup_block_matches_refined_solution(make, m, tau):
     g = wsgl_weights(alpha, n_t + 1)
     sc = tau ** (-alpha)
     Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1)
-    Wu1 = d1_u_weight_table(sigma, m1, n_t)
-    Wv2 = d1_v_weight_table(sigma, m2, n_t)
+    Wu1 = d1_weight_table(sigma.truncated(m1), n_t)
+    Wv2 = d1_weight_table(sigma.truncated(m2).shifted(-1.0), n_t)
     x = mesh.nodes[I]
     fr = prob.source(x[None, :], (np.arange(m + 1) * tau)[:, None]) * np.ones((m + 1, d))
     u0 = h1_projection(prob.phi0, mesh)[I]
@@ -425,7 +448,7 @@ def test_subdiffusion_startup_block_matches_refined_solution(m, tau):
     n_t = round(1.0 / tau)
     terms = [
         (scale * tau ** (-a), wsgl_weights(a, n_t), starting_weight_table(a, sigma.truncated(m), n_t))
-        for scale, a in ((1.0, prob.alpha1), (prob.nu, prob.alpha2))
+        for scale, a in zip(prob.nu, prob.alphas)
     ]
     x = mesh.nodes[I]
     fr = prob.source(x[None, :], (np.arange(m + 1) * tau)[:, None]) * np.ones((m + 1, d))
@@ -452,15 +475,16 @@ def test_subdiffusion_startup_block_matches_refined_solution(m, tau):
 
 def test_singular_wave_startup_block_raises(small_mesh, monkeypatch):
     # a U-correction that cancels the first trapezoid row's u^1 coefficient
-    table = tfpde.d1_u_weight_table
+    table = tfpde.d1_weight_table
 
-    def cancelling(sigma, m1, n_t):
-        W = np.array(table(sigma, m1, n_t))
-        W[0] = 0.0
-        W[0, 0] = -1.0
+    def cancelling(cset, n_t):
+        W = np.array(table(cset, n_t))
+        if cset.sigmas[0] == 2.0:  # the U-table; the V-table's exponents are one lower
+            W[0] = 0.0
+            W[0, 0] = -1.0
         return W
 
-    monkeypatch.setattr(tfpde, "d1_u_weight_table", cancelling)
+    monkeypatch.setattr(tfpde, "d1_weight_table", cancelling)
     wave = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
     with pytest.raises(RuntimeError, match="wave startup block is singular"):
         solve_wave(wave, 2.0**-5, (2.0, 2.5), 2, 2, 2)
@@ -469,7 +493,7 @@ def test_singular_wave_startup_block_raises(small_mesh, monkeypatch):
 def _each_field_solve(small_mesh, unit_mesh, source):
     tau = 2.0**-5
     wave = WaveProblem(1.0, 1.0, source, _zero, _zero, 0.5, 1.0, small_mesh)
-    sub = SubdiffusionProblem(0.75, 0.5, 1.0, 1.0, source, _zero, 1.0, unit_mesh)
+    sub = SubdiffusionProblem((1.0, 1.0), (0.75, 0.5), 1.0, source, _zero, 1.0, unit_mesh)
     return [
         ("solve_wave", lambda: solve_wave(wave, tau, (2.0, 2.5), 2, 2, 2)),
         ("solve_wave_l1_baseline", lambda: solve_wave_l1_baseline(wave, tau)),
@@ -598,14 +622,14 @@ def test_subdiffusion_march_matches_physical_space_march(m, phi0):
     sigma = CorrectionSet((0.75, 1.0, 1.25))
     if m == "l1":
         hist = solve_subdiffusion_l1_baseline(prob, tau)
-        terms = [Term(1.0, l1_weights(a, n_t, tau)) for a in (prob.alpha1, prob.alpha2)]
+        terms = [Term(1.0, l1_weights(a, n_t, tau)) for a in prob.alphas]
         m = 0
     else:
         hist = solve_subdiffusion(prob, tau, sigma.truncated(m))
         table = lambda a: starting_weight_table(a, sigma.truncated(m), n_t) if m else None
         terms = [
             Term(scale * tau ** (-a), wsgl_weights(a, n_t), table(a))
-            for scale, a in ((1.0, prob.alpha1), (prob.nu, prob.alpha2))
+            for scale, a in zip(prob.nu, prob.alphas)
         ]
     u = oracles.subdiffusion_march(prob, tau, terms, m)
     assert _rel(hist.u[:, prob.mesh.interior], u) <= 1e-13
