@@ -27,7 +27,7 @@ _SUBMODULE = {
         ("sem", "AssembledForms SpectralMesh assemble h1_projection interpolate lgl_nodes"),
         ("specfun", "gamma mittag_leffler"),
         ("tfpde", "FieldHistory SubdiffusionProblem WaveProblem l2_error solve_subdiffusion "
-         "solve_subdiffusion_l1_baseline solve_wave solve_wave_l1_baseline"),
+         "solve_subdiffusion_l1_baseline solve_wave"),
     )
     for name in names.split()
 }

@@ -415,12 +415,11 @@ def _run_operator(cfg: StudyConfig) -> RowTable:
     m_values = [int(t) for t in _parse_list(cfg.require("columns"))]
     rule = cfg.get("sigma_rule", "k*alpha")
     expos = _numbers(cfg.require("u_exponents"))
-    coeffs = _numbers(cfg.get("u_coefficients", "")) or [1.0] * len(expos)
     n_t = step_count(tau, T)
     t = np.arange(n_t + 1) * tau
-    U = sum(c * t**p for c, p in zip(coeffs, expos))
+    U = sum(t**p for p in expos)
     exact = np.zeros(n_t + 1)
-    exact[1:] = sum(c * rl_deriv_power(alpha, p, 1.0) * t[1:] ** (p - alpha) for c, p in zip(coeffs, expos))
+    exact[1:] = sum(rl_deriv_power(alpha, p, 1.0) * t[1:] ** (p - alpha) for p in expos)
     g = wsgl_weights(alpha, n_t)
 
     def run_cell(m):

@@ -48,11 +48,10 @@ class Term:
 
 def _direct(r: int, L: int) -> bool:
     """Whether a node of size L with r targets goes by a product with its
-    r x L lag block (at most _DIRECT entries) rather than by FFT: 2-5 us
-    against about 20 us, and less per column too (at most 1.6 us against
-    0.035 us per level of L; 2-vCPU Xeon, numpy 2.4, OpenBLAS).  Full nodes
-    of up to 128 levels go direct, their blocks kept (168 KB), and so does a
-    larger clipped node with few targets (one, at 2^k + 1 levels)."""
+    r x L lag block (at most _DIRECT entries) rather than by FFT, which is
+    the slower of the two on blocks that small.  Full nodes of up to 128
+    levels go direct, their blocks kept (168 KB), and so does a larger
+    clipped node with few targets (one, at 2^k + 1 levels)."""
     return r * L <= _DIRECT
 
 

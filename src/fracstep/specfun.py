@@ -83,26 +83,30 @@ def _series(alpha: float, z: np.ndarray):
         return total, abs_total / np.abs(total)
 
 
-def _series_mp(alpha: float, z: float, cond: float) -> float:
-    """Re-sum the same Taylor series with enough working digits to absorb the
-    cancellation estimated by the double-precision pass."""
+def _series_mp(alpha: float, z: float, abs_total: float) -> float:
+    """Re-sum the same Taylor series with 25 digits beyond its largest terms,
+    sized from the double pass's sum|t_k| (the double sum itself may be wrong
+    in every digit), to 1e-20 of the sum.  The Gamma arguments k alpha + 1
+    are formed in mp arithmetic: rounded to double, each is off by up to
+    k/2 ulp, which terms of 1e46 turn into errors of 1e32.  Raises
+    ArithmeticError where the terms' rounding, about sum|t_k| 10^-dps, is
+    not below 1e-20 of the sum."""
     import mpmath  # imported here: no shipped study reaches this path
 
-    extra = max(0.0, math.log10(cond))
-    dps = int(extra) + 25
+    dps = int(math.log10(abs_total)) + 25
     with mpmath.workdps(dps):
-        za = mpmath.mpf(z)
-        total = mpmath.mpf(1)
-        term = mpmath.mpf(1)
+        a, za = mpmath.mpf(alpha), mpmath.mpf(z)
+        total = term = abs_sum = mpmath.mpf(1)
+        log_gamma = mpmath.mpf(0)  # log Gamma(k alpha + 1)
         k = 0
         small_runs = 0
-        tol = mpmath.mpf(10) ** (-(dps - 5))
+        tol = mpmath.mpf(10) ** -20
         while k < _ML_MAX_TERMS:
-            term *= za * mpmath.exp(
-                mpmath.loggamma(k * alpha + 1) - mpmath.loggamma((k + 1) * alpha + 1)
-            )
             k += 1
+            log_gamma, previous = mpmath.loggamma(k * a + 1), log_gamma
+            term *= za * mpmath.exp(previous - log_gamma)
             total += term
+            abs_sum += abs(term)
             if abs(term) < tol * abs(total):
                 small_runs += 1
                 if small_runs >= 2:
@@ -113,6 +117,11 @@ def _series_mp(alpha: float, z: float, cond: float) -> float:
             raise ArithmeticError(
                 f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
                 f"(alpha={alpha:g}, z={z:g})"
+            )
+        if abs_sum > tol * abs(total) * mpmath.mpf(10) ** dps:
+            raise ArithmeticError(
+                f"Mittag-Leffler re-sum lost its digits to cancellation: sum|t_k| = {float(abs_sum):.3g} "
+                f"against a sum of {float(total):.3g} at {dps} digits (alpha={alpha:g}, z={z:g})"
             )
         return float(total)
 
@@ -144,5 +153,5 @@ def mittag_leffler(alpha: float, z):
         raise ValueError(f"mittag_leffler(alpha={alpha:g}) requires {what}, got z={first:g}")
     value, cond = _series(alpha, flat)
     for i in np.flatnonzero(cond > _ML_COND_LIMIT):
-        value[i] = _series_mp(alpha, float(flat[i]), float(cond[i]))
+        value[i] = _series_mp(alpha, float(flat[i]), float(cond[i] * abs(value[i])))
     return float(value[0]) if za.ndim == 0 else value.reshape(za.shape)

@@ -6,12 +6,12 @@ single step, one known part of a memory at a single level or one series sum
 at a single point, straight from its defining formula, so the vectorised
 tables, convolutions and sums in ``fracstep`` can be checked against it.
 ``s_factor`` is the error-amplitude factor of a correction set, which the
-tests compare with the observed error decay.  ``wave_march``,
-``wave_l1_march`` and ``subdiffusion_march`` are the field marches in
-physical space: each step solves its SPD step matrix with a Cholesky inverse
-(a mat-vec per step), against which the modal marches of ``fracstep.tfpde``
-are checked.  ``wave_march_by_level`` is the modal wave march one level at a
-time, against which its run solve is checked.  ``lgl_nodes_by_table`` and the
+tests compare with the observed error decay.  ``wave_march`` and
+``subdiffusion_march`` are the field marches in physical space: each step
+solves its SPD step matrix with a Cholesky inverse (a mat-vec per step),
+against which the modal marches of ``fracstep.tfpde`` are checked.
+``wave_march_by_level`` is the modal wave march one level at a time, against
+which its run solve is checked.  ``lgl_nodes_by_table`` and the
 ``*_by_loop`` functions are the spectral-element set-up in loop form, which
 ``fracstep.sem`` must match bit for bit.
 """
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from fracstep.corrections import CorrectionSet, d1_weight_table, starting_weight_table
-from fracstep.glweights import SampledPath, gl_weights, l1_weights, step_count, wsgl_weights
+from fracstep.glweights import SampledPath, gl_weights, step_count, wsgl_weights
 from fracstep.memory import History, Term, convolve, reciprocal, startup_matrix
 from fracstep.sem import h1_projection, spd_inverse
 from fracstep.specfun import gamma
@@ -266,12 +266,11 @@ def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int 
     return u, v
 
 
-def wave_march_by_level(solver: str, hist, uh, vh, start: int, tau: float, D, P, Q, s, average=True) -> None:
+def wave_march_by_level(hist, uh, vh, start: int, tau: float, D, P, Q, s) -> None:
     """``fracstep.tfpde._march_wave`` one level at a time, as a drop-in for
     it: D vh^{n+1} = P vh^n + Q uh^n + F^n - s K, K the known memory at levels
-    n and n + 1 summed (``average``) or at n + 1, then the trapezoid
-    uh^{n+1} = G^n + uh^n + tau (vh^{n+1} + vh^n) / 2, with the history fed
-    every level."""
+    n and n + 1 summed, then the trapezoid uh^{n+1} = G^n + uh^n
+    + tau (vh^{n+1} + vh^n) / 2, with the history fed every level."""
     P, Q, s = P / D, Q / D, s / D
     vh[start + 1 :] /= D
     for k in range(start + 1):
@@ -279,34 +278,9 @@ def wave_march_by_level(solver: str, hist, uh, vh, start: int, tau: float, D, P,
     known_next = hist.known(start)
     for n in range(start, len(vh) - 1):
         known_n, known_next = known_next, hist.known(n + 1)
-        vh[n + 1] = P * vh[n] + Q * uh[n] + vh[n + 1] - s * (known_n + known_next if average else known_next)
+        vh[n + 1] = P * vh[n] + Q * uh[n] + vh[n + 1] - s * (known_n + known_next)
         hist.feed(n + 1)
         uh[n + 1] += uh[n] + (tau / 2.0) * (vh[n + 1] + vh[n])
-
-
-def wave_l1_march(problem, tau: float):
-    """Interior (u, v) levels of the L1 wave baseline in physical space."""
-    alpha, nu, mu = problem.alpha, problem.nu, problem.mu
-    n_t = step_count(tau, problem.T)
-    Md, S, I, fr = _physical_space(problem, n_t, tau)
-    u = np.zeros((n_t + 1, len(I)))
-    v = np.zeros((n_t + 1, len(I)))
-    u[0] = h1_projection(problem.phi0, problem.mesh)[I]
-    v[0] = h1_projection(problem.psi0, problem.mesh)[I]
-    vh = np.zeros_like(v)
-    hist = History([Term(nu, l1_weights(alpha, n_t, tau))], vh)
-    c0 = hist.c[0]
-    step_inv = spd_inverse(np.diag((1.0 / tau + c0) * Md) + (mu * tau / 2.0) * S)
-    fixed = Md * (fr + c0 * v[0])
-    hist.feed(0)
-    for n in range(1, n_t + 1):
-        stiff = S @ (mu * u[n - 1] + (mu * tau / 2.0) * v[n - 1])
-        rhs = Md * (v[n - 1] / tau - hist.known(n)) + fixed[n] - stiff
-        v[n] = step_inv @ rhs
-        vh[n] = v[n] - v[0]
-        hist.feed(n)
-        u[n] = u[n - 1] + (tau / 2.0) * (v[n] + v[n - 1])
-    return u, v
 
 
 def subdiffusion_march(problem, tau: float, terms, m: int):

@@ -393,6 +393,23 @@ def test_failing_fode_reference_names_its_spec(tmp_path, capsys):
     assert f"error in study [tr]: {what}" in capsys.readouterr().err
 
 
+def test_fode_exact_reference_holds_where_its_series_cancels(tmp_path):
+    # at alpha = 0.1 and t up to 100 the exact solution's Mittag-Leffler
+    # terms reach 2e46, so every error of the table rests on the re-sum
+    # carrying digits for them; the solution itself lies in (0, 1)
+    cfg = _write(
+        tmp_path,
+        "ml.ini",
+        "[long]\nkind = fode\nproblem = two_term_ml\nalpha = 0.1\nt_end = 100\ntaus = 50 25\n"
+        "columns = 0 1\nsigma_rule = (k+1)*alpha\nnorms = max\nreference = exact\n",
+    )
+    out = tmp_path / "ml.csv"
+    assert cli_main(["fode", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    errors = [float(row[i]) for row in rows for i in (1, 3)]
+    assert len(errors) == 4 and max(errors) < 0.05
+
+
 REFERENCE_FORMS = {
     # study -> (its kind and problem, the reference forms it takes)
     "subdiff": ("kind = subdiff\n", "self:<tau>"),
@@ -645,6 +662,14 @@ def test_package_has_no_cross_module_private_imports():
                 offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert offenders == []
     assert [name for name in fracstep.__all__ if not hasattr(fracstep, name)] == []
+
+
+def test_every_public_solver_runs_in_a_study_kind():
+    # a solver that no study kind calls is an API only the tests use
+    source = (pathlib.Path(fracstep.__file__).parent / "harness.py").read_text()
+    solvers = [name for name in fracstep.__all__ if name.startswith("solve_")]
+    assert len(solvers) >= 5
+    assert [name for name in solvers if not re.search(rf"\b{name}\b", source)] == []
 
 
 def test_shipped_study_configs_parse():

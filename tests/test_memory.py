@@ -34,7 +34,6 @@ from fracstep.tfpde import (
     solve_subdiffusion,
     solve_subdiffusion_l1_baseline,
     solve_wave,
-    solve_wave_l1_baseline,
 )
 from oracles import DirectHistory, history, known_parts
 
@@ -415,7 +414,6 @@ SOLVES = {
     "subdiffusion": lambda: solve_subdiffusion(subdiffusion_forced_problem(), 2.0**-10, (0.75, 1.0)).u,
     "subdiffusion_l1": lambda: solve_subdiffusion_l1_baseline(subdiffusion_forced_problem(), 2.0**-10).u,
     "wave": lambda: solve_wave(wave_forced_problem(0.5), 2.0**-9, (2.0, 2.5, 3.0), 2, 3, 2).u,
-    "wave_l1": lambda: solve_wave_l1_baseline(wave_forced_problem(0.5), 2.0**-9).u,
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracstep.specfun import _ML_COND_LIMIT, gamma, mittag_leffler
+from fracstep.specfun import _ML_COND_LIMIT, _series_mp, gamma, mittag_leffler
 from oracles import ml_series_scalar
 
 
@@ -67,6 +67,31 @@ def test_ml_strong_cancellation_branch():
     # alpha = 1/2, z = -5 needs the high-precision re-sum to meet tolerance
     expected = math.exp(25.0) * math.erfc(5.0)
     assert mittag_leffler(0.5, -5.0) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha,z,value",
+    [
+        (0.1, -1.3, 0.42038164092268398),
+        (0.1, -1.4, 0.40236553504513159),
+        (0.1, -1.6, 0.37058944341474458),
+        (0.2, -2.0, 0.30567869641870601),
+        (0.2, -3.0, 0.22585454512648809),
+    ],
+)
+def test_ml_resum_where_the_terms_dwarf_the_sum(alpha, z, value):
+    # values from 150- and 300-digit mpmath sums of z^k / Gamma(k alpha + 1),
+    # alpha the same binary double, which agree to 2e-46; the terms reach
+    # 2e46 at alpha = 0.1, z = -1.6 and 9e103 at alpha = 0.2, z = -3, so the
+    # re-sum must form k alpha in mp arithmetic and take its digits from
+    # sum|t_k|, not from the double sum
+    assert mittag_leffler(alpha, z) == pytest.approx(value, rel=1e-12)
+
+
+def test_ml_resum_names_cancellation_its_digits_do_not_cover():
+    # sum|t_k| is 5.6e48 here: sized from 1.0, the re-sum keeps 25 digits
+    with pytest.raises(ArithmeticError, match=r"lost its digits to cancellation.*alpha=0\.1, z=-1\.6"):
+        _series_mp(0.1, -1.6, 1.0)
 
 
 def test_ml_domain_errors():
