@@ -5,11 +5,13 @@ The primary scheme discretizes
     sum_j nu_j * D_c^{alpha_j} y = f(t, y),   y(0) = y0,
 
 (Caputo derivatives, orders in (0,1], nu_1 > 0) with the corrected WSGL
-operator applied to y - y0 per term, solved implicitly step by step.  The
-first m steps couple through the starting weights and are solved as one block
-(Newton on the nonlinearity, direct solve of the linear part).  Every later
-step solves one scalar equation by a secant iteration that carries its slope
-from step to step: about three evaluations of f per step, two for a linear f.
+operator applied to y - y0 per term, solved implicitly.  The first m steps
+couple through the starting weights and are solved as one block.  A problem
+that declares f = lam y (``MultiTermProblem.lam``) then marches run by run,
+each run one lower-triangular Toeplitz solve (``memory.linear_march``), and
+never calls f.  Any other f goes step by step, each step one scalar equation
+solved by a secant iteration that carries its slope from step to step:
+about three evaluations of f per step.
 L1 and product-trapezoidal discretizations are provided as baselines and
 reference generators.  All three schemes share one march over one history of
 y - y0 (``fracstep.memory``); the trapezoid gets there by the inverse of its
@@ -25,7 +27,7 @@ import numpy as np
 
 from .corrections import CorrectionSet, check_terms, l1_terms, shared_table, wsgl_terms
 from .glweights import SampledPath, step_count
-from .memory import History, Term, convolve, reciprocal, runs, startup_matrix
+from .memory import History, Term, convolve, linear_march, reciprocal, runs, startup_matrix
 from .specfun import gamma
 
 __all__ = [
@@ -47,18 +49,27 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class MultiTermProblem:
     """Problem data: term weights nu_j, orders alpha_j (nonincreasing, in
-    (0,1]; ``check_terms``), right-hand side f(t, y), initial value and horizon."""
+    (0,1]; ``check_terms``), right-hand side f(t, y), initial value and
+    horizon.  ``lam`` declares f(t, y) = lam y, which the marches then solve
+    run by run (``_march``); ``rhs`` must agree with it at t = 0."""
 
     nu: tuple
     alphas: tuple
     rhs: callable
     y0: float
     T: float
+    lam: float | None = None
 
     def __post_init__(self):
         nu, al = check_terms(self.nu, self.alphas)
         if not 0 < self.T < math.inf:
             raise ValueError(f"finite T > 0 required, got T = {self.T!r}")
+        if self.lam is not None:
+            if not abs(self.lam) < math.inf:
+                raise ValueError(f"finite lam required, got lam = {self.lam!r}")
+            for y in (self.y0, self.y0 + 1.0):
+                if not math.isclose(self.rhs(0.0, y), self.lam * y, rel_tol=1e-12):
+                    raise ValueError(f"rhs(0, {y!r}) = {self.rhs(0.0, y)!r} is not lam * y, lam = {self.lam!r}")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "alphas", al)
 
@@ -94,8 +105,8 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     halve |r| is dropped for a finite-difference slope at the current x; if that
     fails too, Picard iteration from ``guess`` takes over.  An iterate is
     accepted when its residual or its step is within _STEP_TOL relative.
-    Returns (x, d).  A linear f needs no special path: its
-    secant slope is exact, so the next step's first iterate solves it."""
+    Returns (x, d).  A linear f declared by ``lam`` never reaches it: its
+    march solves whole runs (``_march``)."""
     isfinite, tol = math.isfinite, _STEP_TOL  # locals: the accepted path calls only f and isfinite
     x = guess
     fx = f(t_n, y0 + x)
@@ -168,14 +179,20 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, solver: str,
     """March yhat = y - y0 through  a yhat^n + known = b f(t_n, y0 + yhat^n),
     known from the memory ``terms`` on yhat plus its ``fixed`` part.  Steps
     1..m couple through the starting weights and are solved as one block.
-    Later steps go one level at a time, in runs (``memory.runs``): a run
-    reads its far field once and feeds the history once."""
+    Later steps go in runs (``memory.runs``): a run reads its far field once
+    and feeds the history once.  A linear f = lam y needs no iteration:
+    (a - b lam) yhat^n + known = b lam y0 (``memory.linear_march``).  Any
+    other f goes level by level (``_implicit_step``)."""
     n_t = step_count(tau, problem.T)
-    f, y0 = problem.rhs, problem.y0
+    f, y0, lam = problem.rhs, problem.y0, problem.lam
     yhat = np.zeros(n_t + 1)
+    if n_t < m:
+        raise ValueError("horizon too short for the correction stencil")
+    if lam is not None:
+        yhat[1:] = b * lam * y0
+        linear_march(History(terms, yhat, fixed), np.array([-b * lam]), m, solver, tau, ConvergenceError)
+        return SampledPath(tau, yhat + y0)
     if m >= 1:
-        if n_t < m:
-            raise ValueError("horizon too short for the correction stencil")
         try:
             yhat[1 : m + 1] = _startup_block(f, y0, tau, startup_matrix(terms, m)[1:])
         except ConvergenceError as exc:
@@ -206,8 +223,7 @@ def solve_corrected_wsgl(problem: MultiTermProblem, tau: float, sigma: Correctio
 
     Each step solves  sum_j nu_j tau^{-a_j} [g-convolution + corrections](yhat)
     = f(t_n, y0 + yhat^n)  for yhat^n = y^n - y0.  Steps 1..m couple through
-    the starting weights and are solved as one dense block with the
-    nonlinearity handled by Newton iteration (finite-difference slope).
+    the starting weights and are solved as one dense block (``_startup_block``).
     """
     cset = CorrectionSet(sigma)
     terms = wsgl_terms(problem.nu, problem.alphas, tau, step_count(tau, problem.T), cset)

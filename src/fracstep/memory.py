@@ -15,9 +15,11 @@ of the coupled startup block.
 
 After its startup levels 0..m a march goes in runs: the levels [s, e) up to
 the next multiple of _BASE = 32 (``runs``).  Inside a run the far field is
-fixed, so a march feeds its history once per run, and a linear march can
-solve a run as one lower-triangular Toeplitz system per history column, its
-lags shared or per column (``known_run``, ``run_inverse``, ``solve_run``).
+fixed, so a march feeds its history once per run, and a linear march solves
+a run as one lower-triangular Toeplitz system per history column, its lags
+shared or per column (``known_run``, ``run_inverse``, ``solve_run``):
+``linear_march`` is that march for a diagonal per column, which the
+subdiffusion (one column per mode) and a linear FODE (one column) share.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from functools import cached_property
 import numpy as np
 from numpy.fft import irfft, rfft
 
-__all__ = ["RUN", "Term", "History", "convolve", "reciprocal", "run_inverse", "runs", "solve_run", "startup_matrix"]
+__all__ = ["RUN", "Term", "History", "check_march", "convolve", "linear_march", "reciprocal", "run_inverse",
+           "runs", "solve_run", "startup_matrix"]
 
 _BASE = 32  # lags summed directly at each level; longer lags go through the far field
 RUN = _BASE  # the most levels in one run
@@ -214,6 +217,47 @@ def solve_run(inverse: np.ndarray, loads: np.ndarray) -> np.ndarray:
     b[s:e] - known_run(s, e) and the inverse ``run_inverse(c, d)``."""
     r = len(loads)
     return (inverse[:, :r, :r] @ loads.T[:, :, None])[:, :, 0].T
+
+
+def linear_march(hist: History, shift, m: int, solver: str, tau: float, error=ValueError) -> None:
+    """Solve (c_0 + shift) x^n + known(n) = b^n for the levels 1.. of the
+    history x of ``hist``, shape (levels,) or (levels, columns), one shift
+    per column; each level enters holding its load b^n.  Levels 1..m couple
+    through the starting weights: one m x m system per column.  Then one
+    ``run_inverse``, and per run its loads less ``known_run`` times the
+    inverse (``solve_run``) and one feed.  ``check_march`` names a
+    non-finite level, raised as ``error``, as is a singular startup block."""
+    x = hist.x.reshape(len(hist.x), -1)
+    finite = np.isfinite(x).all(axis=1)
+    if m >= 1:
+        A = startup_matrix(hist.terms, m)[1:] + np.multiply.outer(shift, np.eye(m))  # (columns, m, m)
+        try:
+            x[1 : m + 1] = np.linalg.solve(A, x[1 : m + 1].T[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError as exc:
+            raise error(f"{solver}: steps 1..{m}, t <= {m * tau:g}: singular startup block") from exc
+    inverse = run_inverse(hist.c, hist.c[0] + shift)
+    for k in range(m + 1):
+        hist.feed(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level is named below
+        for s, e in runs(m + 1, len(x)):
+            x[s:e] = solve_run(inverse, x[s:e] - hist.known_run(s, e).reshape(e - s, -1))
+            hist.feed(e - 1)
+    check_march(solver, x, m, tau, finite, error)
+
+
+def check_march(solver: str, x: np.ndarray, m: int, tau: float, finite: np.ndarray, error=ValueError) -> None:
+    """Name the first non-finite level of a finished march, shape (levels,
+    columns), or the startup block 1..m that holds it.  A run solve spreads
+    a non-finite load over its run (0 * nan is nan), so given ``finite``,
+    whether each level's load was finite before the march, the level named
+    is the first non-finite load of the run from the first bad level on."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size and 1 <= bad[0] <= m:
+        raise error(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
+    if bad.size:
+        s, e = next(runs(int(bad[0]), len(x)))
+        n = s + int(np.argmin(finite[s:e]))  # argmin is the first False, or 0
+        raise error(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
 
 
 def convolve(c: np.ndarray, x: np.ndarray, levels: int | None = None) -> np.ndarray:

@@ -47,6 +47,7 @@ def two_term_ml_problem(alpha: float, T: float = 1.0) -> MultiTermProblem:
         rhs=lambda t, y: -0.5 * y,
         y0=1.0,
         T=T,
+        lam=-0.5,
     )
 
 

@@ -83,47 +83,55 @@ def _series(alpha: float, z: np.ndarray):
         return total, abs_total / np.abs(total)
 
 
-def _series_mp(alpha: float, z: float, abs_total: float) -> float:
-    """Re-sum the same Taylor series with 25 digits beyond its largest terms,
-    sized from the double pass's sum|t_k| (the double sum itself may be wrong
-    in every digit), to 1e-20 of the sum.  The Gamma arguments k alpha + 1
-    are formed in mp arithmetic: rounded to double, each is off by up to
-    k/2 ulp, which terms of 1e46 turn into errors of 1e32.  Raises
-    ArithmeticError where the terms' rounding, about sum|t_k| 10^-dps, is
-    not below 1e-20 of the sum."""
+def _series_mp(alpha: float, z: list, abs_total: list) -> list:
+    """Re-sum the same Taylor series at every point of z with 25 digits
+    beyond the largest terms of any of them, sized from the double pass's
+    sum|t_k| (the double sum itself may be wrong in every digit), to 1e-20
+    of each sum.  The term ratios Gamma(k alpha + 1) / Gamma((k+1) alpha + 1)
+    are built once per call, as far as the longest sum reads them, and
+    shared by every point; their Gamma arguments k alpha + 1 are formed in
+    mp arithmetic: rounded to double, each is off by up to k/2 ulp, which
+    terms of 1e46 turn into errors of 1e32.  Raises ArithmeticError where a
+    point's terms' rounding, about sum|t_k| 10^-dps, is not below 1e-20 of
+    its sum."""
     import mpmath  # imported here: no shipped study reaches this path
 
-    dps = int(math.log10(abs_total)) + 25
+    dps = int(math.log10(max(abs_total))) + 25
+    values = []
     with mpmath.workdps(dps):
-        a, za = mpmath.mpf(alpha), mpmath.mpf(z)
-        total = term = abs_sum = mpmath.mpf(1)
-        log_gamma = mpmath.mpf(0)  # log Gamma(k alpha + 1)
-        k = 0
-        small_runs = 0
-        tol = mpmath.mpf(10) ** -20
-        while k < _ML_MAX_TERMS:
-            k += 1
-            log_gamma, previous = mpmath.loggamma(k * a + 1), log_gamma
-            term *= za * mpmath.exp(previous - log_gamma)
-            total += term
-            abs_sum += abs(term)
-            if abs(term) < tol * abs(total):
-                small_runs += 1
-                if small_runs >= 2:
-                    break
+        a, tol = mpmath.mpf(alpha), mpmath.mpf(10) ** -20
+        ratios, log_gamma = [], mpmath.mpf(0)  # log_gamma: log Gamma(len(ratios) alpha + 1)
+        for zk in z:
+            za = mpmath.mpf(zk)
+            total = term = abs_sum = mpmath.mpf(1)
+            k = small_runs = 0
+            while k < _ML_MAX_TERMS:
+                if k == len(ratios):
+                    log_gamma, previous = mpmath.loggamma((k + 1) * a + 1), log_gamma
+                    ratios.append(mpmath.exp(previous - log_gamma))
+                term *= za * ratios[k]
+                k += 1
+                total += term
+                size = abs(term)
+                abs_sum += size
+                if size < tol * abs(total):
+                    small_runs += 1
+                    if small_runs >= 2:
+                        break
+                else:
+                    small_runs = 0
             else:
-                small_runs = 0
-        else:
-            raise ArithmeticError(
-                f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
-                f"(alpha={alpha:g}, z={z:g})"
-            )
-        if abs_sum > tol * abs(total) * mpmath.mpf(10) ** dps:
-            raise ArithmeticError(
-                f"Mittag-Leffler re-sum lost its digits to cancellation: sum|t_k| = {float(abs_sum):.3g} "
-                f"against a sum of {float(total):.3g} at {dps} digits (alpha={alpha:g}, z={z:g})"
-            )
-        return float(total)
+                raise ArithmeticError(
+                    f"Mittag-Leffler series did not converge within {_ML_MAX_TERMS} terms "
+                    f"(alpha={alpha:g}, z={zk:g})"
+                )
+            if abs_sum > tol * abs(total) * mpmath.mpf(10) ** dps:
+                raise ArithmeticError(
+                    f"Mittag-Leffler re-sum lost its digits to cancellation: sum|t_k| = {float(abs_sum):.3g} "
+                    f"against a sum of {float(total):.3g} at {dps} digits (alpha={alpha:g}, z={zk:g})"
+                )
+            values.append(float(total))
+    return values
 
 
 def mittag_leffler(alpha: float, z):
@@ -140,7 +148,7 @@ def mittag_leffler(alpha: float, z):
     The series is summed in double precision for all points together with a
     per-point term-ratio stopping rule; where the cancellation estimate shows
     the double sum cannot reach ~1e-13 relative accuracy (strongly negative
-    z), that point's series is re-summed at adaptive precision.
+    z), those points' series are re-summed together at adaptive precision.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"mittag_leffler requires alpha in (0, 1], got {alpha:g}")
@@ -152,6 +160,8 @@ def mittag_leffler(alpha: float, z):
         what = "finite z" if not np.isfinite(first) else "|z| <= 5"
         raise ValueError(f"mittag_leffler(alpha={alpha:g}) requires {what}, got z={first:g}")
     value, cond = _series(alpha, flat)
-    for i in np.flatnonzero(cond > _ML_COND_LIMIT):
-        value[i] = _series_mp(alpha, float(flat[i]), float(cond[i] * abs(value[i])))
+    flagged = np.flatnonzero(cond > _ML_COND_LIMIT)
+    if flagged.size:  # one re-sum for every flagged point, sharing its term ratios
+        abs_total = cond[flagged] * np.abs(value[flagged])
+        value[flagged] = _series_mp(alpha, flat[flagged].tolist(), abs_total.tolist())
     return float(value[0]) if za.ndim == 0 else value.reshape(za.shape)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .corrections import CorrectionSet, check_terms, d1_weight_table, l1_terms, wsgl_terms
 from .glweights import step_count
-from .memory import RUN, History, run_inverse, runs, solve_run, startup_matrix
+from .memory import RUN, History, check_march, linear_march, run_inverse, runs, solve_run, startup_matrix
 from .sem import SpectralMesh, h1_projection
 
 __all__ = [
@@ -274,7 +274,7 @@ def _march_wave(hist: History, uh, vh, start: int, tau: float, D, P, Q, s) -> No
         uh[a] += uh[a - 1]
         np.cumsum(uh[a:e], axis=0, out=uh[a:e])
         hist.feed(e - 1)
-    _check_march("solve_wave", vh, start, tau, finite)
+    check_march("solve_wave", vh, start, tau, finite)
 
 
 def _levels(W: np.ndarray, m: int) -> np.ndarray:
@@ -327,58 +327,24 @@ def _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, mesh, u0, v0)
     uh[1 : m + 1] = Kuu_inv @ ((Md * b_u) @ Phi - Kuv @ V)
 
 
-def _check_march(solver: str, x: np.ndarray, m: int, tau: float, finite: np.ndarray) -> None:
-    """Name the first non-finite level of a finished march, or the startup
-    block 1..m that holds it; the march is causal, so the levels before it
-    are unaffected.  A run solve spreads a non-finite load over its whole
-    run, since its product multiplies the zero upper triangle by the load
-    and 0 * nan is nan; given ``finite``, whether the load of each level,
-    less its memory, was finite before the march, the level named is that of
-    the first non-finite load of the run from the first non-finite level on."""
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size and 1 <= bad[0] <= m:
-        raise ValueError(f"{solver}: steps 1..{m}, t <= {m * tau:g}: startup block solution is not finite")
-    if bad.size:
-        s, e = next(runs(int(bad[0]), len(x)))
-        n = s + int(np.argmin(finite[s:e]))  # argmin is the first False, or 0
-        raise ValueError(f"{solver}: step {n}, t = {n * tau:g}: solution is not finite")
-
-
 def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int, solver: str):
     """March uh = U - U(0) mode by mode through (c_0 + mu lam) uh^n + history
     = Phi^T Md f^n - mu lam U(0), with the memory ``terms`` of each fractional
     term.  Steps 1..m couple through the starting weights and are solved as
-    one m x m system per mode.  Every later run of levels (``memory.runs``)
-    is one lower-triangular Toeplitz system per mode, solved whole: its loads,
-    the right-hand sides less ``known_run``, times the per-mode inverses
-    built once per march (``memory.run_inverse``), all modes in one batched
-    product (``memory.solve_run``); then the history is fed once.  No step
-    goes level by level, and each run's solution overwrites its loads, so the
-    march holds one (levels, modes) array besides the far field."""
+    one m x m system per mode.  Every later run of levels is one
+    lower-triangular Toeplitz system per mode, all modes solved at once
+    (``memory.linear_march``), and each run's solution overwrites its loads,
+    so the march holds one (levels, modes) array besides the far field."""
     mu = problem.mu
     n_t = step_count(tau, problem.T)
     Phi, lam, uh, (u0_x, u0) = _space(problem, n_t, tau, solver, problem.phi0)
     uh -= mu * lam * u0  # the loads, which the march overwrites run by run with uh = U - U(0)
     uh[0] = 0.0
-    finite = np.isfinite(uh).all(axis=1)
-    if m >= 1:
-        A = startup_matrix(terms, m)[1:] + np.multiply.outer(mu * lam, np.eye(m))  # (modes, m, m)
-        try:
-            uh[1 : m + 1] = np.linalg.solve(A, uh[1 : m + 1].T[:, :, None])[:, :, 0].T
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("subdiffusion startup block is singular") from exc
     hist = History(terms, uh)
-    D = hist.c[0] + mu * lam
-    if not np.all(D > 0):
+    if not np.all(hist.c[0] + mu * lam > 0):
         raise ValueError(f"{solver}: step matrix is not positive definite")
-    inverse = run_inverse(hist.c, D)  # (modes, 32, 32)
-    for k in range(m + 1):
-        hist.feed(k)
-    for s, e in runs(m + 1, n_t + 1):
-        uh[s:e] = solve_run(inverse, uh[s:e] - hist.known_run(s, e))
-        hist.feed(e - 1)
-    del inverse, hist
-    _check_march(solver, uh, m, tau, finite)
+    linear_march(hist, mu * lam, m, solver, tau)
+    del hist
     return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh, u0_x))
 
 

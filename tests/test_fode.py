@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracstep.corrections import CorrectionSet
 from fracstep.fode import (
@@ -211,6 +214,120 @@ def test_linear_rhs_step_takes_one_iterate():
     calls, prob = _counting(two_term_ml_problem(0.1))
     path = solve_corrected_wsgl(prob, 2.0**-9, (0.1, 0.2, 0.3))
     assert calls[0] <= 2.1 * path.n_steps
+
+
+@pytest.mark.parametrize(
+    "rhs, lam, match",
+    [
+        (lambda t, y: -0.5 * y, math.nan, r"finite lam required, got lam = nan"),
+        (lambda t, y: -0.5 * y, -math.inf, r"finite lam required, got lam = -inf"),
+        (lambda t, y: -y, -0.5, r"rhs\(0, 1\.0\) = -1\.0 is not lam \* y, lam = -0\.5"),
+        (lambda t, y: -0.5 * y + 1.0, -0.5, r"rhs\(0, 1\.0\) = 0\.5 is not lam \* y"),
+        # agrees at y0 = 1, so only the second point catches it
+        (lambda t, y: -0.5 * y * y, -0.5, r"rhs\(0, 2\.0\) = -2\.0 is not lam \* y"),
+    ],
+)
+def test_wrong_linear_declaration_fails_loudly(rhs, lam, match):
+    with pytest.raises(ValueError, match=match):
+        MultiTermProblem((1.0, 1.5), (1.0, 0.5), rhs, 1.0, 1.0, lam)
+
+
+def _secant(problem):
+    """The same problem without its linear declaration, which the secant
+    march solves."""
+    return MultiTermProblem(problem.nu, problem.alphas, problem.rhs, problem.y0, problem.T)
+
+
+def _no_secant_step(*args):
+    raise AssertionError("a linear problem took a secant step")
+
+
+def test_linear_problem_takes_the_run_march(monkeypatch):
+    # the declaration survives dataclasses.replace, as a wrapped rhs does it,
+    # and the march never reaches the secant step or calls f: only the
+    # declaration's check does, at y0 and y0 + 1
+    calls = []
+    problem = two_term_ml_problem(0.5)
+    wrapped = dataclasses.replace(problem, rhs=lambda t, y: calls.append(y) or problem.rhs(t, y))
+    assert wrapped.lam == -0.5 and calls == [1.0, 2.0]
+    monkeypatch.setattr(fode, "_implicit_step", _no_secant_step)
+    for p in (problem, wrapped):
+        path = solve_corrected_wsgl(p, 2.0**-8, (0.5, 1.0))
+        assert np.all(np.isfinite(path.values))
+    assert calls == [1.0, 2.0]
+    solve_l1(problem, 2.0**-8)
+    solve_trapezoidal(dataclasses.replace(problem, nu=(1.0, 1.0)), 2.0**-8)
+    with pytest.raises(AssertionError, match="secant step"):
+        solve_corrected_wsgl(_secant(problem), 2.0**-8)
+
+
+LINEAR_MARCHES = {
+    "wsgl0": lambda p, tau: solve_corrected_wsgl(p, tau),
+    "wsgl5": lambda p, tau: solve_corrected_wsgl(p, tau, tuple((k + 1) * p.alphas[-1] for k in range(5))),
+    "l1": solve_l1,
+    "trapezoidal": solve_trapezoidal,
+}
+
+
+def _ulp_floor(march, problem, tau, monkeypatch):
+    """How far the secant march moves when each step's known part moves by
+    one ulp, of random sign: the rounding floor of any other summation."""
+    rng = np.random.default_rng(0)
+    step = fode._implicit_step
+
+    def perturbed(f, t, y0, a, known, b, guess, d):
+        return step(f, t, y0, a, known + rng.choice((-1.0, 1.0)) * math.ulp(known), b, guess, d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fode, "_implicit_step", perturbed)
+        moved = LINEAR_MARCHES[march](problem, tau).values
+    return np.max(np.abs(moved - LINEAR_MARCHES[march](problem, tau).values))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+@pytest.mark.parametrize("march", LINEAR_MARCHES)
+def test_run_march_matches_secant_march(march, alpha, monkeypatch):
+    # the run march and the secant march on the same linear problem, within
+    # 1e-13 relative.  The trapezoid takes unit weights; at alpha = 1/2 its
+    # orders are (1, 1/2), where its kernel 1 / c^(1) = (1 - z) / (1 + z)
+    # does not decay, so rounding accumulates over the steps: a one-ulp
+    # change of each secant step's known part moves the secant march itself
+    # by 4.9e-13 at tau = 2^-12, and there the bound is four times that floor
+    problem = two_term_ml_problem(alpha)
+    if march == "trapezoidal":
+        problem = dataclasses.replace(problem, nu=(1.0, 1.0))
+    for p in range(6, 13):
+        tau = 2.0**-p
+        run = LINEAR_MARCHES[march](problem, tau).values
+        secant = LINEAR_MARCHES[march](_secant(problem), tau).values
+        bound = 1e-13 * np.max(np.abs(secant))
+        if march == "trapezoidal" and alpha == 0.5:
+            bound = max(bound, 4.0 * _ulp_floor(march, _secant(problem), tau, monkeypatch))
+        assert np.max(np.abs(run - secant)) <= bound, (p, np.max(np.abs(run - secant)))
+
+
+@given(lam=st.floats(-50.0, -0.01), alpha=st.floats(0.05, 1.0), m=st.integers(0, 3))
+def test_run_march_matches_secant_march_on_random_decay(lam, alpha, m):
+    # D^alpha y = lam y, lam < 0, corrected on (k+1) alpha, k < m: every
+    # exponent within the growth bound 2 + alpha of the starting weights
+    problem = MultiTermProblem((1.0,), (alpha,), lambda t, y: lam * y, 1.0, 1.0, lam)
+    sigma = tuple((k + 1) * alpha for k in range(m))
+    run = solve_corrected_wsgl(problem, 2.0**-8, sigma).values
+    secant = solve_corrected_wsgl(_secant(problem), 2.0**-8, sigma).values
+    assert np.max(np.abs(run - secant)) <= 1e-13 * np.max(np.abs(secant))
+
+
+@pytest.mark.parametrize("solve", [solve_l1, lambda p, tau: solve_corrected_wsgl(p, tau, (1.0, 1.5))])
+def test_growing_linear_march_names_step_and_time(solve):
+    # y grows like exp(1000 t) and leaves the double range near t = 0.6; the
+    # run march names its first non-finite level, as the secant march names
+    # the step it could not solve
+    tau = 2.0**-11
+    problem = MultiTermProblem((1.0, 1.5), (1.0, 0.5), lambda t, y: 1e3 * y, 1.0, 10.0, 1e3)
+    with pytest.raises(ConvergenceError, match=r"^solve_\w+: step \d+, t = [\d.]+: solution is not finite$") as info:
+        solve(problem, tau)
+    n = int(re.search(r"step (\d+)", str(info.value)).group(1))
+    assert 1000 < n < 1600 and f"t = {n * tau:g}:" in str(info.value)
 
 
 def _mp_trap_weights(alpha, n_t, tau):

@@ -88,10 +88,35 @@ def test_ml_resum_where_the_terms_dwarf_the_sum(alpha, z, value):
     assert mittag_leffler(alpha, z) == pytest.approx(value, rel=1e-12)
 
 
+def test_ml_resums_an_array_once(monkeypatch):
+    # an array's flagged points share one sequence of log Gamma(k alpha + 1),
+    # at the digits of its farthest point, and each value is within one ulp
+    # of that point re-summed alone.  The grid stops at -1.6: from about
+    # -1.93 on the double pass overflows at alpha = 0.1, and one point at
+    # -1.9 takes seconds to re-sum
+    import mpmath
+
+    calls = []
+    loggamma = mpmath.loggamma
+    monkeypatch.setattr(mpmath, "loggamma", lambda x: calls.append(x) or loggamma(x))
+    z = np.linspace(-1.6, -1.3, 4)
+    assert all(ml_series_scalar(0.1, zk)[1] > _ML_COND_LIMIT for zk in z)
+    alone, counts = [], []
+    for zk in z.tolist():
+        calls.clear()
+        alone.append(mittag_leffler(0.1, zk))
+        counts.append(len(calls))
+    calls.clear()
+    got = mittag_leffler(0.1, z)
+    assert len(calls) == max(counts)
+    for gk, ak in zip(got.tolist(), alone):
+        assert abs(gk - ak) <= math.ulp(ak)
+
+
 def test_ml_resum_names_cancellation_its_digits_do_not_cover():
     # sum|t_k| is 5.6e48 here: sized from 1.0, the re-sum keeps 25 digits
     with pytest.raises(ArithmeticError, match=r"lost its digits to cancellation.*alpha=0\.1, z=-1\.6"):
-        _series_mp(0.1, -1.6, 1.0)
+        _series_mp(0.1, [-1.6], [1.0])
 
 
 def test_ml_domain_errors():
