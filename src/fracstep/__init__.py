@@ -20,8 +20,7 @@ _SUBMODULE = {
     for module, names in (
         ("corrections", "CorrectionSet VandermondeDiagnostics d1_weight_table starting_weight_table "
          "vandermonde_diagnostics"),
-        ("fode", "ConvergenceError ErrorReport MultiTermProblem error_report solve_corrected_wsgl "
-         "solve_l1 solve_trapezoidal two_term_sigma_rule"),
+        ("fode", "ConvergenceError MultiTermProblem error_report solve_corrected_wsgl solve_l1 solve_trapezoidal"),
         ("glweights", "SampledPath gl_weights rl_deriv_power wsgl_weights"),
         ("harness", "ConvergenceTable StudyConfig observed_order parse_config run_study"),
         ("sem", "AssembledForms SpectralMesh assemble h1_projection interpolate lgl_nodes"),

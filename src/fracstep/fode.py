@@ -32,13 +32,11 @@ from .specfun import gamma
 
 __all__ = [
     "MultiTermProblem",
-    "ErrorReport",
     "ConvergenceError",
     "solve_corrected_wsgl",
     "solve_l1",
     "solve_trapezoidal",
     "error_report",
-    "two_term_sigma_rule",
 ]
 
 
@@ -73,22 +71,9 @@ class MultiTermProblem:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "alphas", al)
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.nu)
-
 
 _STARTUP_TOL, _STEP_TOL = 1e-14, 1e-13  # Newton: the coupled startup block, each step
 _MAX_ITERS = 200  # the iteration cap of the startup block and of each step's solve
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """The three error norms of Section-style convergence studies."""
-
-    max_error: float
-    final_error: float
-    avg_error: float
 
 
 def _fd_slope(f, t: float, y: float) -> float:
@@ -103,10 +88,10 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
     step ended with, each later one the secant slope of the last two iterates
     (taken when their step is well above rounding).  An iterate that does not
     halve |r| is dropped for a finite-difference slope at the current x; if that
-    fails too, Picard iteration from ``guess`` takes over.  An iterate is
-    accepted when its residual or its step is within _STEP_TOL relative.
-    Returns (x, d).  A linear f declared by ``lam`` never reaches it: its
-    march solves whole runs (``_march``)."""
+    fails too, or an iterate is not finite, ``_picard`` takes over from
+    ``guess``.  An iterate is accepted when its residual or its step is within
+    _STEP_TOL relative.  Returns (x, d).  A linear f declared by ``lam`` never
+    reaches it: its march solves whole runs (``_march``)."""
     isfinite, tol = math.isfinite, _STEP_TOL  # locals: the accepted path calls only f and isfinite
     x = guess
     fx = f(t_n, y0 + x)
@@ -141,13 +126,18 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
             if not 0.0 < abs(d) < math.inf:
                 break
             refreshed = True
-    x = guess
+    return _picard(f, t_n, y0, a, known, b, guess)
+
+
+def _picard(f, t_n: float, y0: float, a: float, known: float, b: float, x: float) -> tuple[float, float]:
+    """Fixed-point iteration x = (b f(t_n, y0 + x) - known) / a from ``x``: a
+    contraction where a > b |f'|, also across a kink of f that stalls the secant."""
     for _ in range(_MAX_ITERS):
         x_new = (b * f(t_n, y0 + x) - known) / a
-        if not isfinite(x_new):
+        if not math.isfinite(x_new):
             break
-        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
-            return x_new, a  # a: the chord slope Picard iterates with
+        if abs(x_new - x) <= _STEP_TOL * max(1.0, abs(x_new)):
+            return x_new, a  # a: the chord slope it iterates with
         x = x_new
     raise ConvergenceError("implicit step did not converge")
 
@@ -186,8 +176,6 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, solver: str,
     n_t = step_count(tau, problem.T)
     f, y0, lam = problem.rhs, problem.y0, problem.lam
     yhat = np.zeros(n_t + 1)
-    if n_t < m:
-        raise ValueError("horizon too short for the correction stencil")
     if lam is not None:
         yhat[1:] = b * lam * y0
         linear_march(History(terms, yhat, fixed), np.array([-b * lam]), m, solver, tau, ConvergenceError)
@@ -226,7 +214,8 @@ def solve_corrected_wsgl(problem: MultiTermProblem, tau: float, sigma: Correctio
     the starting weights and are solved as one dense block (``_startup_block``).
     """
     cset = CorrectionSet(sigma)
-    terms = wsgl_terms(problem.nu, problem.alphas, tau, step_count(tau, problem.T), cset)
+    n_t = step_count(tau, problem.T, cset.m, "solve_corrected_wsgl")
+    terms = wsgl_terms(problem.nu, problem.alphas, tau, n_t, cset)
     return _march(problem, tau, terms, cset.m, "solve_corrected_wsgl")
 
 
@@ -289,7 +278,7 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
     G = cf_0 CF^{-1} this is one kernel G cd on yhat, b = cf_0 and the load
     F^0 (G u - cf_0), and a_0, which cancels to O(n^-2), is never formed.
     """
-    if problem.n_terms != 2 or problem.nu != (1.0, 1.0):
+    if problem.nu != (1.0, 1.0):
         raise ValueError("trapezoidal scheme requires exactly two unit-weight terms")
     a1, a2 = problem.alphas
     if not a1 > a2:
@@ -299,11 +288,12 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
     return _march(problem, tau, [Term(1.0, k)], 0, "solve_trapezoidal", b, f0 * (b - gu))
 
 
-def error_report(path: SampledPath, exact) -> ErrorReport:
-    """Max, final-time and averaged (tau * sum_{n>=1} |e^n|^2)^(1/2) errors
-    against an exact callable or a finer reference path (whose resolution
-    must be an integer multiple of the path's).  The callable is called once
-    with the array of times; a scalar result is broadcast."""
+def error_report(path: SampledPath, exact) -> dict:
+    """The errors {"max", "final", "avg"}: max, final-time and averaged
+    (tau * sum_{n>=1} |e^n|^2)^(1/2), against an exact callable or a finer
+    reference path (whose resolution must be an integer multiple of the
+    path's).  The callable is called once with the array of times; a scalar
+    result is broadcast."""
     if isinstance(exact, SampledPath):
         ratio = path.tau / exact.tau
         r = int(round(ratio))
@@ -316,12 +306,5 @@ def error_report(path: SampledPath, exact) -> ErrorReport:
         ref = np.broadcast_to(np.asarray(exact(path.times), dtype=float), path.values.shape)
     e = np.abs(path.values - ref)
     avg = math.sqrt(path.tau * float(np.sum(e[1:] ** 2)))
-    return ErrorReport(float(np.max(e)), float(e[-1]), avg)
+    return {"max": float(np.max(e)), "final": float(e[-1]), "avg": avg}
 
-
-def two_term_sigma_rule(alpha1: float, alpha2: float, m: int) -> CorrectionSet:
-    """Empirical correction exponents for two-term problems with unknown
-    regularity: sigma_k = alpha_1 + (alpha_1 - alpha_2)(k - 1)."""
-    if not alpha1 > alpha2:
-        raise ValueError("alpha_1 > alpha_2 required")
-    return CorrectionSet(tuple(alpha1 + (alpha1 - alpha2) * k for k in range(m)))

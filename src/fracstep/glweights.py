@@ -55,14 +55,17 @@ class SampledPath:
         return np.arange(len(self.values)) * self.tau
 
 
-def step_count(tau: float, T: float) -> int:
-    """Number of steps n_T = T / tau; tau must divide T."""
+def step_count(tau: float, T: float, m: int = 0, solver: str = "step_count") -> int:
+    """Number of steps n_T = T / tau; tau must divide T, and n_T must reach
+    the m corrected startup levels of ``solver``."""
     for name, v in (("tau", tau), ("T", T)):
         if not 0 < v < math.inf:  # NaN fails it
             raise ValueError(f"finite {name} > 0 required, got {name} = {v!r}")
     n_t = int(round(T / tau))
     if n_t < 1 or abs(n_t * tau - T) > 1e-10 * max(1.0, T):
         raise ValueError(f"tau={tau:g} must divide T={T:g}")
+    if n_t < m:
+        raise ValueError(f"{solver}: n_T = {n_t} < m = {m}: horizon too short for the correction stencil")
     return n_t
 
 

@@ -69,9 +69,9 @@ class StudyConfig:
 
 
 def parse_config(path) -> list[StudyConfig]:
-    """Parse every study section of an INI-style config file, and import the
-    modules of each kind it names (``_KINDS``), so that a study run imports
-    none."""
+    """Parse every study section of an INI-style config file, check it
+    (``_check``), and import the modules of each kind it names (``_KINDS``),
+    so that a study run imports none."""
     cp = ConfigParser()
     read = cp.read(path)
     if not read:
@@ -84,10 +84,26 @@ def parse_config(path) -> list[StudyConfig]:
         kind = raw.pop("kind").strip()
         if kind not in _KINDS:
             raise ValueError(f"unknown study kind '{kind}' in [{section}]")
+        _check(section, kind, raw)
         for module in _KINDS[kind][1]:
             import_module(f".{module}", __package__)
         studies.append(StudyConfig(kind, section, raw))
     return studies
+
+
+def _check(section: str, kind: str, raw: dict) -> None:
+    """Reject a key that the kind does not take, and a sigma rule that does
+    not expand to the study's largest correction count, before any solve."""
+    keys = _KINDS[kind][2].split() + ["out"]
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"[{section}] unknown key '{key}': a {kind} study takes {', '.join(keys)}")
+    if "sigma_rule" in raw:
+        m = max((int(col) for col in _parse_list(raw.get("columns", "")) if col.isdigit()), default=0)
+        try:
+            sigma_list(raw["sigma_rule"], m, 1.0)  # no alpha stops a rule from expanding
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {exc}") from exc
 
 
 def observed_order(errors) -> list[float]:
@@ -125,63 +141,30 @@ class ConvergenceTable:
 
     taus: list
     norms: list
-    groups: list  # (label, {norm: [errors]})
-
-    def orders(self, label: str, norm: str) -> list[float]:
-        return observed_order(self.errors(label, norm))
-
-    def errors(self, label: str, norm: str) -> list[float]:
-        for lab, data in self.groups:
-            if lab == label:
-                return list(data[norm])
-        raise KeyError(label)
+    groups: dict  # label -> {norm: [errors]}
 
     def to_csv(self, path) -> None:
-        header = ["tau"]
-        for label, _ in self.groups:
+        header, cols = ["tau"], [[f"{tau:.6e}" for tau in self.taus]]
+        for label, data in self.groups.items():
             for norm in self.norms:
+                orders = observed_order(data[norm]) if len(self.taus) > 1 else []
                 header += [f"{label}_{norm}_error", f"{label}_{norm}_order"]
-        lines = [",".join(header)]
-        order_cols = {
-            (label, norm): observed_order(data[norm]) if len(self.taus) > 1 else []
-            for label, data in self.groups
-            for norm in self.norms
-        }
-        for i, tau in enumerate(self.taus):
-            row = [f"{tau:.6e}"]
-            for label, data in self.groups:
-                for norm in self.norms:
-                    row.append(f"{data[norm][i]:.4e}")
-                    if i == 0:
-                        row.append("")
-                    else:
-                        o = order_cols[(label, norm)][i - 1]
-                        row.append("nan" if math.isnan(o) else f"{o:.4f}")
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n")
+                cols += [[f"{e:.4e}" for e in data[norm]], [""] + [f"{o:.4f}" for o in orders]]
+        RowTable(header, list(zip(*cols))).to_csv(path)
 
 
-def sigma_list(rule: str, m: int, alpha: float, alpha2: float | None = None) -> tuple:
-    """Expand a sigma-rule string to m exponents.
+def sigma_list(rule: str, m: int, alpha: float) -> tuple:
+    """Expand a sigma-rule string to m exponents (m = 0 checks the rule).
 
     Grammar: ``k*alpha``, ``(k+1)*alpha`` (each with an optional ``+offset``
-    suffix), ``k+1`` (integers 2, 3, ...), ``twoterm`` (the two-term
-    guideline), or ``list: v1 v2 ...``.
+    suffix), ``k+1`` (integers 2, 3, ...), or ``list: v1 v2 ...``.
     """
     rule = rule.strip()
-    if m == 0:
-        return ()
     if rule.startswith("list:"):
         vals = _numbers(rule[5:])
         if len(vals) < m:
-            raise ValueError("explicit sigma list shorter than m")
+            raise ValueError(f"sigma_rule = {rule}: fewer than m = {m} exponents")
         return tuple(vals[:m])
-    if rule == "twoterm":
-        if alpha2 is None:
-            raise ValueError("two-term sigma rule needs two orders")
-        from .fode import two_term_sigma_rule
-
-        return two_term_sigma_rule(alpha, alpha2, m).sigmas
     if rule == "k+1":
         return tuple(float(k + 1) for k in range(1, m + 1))
     for stem, shift in (("k*alpha", 0), ("(k+1)*alpha", 1)):
@@ -247,9 +230,9 @@ def _convergence(taus, norms, columns, reference_for, solve, error) -> Convergen
                 done[tau] = error(solve(spec, tau), ref)
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"{where}: {exc}") from exc
-        return label, {norm: [done[tau][norm] for tau in taus] for norm in norms}
+        return {norm: [done[tau][norm] for tau in taus] for norm in norms}
 
-    return ConvergenceTable(taus, norms, [column(label, spec) for label, spec in columns])
+    return ConvergenceTable(taus, norms, {label: column(label, spec) for label, spec in columns})
 
 
 def _fode_problem(cfg: StudyConfig):
@@ -300,7 +283,6 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
     # sigma rules count in the study's base order (the config alpha when
     # given), not the problem's leading order
     rule_alpha = _parse_number(cfg.get("alpha", str(problem.alphas[0])))
-    alpha2 = problem.alphas[1] if problem.n_terms > 1 else None
     rule = cfg.get("sigma_rule", "k*alpha")
     reference = _fode_reference(cfg, problem, exact, taus)
 
@@ -309,13 +291,9 @@ def _run_fode(cfg: StudyConfig) -> ConvergenceTable:
             return solve_l1(problem, tau)
         if col == "trap":
             return solve_trapezoidal(problem, tau)
-        return solve_corrected_wsgl(problem, tau, sigma_list(rule, int(col), rule_alpha, alpha2))
+        return solve_corrected_wsgl(problem, tau, sigma_list(rule, int(col), rule_alpha))
 
-    def error(path, ref):
-        rep = error_report(path, ref)
-        return {"max": rep.max_error, "final": rep.final_error, "avg": rep.avg_error}
-
-    return _convergence(taus, norms, columns, lambda col: reference, solve, error)
+    return _convergence(taus, norms, columns, lambda col: reference, solve, error_report)
 
 
 def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
@@ -369,6 +347,8 @@ def _run_wave(cfg: StudyConfig) -> ConvergenceTable:
         nu = _parse_number(cfg.get("nu", "2"))
         problem, exact = lambda alpha: problems.wave_smooth_problem(alpha, nu, mesh), problems.wave_smooth_exact()
     elif case == "forced":
+        if "nu" in cfg.params:
+            raise ValueError("unknown key 'nu': the forced wave fixes nu = 1")
         problem, exact = lambda alpha: problems.wave_forced_problem(alpha, mesh), None
     else:
         raise ValueError(f"unknown wave case '{case}'")
@@ -396,7 +376,7 @@ def _run_subdiff(cfg: StudyConfig) -> ConvergenceTable:
     def solve(col, tau):
         if col == "l1":
             return solve_subdiffusion_l1_baseline(problem, tau)
-        return solve_subdiffusion(problem, tau, sigma_list(rule, int(col), *problem.alphas[:2]))
+        return solve_subdiffusion(problem, tau, sigma_list(rule, int(col), problem.alphas[0]))
 
     return _field_study(cfg, _columns(cfg), solve, "average")
 
@@ -453,15 +433,16 @@ def _run_diagnostics(cfg: StudyConfig) -> RowTable:
     return RowTable(["alpha", "m", "condition", "residual"], rows)
 
 
-# study kind -> (its runner, the fracstep modules the runner takes its names
-# from, which parse_config imports; each imports corrections, which run_study
-# reads, and the weights and memory core under it)
+# study kind -> (its runner; the fracstep modules it takes its names from, which
+# parse_config imports, each with corrections, which run_study reads, and the
+# weights and memory core under it; the config keys it reads but kind and out)
+_FIELD_KEYS = "taus columns sigma_rule norm reference mesh degrees"
 _KINDS = {
-    "fode": (_run_fode, ("fode",)),
-    "wave": (_run_wave, ("sem", "tfpde")),
-    "subdiff": (_run_subdiff, ("sem", "tfpde")),
-    "operator": (_run_operator, ("corrections",)),
-    "diagnostics": (_run_diagnostics, ("corrections",)),
+    "fode": (_run_fode, ("fode",), "problem alpha alphas t_end taus columns sigma_rule norms reference"),
+    "wave": (_run_wave, ("sem", "tfpde"), "case nu alpha alphas apply_to " + _FIELD_KEYS),
+    "subdiff": (_run_subdiff, ("sem", "tfpde"), _FIELD_KEYS),
+    "operator": (_run_operator, ("corrections",), "alpha tau t_end u_exponents columns sigma_rule"),
+    "diagnostics": (_run_diagnostics, ("corrections",), "alphas columns sigma_rule"),
 }
 
 

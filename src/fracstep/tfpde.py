@@ -190,10 +190,8 @@ def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = 
     sigma = CorrectionSet(sigma)
     _validate_wave_corrections(sigma, m1, m2, m3)
     alpha, nu, mu = problem.alpha, problem.nu, problem.mu
-    n_t = step_count(tau, problem.T)
     m = max(m1, m2, m3)
-    if m and n_t <= m:
-        raise ValueError("horizon too short for the correction stencil")
+    n_t = step_count(tau, problem.T, m, "solve_wave")
     Phi, lam, fh, (u0_x, u0), (v0_x, v0) = _space(problem, n_t, tau, "solve_wave", problem.phi0, problem.psi0)
 
     mem = wsgl_terms((1.0,), (alpha,), tau, n_t + 1, sigma.truncated(m3).shifted(-1.0))
@@ -353,9 +351,7 @@ def solve_subdiffusion(problem: SubdiffusionProblem, tau: float, sigma: Correcti
     U - U(0) through a WSGL operator corrected on the exponents ``sigma`` (a
     CorrectionSet or a tuple)."""
     sigma = CorrectionSet(sigma)
-    n_t = step_count(tau, problem.T)
-    if sigma.m and n_t <= sigma.m:
-        raise ValueError("horizon too short for the correction stencil")
+    n_t = step_count(tau, problem.T, sigma.m, "solve_subdiffusion")
     terms = wsgl_terms(problem.nu, problem.alphas, tau, n_t, sigma)
     return _march_subdiffusion(problem, tau, terms, sigma.m, "solve_subdiffusion")
 

@@ -16,7 +16,6 @@ from fracstep.fode import (
     solve_corrected_wsgl,
     solve_l1,
     solve_trapezoidal,
-    two_term_sigma_rule,
     _trap_kernel,
     _trap_memory,
 )
@@ -85,6 +84,11 @@ def test_constant_preserved_without_forcing():
     np.testing.assert_allclose(path.values, 3.5, rtol=1e-13)
 
 
+def _two_term_sigmas(a1, a2, m):
+    """The two-term exponents a1 + (a1 - a2) k, k = 0..m-1."""
+    return tuple(a1 + (a1 - a2) * k for k in range(m))
+
+
 def test_two_term_benchmark_row():
     # frozen published row: alpha = 0.5, sigma_k = (k+1) alpha, tau = 2^-8
     alpha = 0.5
@@ -95,7 +99,7 @@ def test_two_term_benchmark_row():
         cset = CorrectionSet(tuple((k + 1) * alpha for k in range(1, m + 1)))
         path = solve_corrected_wsgl(prob, 2.0**-8, cset)
         rep = error_report(path, exact)
-        assert rep.max_error == pytest.approx(target, rel=5e-4)
+        assert rep["max"] == pytest.approx(target, rel=5e-4)
 
 
 def test_two_term_final_time_row():
@@ -105,7 +109,7 @@ def test_two_term_final_time_row():
     cset = CorrectionSet((1.0, 1.5))
     path = solve_corrected_wsgl(prob, 2.0**-8, cset)
     rep = error_report(path, exact)
-    assert rep.final_error == pytest.approx(1.8122e-7, rel=1e-3)
+    assert rep["final"] == pytest.approx(1.8122e-7, rel=1e-3)
 
 
 def test_max_norm_order_law():
@@ -119,17 +123,16 @@ def test_max_norm_order_law():
         errs = []
         for p in (11, 12):
             path = solve_corrected_wsgl(prob, 2.0**-p, cset)
-            errs.append(error_report(path, exact).max_error)
+            errs.append(error_report(path, exact)["max"])
         order = math.log2(errs[0] / errs[1])
         assert order == pytest.approx(min(2.0, (m + 2) * alpha), abs=0.1)
 
 
-def test_startup_block_is_fixed_point():
-    # the computed startup values satisfy the coupled scheme equations
+def _assert_startup_fixed_point(tau):
+    """The computed startup values satisfy the coupled scheme equations."""
     alpha = 0.5
     prob = two_term_ml_problem(alpha)
     cset = CorrectionSet((1.0, 1.5, 2.0))
-    tau = 2.0**-6
     path = solve_corrected_wsgl(prob, tau, cset)
     yhat = path.values - prob.y0
     m = cset.m
@@ -146,15 +149,24 @@ def test_startup_block_is_fixed_point():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+def test_startup_block_is_fixed_point():
+    _assert_startup_fixed_point(2.0**-6)
+
+
+def test_horizon_of_m_steps_is_one_startup_block():
+    # n_T = m = 3: the march is the startup block alone
+    _assert_startup_fixed_point(1.0 / 3.0)
+
+
 def test_nonlinear_solver_converges():
     prob = nonlinear_cubic_problem(0.7, 0.5, T=2.0)
-    cset = two_term_sigma_rule(0.7, 0.5, 3)
+    cset = CorrectionSet(_two_term_sigmas(0.7, 0.5, 3))
     path = solve_corrected_wsgl(prob, 2.0**-7, cset)
     assert np.all(np.isfinite(path.values))
     # cross-check against the trapezoidal reference at a fine step
     ref = solve_trapezoidal(prob, 2.0**-12)
     rep = error_report(path, ref)
-    assert rep.final_error < 5e-4
+    assert rep["final"] < 5e-4
 
 
 def test_startup_failure_raises():
@@ -195,7 +207,7 @@ def _counting(problem):
 CUBIC_MARCHES = {
     "l1": solve_l1,
     "trapezoidal": solve_trapezoidal,
-    "wsgl": lambda p, tau: solve_corrected_wsgl(p, tau, two_term_sigma_rule(*p.alphas, 3)),
+    "wsgl": lambda p, tau: solve_corrected_wsgl(p, tau, _two_term_sigmas(*p.alphas, 3)),
 }
 
 
@@ -388,8 +400,15 @@ def test_slope_jump_takes_a_fresh_slope(march, monkeypatch):
     tau = 2.0**-5
     path = CUBIC_MARCHES[march](prob, tau)
     assert 0.5 in slopes
-    n_t, yhat = path.n_steps, path.values - prob.y0
-    fv = np.array([_slope_jump_rhs(t, y) for t, y in zip(path.times, path.values)])
+    _assert_steps_solve_the_scheme(march, prob, path, 50.0)
+
+
+def _assert_steps_solve_the_scheme(march, prob, path, lipschitz):
+    """Every level after the startup block of a CUBIC_MARCHES ``path`` solves
+    the march's scheme to 1e-13 relative of the step's largest |dr/dx|, for an
+    f whose slope in y is at most ``lipschitz`` in size."""
+    n_t, tau, yhat = path.n_steps, path.tau, path.values - prob.y0
+    fv = np.array([prob.rhs(t, y) for t, y in zip(path.times, path.values)])
     if march == "trapezoidal":  # the scheme as marched, times cf_0 CF^-1
         k, b, gu = _trap_memory(0.7, 0.5, n_t, tau)
         lhs, m, load = [Term(1.0, k)], 0, fv[0] * (b - gu)
@@ -398,18 +417,41 @@ def test_slope_jump_takes_a_fresh_slope(march, monkeypatch):
         if march == "l1":
             lhs, m = [Term(1.0, l1_weights(a, n_t, tau)) for a in prob.alphas], 0
         else:
-            cset = two_term_sigma_rule(0.7, 0.5, 3)
+            cset = CorrectionSet(_two_term_sigmas(0.7, 0.5, 3))
             lhs = [
                 Term(tau**-a, wsgl_weights(a, n_t), starting_weight_table(a, cset, n_t))
                 for a in prob.alphas
             ]
             m = cset.m
     a = sum(t.scale * t.kernel[0] for t in lhs)
-    slope = a + 50.0 * b  # the largest |dr/dx| of a step's residual r
+    slope = a + lipschitz * b  # the largest |dr/dx| of a step's residual r
     for n in range(m + 1, n_t + 1):
         residual = a * yhat[n] + history(lhs, yhat, n) + load[n] - b * fv[n]
         # each step stops within 1e-13 relative of its root
         assert abs(residual) <= 1e-13 * slope * max(1.0, abs(yhat[n])), (n, residual)
+
+
+@pytest.mark.parametrize(
+    "march, lam, c, tau",
+    [("l1", 4.0, 2.0, 2.0**-2), ("trapezoidal", 8.0, 1.0, 2.0**-3), ("wsgl", 30.0, 4.0, 2.0**-6)],
+)
+def test_kink_takes_the_picard_fallback(march, lam, c, tau, monkeypatch):
+    # f = c - lam min(y, 0) has a kink at y = 0.  On a step whose guess and
+    # root lie on opposite sides of it, a slope taken on one side does not
+    # halve the residual on the other, nor does a fresh finite-difference
+    # slope at the same iterate: the step falls back to the fixed-point
+    # iteration, a contraction for lam < a, and every level solves the scheme
+    prob = MultiTermProblem((1.0, 1.0), (0.7, 0.5), lambda t, y: c - lam * min(y, 0.0), -1.0, 1.0)
+    path = CUBIC_MARCHES[march](prob, tau)
+    _assert_steps_solve_the_scheme(march, prob, path, lam)
+    # the secant alone does not solve it
+    monkeypatch.setattr(fode, "_picard", _no_picard)
+    with pytest.raises(ConvergenceError, match="no fixed-point fallback"):
+        CUBIC_MARCHES[march](prob, tau)
+
+
+def _no_picard(*args):
+    raise ConvergenceError("no fixed-point fallback")
 
 
 def test_linear_decay_is_monotone_and_bounded():
@@ -464,11 +506,11 @@ def test_l1_less_accurate_than_corrected():
     prob = nonlinear_cubic_problem(0.7, 0.5, T=10.0)
     tau = 10.0 / 2.0**8
     ref = solve_trapezoidal(prob, 10.0 / 2.0**13)
-    e_l1 = error_report(solve_l1(prob, tau), ref).final_error
-    cset = two_term_sigma_rule(0.7, 0.5, 3)
+    e_l1 = error_report(solve_l1(prob, tau), ref)["final"]
+    cset = CorrectionSet(_two_term_sigmas(0.7, 0.5, 3))
     e_wsgl = error_report(
         solve_corrected_wsgl(prob, tau, cset), ref
-    ).final_error
+    )["final"]
     assert e_l1 > e_wsgl
 
 
@@ -515,7 +557,7 @@ def test_trapezoidal_second_order_on_two_term_problem():
     prob = MultiTermProblem((1.0, 1.0), (a1, a2), f, 1.0, 1.0)
     ref = solve_trapezoidal(prob, 2.0**-12)
     errs = [
-        error_report(solve_trapezoidal(prob, 2.0**-p), ref).final_error for p in (5, 6)
+        error_report(solve_trapezoidal(prob, 2.0**-p), ref)["final"] for p in (5, 6)
     ]
     assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.35)
 
@@ -562,21 +604,21 @@ def test_reference_methods_agree():
 def test_error_report_zero_and_constant():
     path = SampledPath(0.25, np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
     rep_same = error_report(path, SampledPath(0.25, path.values.copy()))
-    assert rep_same.max_error == 0.0 and rep_same.final_error == 0.0 and rep_same.avg_error == 0.0
+    assert rep_same["max"] == 0.0 and rep_same["final"] == 0.0 and rep_same["avg"] == 0.0
     # constant error c: max = final = |c|, avg = |c| sqrt(T)
     c = 0.3
     T = 1.0
     rep_c = error_report(path, SampledPath(0.25, path.values + c))
-    assert rep_c.max_error == pytest.approx(c)
-    assert rep_c.final_error == pytest.approx(c)
-    assert rep_c.avg_error == pytest.approx(c * math.sqrt(T), rel=1e-12)
+    assert rep_c["max"] == pytest.approx(c)
+    assert rep_c["final"] == pytest.approx(c)
+    assert rep_c["avg"] == pytest.approx(c * math.sqrt(T), rel=1e-12)
 
 
 def test_error_report_subsampling_and_mismatch():
     fine = SampledPath(0.125, np.arange(9, dtype=float))
     coarse = SampledPath(0.25, np.array([0.0, 2.0, 4.0, 6.0, 8.0]))
     rep = error_report(coarse, fine)
-    assert rep.max_error == 0.0
+    assert rep["max"] == 0.0
     with pytest.raises(ValueError):
         error_report(coarse, SampledPath(0.3, np.zeros(12)))
 
@@ -585,7 +627,7 @@ def test_error_report_norm_inequality():
     rng = np.random.default_rng(2)
     path = SampledPath(2.0**-6, rng.normal(size=65))
     rep = error_report(path, lambda t: 0.0)
-    assert rep.avg_error <= math.sqrt(1.0) * rep.max_error + 1e-15
+    assert rep["avg"] <= math.sqrt(1.0) * rep["max"] + 1e-15
 
 
 def test_error_report_calls_exact_once_with_the_times():
@@ -599,10 +641,10 @@ def test_error_report_calls_exact_once_with_the_times():
     rep = error_report(path, exact)
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0], path.times)
-    assert rep.max_error == 0.0
+    assert rep["max"] == 0.0
     # a scalar-returning callable is broadcast over the path
     rep0 = error_report(path, lambda t: 0.0)
-    assert rep0.max_error == 1.0 and rep0.final_error == 1.0
+    assert rep0["max"] == 1.0 and rep0["final"] == 1.0
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5])
@@ -621,9 +663,3 @@ def test_two_term_exact_on_arrays(alpha):
         want = 2.0 * ml_series_scalar(alpha, -z / 2.0)[0] - ml_series_scalar(alpha, -z)[0]
         assert yk == want and Y(tk) == want
 
-
-def test_two_term_sigma_rule_values():
-    cset = two_term_sigma_rule(0.7, 0.5, 3)
-    np.testing.assert_allclose(cset.sigmas, [0.7, 0.9, 1.1], rtol=1e-15)
-    with pytest.raises(ValueError):
-        two_term_sigma_rule(0.5, 0.7, 2)

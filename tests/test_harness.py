@@ -42,7 +42,6 @@ def test_sigma_list_rules():
     assert sigma_list("(k+1)*alpha+0.05", 2, 0.1) == pytest.approx([0.25, 0.35])
     assert sigma_list("k*alpha+0.05", 2, 0.1) == pytest.approx([0.15, 0.25])
     assert sigma_list("k+1", 3, 0.7) == pytest.approx([2.0, 3.0, 4.0])
-    assert sigma_list("twoterm", 2, 0.7, 0.5) == pytest.approx([0.7, 0.9])
     assert sigma_list("list: 0.4 0.9 1.3", 2, 0.1) == pytest.approx([0.4, 0.9])
     assert sigma_list("k*alpha", 0, 0.1) == ()
     with pytest.raises(ValueError):
@@ -78,7 +77,7 @@ alphas = 0.7 0.5
 t_end = 1
 taus = 2^-4 2^-5 2^-3
 columns = l1
-sigma_rule = twoterm
+sigma_rule = list: 0.7 0.9
 norms = max final
 reference = trapezoidal:2^-6
 """
@@ -107,10 +106,10 @@ def test_fode_study_table_shape(tmp_path):
     table = run_study(study)
     assert isinstance(table, ConvergenceTable)
     assert table.taus == pytest.approx([2.0**-5, 2.0**-6])
-    assert [label for label, _ in table.groups] == ["m0", "m2"]
-    assert len(table.errors("m0", "max")) == 2
+    assert list(table.groups) == ["m0", "m2"]
+    assert len(table.groups["m0"]["max"]) == 2
     # the corrected column is strictly better
-    assert table.errors("m2", "max")[0] < table.errors("m0", "max")[0]
+    assert table.groups["m2"]["max"][0] < table.groups["m0"]["max"][0]
 
 
 def test_csv_deterministic_and_consistent(tmp_path):
@@ -242,8 +241,8 @@ def test_wave_study_smoke(tmp_path):
     )
     (study,) = parse_config(cfg)
     table = run_study(study)
-    assert [label for label, _ in table.groups] == ["a0.5_m0", "a0.5_m1"]
-    orders = table.orders("a0.5_m1", "final")
+    assert list(table.groups) == ["a0.5_m0", "a0.5_m1"]
+    orders = observed_order(table.groups["a0.5_m1"]["final"])
     assert 1.5 <= orders[0] <= 2.5
 
 
@@ -258,10 +257,10 @@ def test_wave_labels_tell_close_alphas_apart(tmp_path):
     )
     (study,) = parse_config(cfg)
     table = run_study(study, str(tmp_path / "wave.csv"))
-    assert [label for label, _ in table.groups] == ["a0.5000001_m0", "a0.5000002_m0"]
+    assert list(table.groups) == ["a0.5000001_m0", "a0.5000002_m0"]
     header = (tmp_path / "wave.csv").read_text().splitlines()[0].split(",")
     assert len(header) == len(set(header)) == 5
-    first, second = (table.errors(label, "final") for label, _ in table.groups)
+    first, second = (data["final"] for data in table.groups.values())
     assert first != second
 
 
@@ -275,8 +274,8 @@ def test_subdiff_study_smoke(tmp_path):
     )
     (study,) = parse_config(cfg)
     table = run_study(study)
-    assert [label for label, _ in table.groups] == ["l1", "m1"]
-    assert all(e > 0 for e in table.errors("m1", "average"))
+    assert list(table.groups) == ["l1", "m1"]
+    assert all(e > 0 for e in table.groups["m1"]["average"])
 
 
 def test_wave_forced_study_self_reference(tmp_path):
@@ -289,7 +288,7 @@ def test_wave_forced_study_self_reference(tmp_path):
     )
     (study,) = parse_config(cfg)
     table = run_study(study)
-    assert len(table.errors("a0.5_m1", "final")) == 2
+    assert len(table.groups["a0.5_m1"]["final"]) == 2
 
 
 FIELD_STUDIES = {
@@ -302,9 +301,12 @@ FIELD_STUDIES = {
 }
 
 
+FIELD_STUDY = "[f]\nkind = {}\ntaus = 2^-4 2^-5\nreference = self:2^-7\ndegrees = 8 8\n"
+
+
 def _field_study(tmp_path, kind, extra=""):
-    text = f"[f]\nkind = {kind}\ntaus = 2^-4 2^-5\nreference = self:2^-7\ndegrees = 8 8\n"
-    (study,) = parse_config(_write(tmp_path, "f.ini", text + FIELD_STUDIES[kind][1] + extra))
+    text = FIELD_STUDY.format(kind) + FIELD_STUDIES[kind][1] + extra
+    (study,) = parse_config(_write(tmp_path, "f.ini", text))
     return study
 
 
@@ -324,7 +326,7 @@ def test_wave_self_reference_solved_once_per_column(tmp_path, monkeypatch, kind)
         monkeypatch.setattr(tfpde, name, counting_solve)
     table = run_study(_field_study(tmp_path, kind))
     assert taus_solved == [2.0**-7, 2.0**-5, 2.0**-4] * 2
-    assert [len(errors) for _, data in table.groups for errors in data.values()] == [2, 2]
+    assert [len(errors) for data in table.groups.values() for errors in data.values()] == [2, 2]
 
 
 def _no_solves(monkeypatch):
@@ -379,6 +381,51 @@ def test_repeated_column_is_rejected_before_any_solve(tmp_path, monkeypatch, kin
     what = f"{key} = {value}: {repeated} repeats"
     with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
         run_study(study)
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        # the wave and subdiff spelling of the norm key
+        (
+            FODE_STUDY.replace("norms = max final", "norm = max"),
+            "[table] unknown key 'norm': a fode study takes problem, alpha, alphas, t_end, taus, columns, "
+            "sigma_rule, norms, reference, out",
+        ),
+        (FODE_STUDY + "sigma_rul = (k+1)*alpha+0.3\n", "[table] unknown key 'sigma_rul': a fode study takes "),
+        (FIELD_STUDY.format("subdiff") + FIELD_STUDIES["subdiff"][1] + "alphas = 0.6 0.3\n", "[f] unknown key 'alphas'"),
+        (FIELD_STUDY.format("wave") + FIELD_STUDIES["wave"][1] + "nu = 3\n", "unknown key 'nu': the forced wave fixes nu = 1"),
+        # every column a baseline: the rule is still checked, before the reference is solved
+        (CUBIC_STUDY.replace("l1", "l1 trap").replace("list: 0.7 0.9", "bogus"), "[cubic] unknown sigma rule 'bogus'"),
+        (FODE_STUDY.replace("(k+1)*alpha", "list: 1.0"), "[table] sigma_rule = list: 1.0: fewer than m = 2 exponents"),
+    ],
+    ids=["fode-norm", "fode-typo", "subdiff-alphas", "forced-wave-nu", "baselines-bogus-rule", "short-list"],
+)
+def test_unread_key_and_bad_sigma_rule_are_rejected_before_any_solve(tmp_path, monkeypatch, text, what):
+    # each of these used to write a table: the key was never read, or the rule
+    # was expanded only in the first corrected cell
+    _no_solves(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}"):
+        for study in parse_config(_write(tmp_path, "s.ini", text)):
+            run_study(study)
+
+
+def test_benchmark_configs_pass_the_parse_checks(tmp_path, monkeypatch):
+    # every shipped study and every benchmark workload variant, at full size
+    # and tiny, through the key and sigma-rule checks of parse_config, which
+    # solves nothing: a config the checks reject fails here, not in a
+    # benchmark run
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    configs = sorted((root / "studies").glob("*.ini"))
+    for name, w in workloads.items():
+        for variant in range(len(w.menu)):
+            for tiny in (False, True):
+                configs.append(_write(tmp_path, f"{name}-{variant}-{tiny}.ini", w.config_text(variant, tiny)))
+    assert len(configs) == 7 + 2 * sum(len(w.menu) for w in workloads.values()) == 31
+    for path in configs:
+        assert parse_config(path)
 
 
 def test_failing_fode_reference_names_its_spec(tmp_path, capsys):
@@ -449,7 +496,7 @@ def test_smooth_wave_honours_a_self_reference(tmp_path):
     tables = {}
     for reference in ("exact", "self:2^-5"):
         (study,) = parse_config(_write(tmp_path, "w.ini", f"[w]\nkind = wave\n{text}reference = {reference}\n"))
-        tables[reference] = run_study(study).errors("a0.5_m1", "final")
+        tables[reference] = run_study(study).groups["a0.5_m1"]["final"]
     prob = problems.wave_smooth_problem(0.5, 2.0, sem.SpectralMesh([-1.0, 0.0, 1.0], (8, 8)))
     ref = tfpde.solve_wave(prob, 2.0**-5, (2.0,), 0, 0, 1)
     assert tables["self:2^-5"] == [tfpde.l2_error(tfpde.solve_wave(prob, 2.0**-p, (2.0,), 0, 0, 1), ref) for p in (3, 4)]
@@ -461,16 +508,16 @@ def test_smooth_wave_honours_a_self_reference(tmp_path):
 def test_failing_cell_names_its_column_and_tau(tmp_path, capsys):
     cfg = _write(tmp_path, "f.ini", FODE_STUDY.replace("2^-5 2^-6", "0.5").replace("0 2", "0 3"))
     (study,) = parse_config(cfg)
-    what = "m3, tau = 0.5: horizon too short for the correction stencil"
+    what = "m3, tau = 0.5: solve_corrected_wsgl: n_T = 2 < m = 3: horizon too short for the correction stencil"
     with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
         run_study(study)
     assert cli_main(["fode", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 1
     err = capsys.readouterr().err
     assert "[table]" in err and what in err
     # a self reference is made per column, and a failing one names its column
-    text = "[w]\nkind = wave\ncase = forced\ntaus = 2^-4\ncolumns = 2\nsigma_rule = list: 2.0 2.5\nreference = self:0.5\n"
+    text = "[w]\nkind = wave\ncase = forced\ntaus = 2^-4\ncolumns = 2\nsigma_rule = list: 2.0 2.5\nreference = self:1\n"
     (study,) = parse_config(_write(tmp_path, "w.ini", text + "mesh = -1 0 1\ndegrees = 8 8\n"))
-    what = "a0.5_m2 reference: horizon too short for the correction stencil"
+    what = "a0.5_m2 reference: solve_wave: n_T = 1 < m = 2: horizon too short for the correction stencil"
     with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
         run_study(study)
 
@@ -541,7 +588,7 @@ def test_fode_study_builds_each_tau_free_table_once(tmp_path, monkeypatch):
     table = run_study(study)
     # the reference's trapezoid at 64 steps, then column 2 from its finest cell
     assert built == [("_trap_tables", 64)] + [("_starting_weights", 32)] * 2
-    assert [len(errors) for _, data in table.groups for errors in data.values()] == [3] * 6
+    assert [len(errors) for data in table.groups.values() for errors in data.values()] == [3] * 6
     built.clear()
     fracstep.starting_weight_table(0.5, fracstep.CorrectionSet((1.0, 1.5)), 16)
     assert built == [("_starting_weights", 16)]
@@ -733,4 +780,4 @@ def test_readme_library_example_runs():
     block = re.search(r"^## Library example\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    assert namespace["report"].max_error < 1e-6
+    assert namespace["report"]["max"] < 1e-6

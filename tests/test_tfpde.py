@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fracstep import tfpde
+from fracstep import fode, tfpde
 from fracstep.corrections import (
     CorrectionSet,
     d1_weight_table,
@@ -17,6 +17,7 @@ from fracstep.memory import Term
 from fracstep.problems import (
     subdiffusion_forced_problem,
     three_zone_mesh,
+    two_term_ml_problem,
     two_zone_unit_mesh,
     wave_forced_problem,
     wave_smooth_exact,
@@ -196,13 +197,9 @@ def test_wave_order_laws_on_smooth_solution():
     assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.1)
 
 
-def test_wave_scheme_equation_residual():
-    # the stored history satisfies the discrete scheme equations to solver
-    # accuracy: V-equation and trapezoid U-update at every step
-    prob = wave_forced_problem(0.5)
-    tau = 2.0**-4
-    sigma = CorrectionSet(tuple((3 + k) * 0.5 for k in range(1, 4)))
-    m1 = m2 = m3 = 2
+def _assert_wave_scheme_residual(prob, tau, sigma, m1, m2, m3):
+    """The stored history satisfies the discrete scheme equations to solver
+    accuracy: V-equation and trapezoid U-update at every step."""
     hist = solve_wave(prob, tau, sigma, m1, m2, m3)
     mesh = prob.mesh
     forms = mesh.forms()
@@ -240,6 +237,11 @@ def test_wave_scheme_equation_residual():
         r2 = u[n + 1] - u[n] - (tau / 2.0) * (v[n + 1] + v[n]) + ucorr
         assert np.max(np.abs(r1)) <= 1e-10 * scale * max(1.0, sc)
         assert np.max(np.abs(r2)) <= 1e-10 * scale
+
+
+def test_wave_scheme_equation_residual():
+    sigma = CorrectionSet(tuple((3 + k) * 0.5 for k in range(1, 4)))
+    _assert_wave_scheme_residual(wave_forced_problem(0.5), 2.0**-4, sigma, 2, 2, 2)
 
 
 def test_wave_energy_boundedness(small_mesh):
@@ -312,17 +314,16 @@ def test_subdiffusion_benchmark_value():
     assert math.log2(errs[0] / errs[1]) == pytest.approx(2.8, abs=0.3)
 
 
-def test_subdiffusion_scheme_equation_residual():
-    prob = subdiffusion_forced_problem()
-    tau = 2.0**-5
-    sig = CorrectionSet((0.75, 1.0))
+def _assert_subdiffusion_scheme_residual(prob, tau, sig):
+    """The stored history of a problem with the forced problem's two unit
+    terms of orders 0.75 and 0.5 satisfies the scheme at every level."""
     hist = solve_subdiffusion(prob, tau, sig)
     mesh = prob.mesh
     forms = mesh.forms()
     I = mesh.interior
     Md = forms.mass0()
     S = forms.stiffness0()
-    n_t = hist.n_steps
+    n_t, m = hist.n_steps, sig.m
     uh = hist.u[:, I] - hist.u[0, I]
     g1 = wsgl_weights(0.75, n_t)
     g2 = wsgl_weights(0.5, n_t)
@@ -333,9 +334,44 @@ def test_subdiffusion_scheme_equation_residual():
     scale = max(1.0, float(np.max(np.abs(hist.u))) * max(s1, s2))
     for n in range(1, n_t + 1):
         acc = s1 * (uh[: n + 1].T @ g1[n::-1]) + s2 * (uh[: n + 1].T @ g2[n::-1])
-        acc += s1 * (uh[1:3].T @ W1[n]) + s2 * (uh[1:3].T @ W2[n])
+        acc += s1 * (uh[1 : m + 1].T @ W1[n]) + s2 * (uh[1 : m + 1].T @ W2[n])
         resid = Md * acc + S @ hist.u[n, I] - Md * prob.source(x, n * tau)
         assert np.max(np.abs(resid)) <= 1e-10 * scale
+
+
+def test_subdiffusion_scheme_equation_residual():
+    _assert_subdiffusion_scheme_residual(subdiffusion_forced_problem(), 2.0**-5, CorrectionSet((0.75, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "tau, counts",
+    [(1.0 / 3.0, (3, 3, 3)), (1.0 / 3.0, (2, 3, 2)), (0.25, 4)],
+    ids=["wave-333", "wave-232", "subdiff-4"],
+)
+def test_field_solvers_solve_a_horizon_of_m_steps(tau, counts):
+    # n_T = m: every level is a startup level, and every level solves the
+    # scheme; both solvers used to reject it, though the FODE took it
+    if counts == 4:
+        _assert_subdiffusion_scheme_residual(subdiffusion_forced_problem(), tau, CorrectionSet((0.75, 1.0, 1.25, 1.5)))
+    else:
+        _assert_wave_scheme_residual(wave_forced_problem(0.5), tau, CorrectionSet((2.0, 2.5, 3.0)), *counts)
+
+
+@pytest.mark.parametrize(
+    "name, solve",
+    [
+        ("solve_corrected_wsgl", lambda: fode.solve_corrected_wsgl(two_term_ml_problem(0.5), 0.5, (1.0, 1.5, 2.0))),
+        ("solve_wave", lambda: solve_wave(wave_forced_problem(0.5), 0.5, (2.0, 2.5, 3.0), 2, 3, 2)),
+        ("solve_subdiffusion", lambda: solve_subdiffusion(subdiffusion_forced_problem(), 0.5, (0.75, 1.0, 1.25))),
+    ],
+    ids=["fode", "wave", "subdiff"],
+)
+def test_horizon_short_of_the_corrections_raises_by_name(name, solve):
+    # one rule, n_T >= m, in all three corrected solvers; no message used to
+    # name its solver
+    what = f"{name}: n_T = 2 < m = 3: horizon too short for the correction stencil"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        solve()
 
 
 def _refined(residual, n_unknowns, steps=6):
