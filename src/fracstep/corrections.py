@@ -17,22 +17,20 @@ Every solver's memory terms, one ``memory.Term`` per term weight nu_j and
 order alpha_j (``check_terms``), are built here (``wsgl_terms``, ``l1_terms``).
 
 None of these tables depends on tau, and row n of each is the same for every
-length (``starting_weight_table``), so a study builds each once, at its
-finest level: inside ``study_tables`` every ``shared_table`` key keeps the
-longest table built and each request reads a read-only prefix of it.
+length (``starting_weight_table``), so a study builds and checks each once, at
+its finest level: inside ``memory.study_tables`` every ``memory.shared_table``
+key keeps the longest table built and each request reads a read-only prefix.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .glweights import l1_weights, wsgl_weights
-from .memory import Term, convolve
+from .memory import Term, convolve, shared_table
 from .specfun import gamma
 
 __all__ = [
@@ -44,41 +42,10 @@ __all__ = [
     "check_terms",
     "wsgl_terms",
     "l1_terms",
-    "shared_table",
-    "study_tables",
 ]
 
 MAX_CORRECTION_TERMS = 10
 _COND_WARN = 1e14
-_tables = ContextVar("study_tables", default=None)  # the open study's tables by key, each the longest built
-
-
-@contextmanager
-def study_tables():
-    """Scope of one study (``harness.run_study``): inside it ``shared_table``
-    builds each key's table once, at the longest length asked, and hands out
-    read-only prefixes; on exit the tables are dropped.  The scope belongs to
-    the calling context, so another thread sees none."""
-    token = _tables.set({})
-    try:
-        yield
-    finally:
-        _tables.reset(token)
-
-
-def shared_table(key, n_max: int, build) -> np.ndarray:
-    """Rows 0..n_max of ``build(n_max)``, a table whose rows do not depend on
-    its length.  Outside ``study_tables`` it is built anew; inside, the
-    longest table built for ``key`` serves every shorter request as a
-    read-only prefix, and a longer request builds and keeps a longer one."""
-    tables = _tables.get()
-    if tables is None:
-        return build(n_max)
-    table = tables.get(key)
-    if table is None or len(table) <= n_max:
-        table = tables[key] = build(n_max)
-        table.flags.writeable = False
-    return table[: n_max + 1]
 
 
 @dataclass(frozen=True)
@@ -128,15 +95,14 @@ def _power_matrix(sigmas) -> np.ndarray:
     return k[None, :] ** np.asarray(sigmas, dtype=float)[:, None]
 
 
-def _check_condition(A: np.ndarray, sigmas) -> float:
-    cond = float(np.linalg.cond(A, 2)) if len(A) else 1.0
+def _checked_power_matrix(sigmas) -> np.ndarray:
+    """The system of a table build, with a warning when it is ill-conditioned."""
+    A = _power_matrix(sigmas)
+    cond = float(np.linalg.cond(A, 2))
     if cond > _COND_WARN:
-        warnings.warn(
-            f"starting-weight system is severely ill-conditioned "
-            f"(cond ~ {cond:.2e}, exponents {tuple(sigmas)})",
-            stacklevel=3,
-        )
-    return cond
+        msg = f"starting-weight system is severely ill-conditioned (cond ~ {cond:.2e}, exponents {tuple(sigmas)})"
+        warnings.warn(msg, stacklevel=2)
+    return A
 
 
 def _fractional_rhs(alpha: float, sigmas, n_max: int) -> np.ndarray:
@@ -167,17 +133,14 @@ def starting_weight_table(alpha: float, cset: CorrectionSet, n_max: int) -> np.n
     that node whole, so those r rows differ in rounding (a 520-row table
     from a 5120-row one in rows 512..520).  That is also where a cell of a
     study, which reads a prefix of its column's longest table
-    (``study_tables``), can differ from a call on its own."""
-    m = cset.m
-    if m == 0:
+    (``memory.study_tables``), can differ from a call on its own."""
+    if cset.m == 0:
         return np.zeros((n_max + 1, 0))
-    A = _power_matrix(cset.sigmas)
-    _check_condition(A, cset.sigmas)
-    return shared_table((alpha, cset.sigmas), n_max, lambda n: _starting_weights(alpha, cset.sigmas, A, n))
+    return shared_table((alpha, cset.sigmas), n_max, lambda n: _starting_weights(alpha, cset.sigmas, n))
 
 
-def _starting_weights(alpha: float, sigmas, A: np.ndarray, n_max: int) -> np.ndarray:
-    W = np.linalg.solve(A, _fractional_rhs(alpha, sigmas, n_max)).T
+def _starting_weights(alpha: float, sigmas, n_max: int) -> np.ndarray:
+    W = np.linalg.solve(_checked_power_matrix(sigmas), _fractional_rhs(alpha, sigmas, n_max)).T
     W[0] = 0.0
     return W
 
@@ -198,17 +161,15 @@ def d1_weight_table(cset: CorrectionSet, n_max: int) -> np.ndarray:
         return np.zeros((n_max + 1, 0))
     if any(s < 1.0 for s in sigmas):
         raise ValueError(f"averaged-difference corrections need sigma_r >= 1, got sigma = {sigmas}")
-    A = _power_matrix(sigmas)
-    _check_condition(A, sigmas)
-    return shared_table(("d1", sigmas), n_max, lambda n: _d1_weights(sigmas, A, n))
+    return shared_table(("d1", sigmas), n_max, lambda n: _d1_weights(sigmas, n))
 
 
-def _d1_weights(exponents, A: np.ndarray, n_max: int) -> np.ndarray:
+def _d1_weights(exponents, n_max: int) -> np.ndarray:
     ns = np.arange(n_max + 1, dtype=float)
     rhs = np.empty((len(exponents), n_max + 1))
     for r, s in enumerate(exponents):
         rhs[r] = s / 2.0 * ((ns + 1.0) ** (s - 1.0) + ns ** (s - 1.0)) - ((ns + 1.0) ** s - ns**s)
-    return np.linalg.solve(A, rhs).T
+    return np.linalg.solve(_checked_power_matrix(exponents), rhs).T
 
 
 def vandermonde_diagnostics(alpha: float, cset: CorrectionSet) -> VandermondeDiagnostics:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrections import CorrectionSet, check_terms, l1_terms, shared_table, wsgl_terms
+from .corrections import CorrectionSet, check_terms, l1_terms, wsgl_terms
 from .glweights import SampledPath, step_count
-from .memory import History, Term, convolve, linear_march, reciprocal, runs, startup_matrix
+from .memory import History, Term, convolve, linear_march, reciprocal, runs, shared_table, startup_matrix
 from .specfun import gamma
 
 __all__ = [
@@ -255,7 +255,7 @@ def _trap_memory(a1: float, a2: float, n_t: int, tau: float):
     unscaled kernels c^(a) of ``_trap_kernel``, so G = 1 / c^(a1),
     G cd = s' G c^(a1-a2) + G and G u = tau^a1 / Gamma(1 + a1) G n^a1: scales
     times the tau-free tables of (a1, a2), built once per study
-    (``corrections.shared_table``)."""
+    (``memory.shared_table``)."""
     G, H, V = shared_table(("trap", a1, a2), n_t, lambda n: _trap_tables(a1, a2, n)).T
     k = tau ** (a1 - a2) / gamma(2.0 + a1 - a2) * H + G
     return k, tau**a1 / gamma(2.0 + a1), tau**a1 / gamma(1.0 + a1) * V

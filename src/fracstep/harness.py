@@ -92,12 +92,20 @@ def parse_config(path) -> list[StudyConfig]:
 
 
 def _check(section: str, kind: str, raw: dict) -> None:
-    """Reject a key that the kind does not take, and a sigma rule that does
-    not expand to the study's largest correction count, before any solve."""
+    """Reject a key that the kind does not take or that the section's variant
+    of it does not read, and a sigma rule that does not expand to the study's
+    largest correction count, before any solve."""
     keys = _KINDS[kind][2].split() + ["out"]
+    unread = {  # a key that the kind takes: why this section does not read it, if it does not
+        "alpha": kind == "wave" and "alphas" in raw and "the wave's orders are its 'alphas'",
+        "alphas": raw.get("problem") == "two_term_ml" and "problem two_term_ml reads 'alpha'",
+        "degrees": "mesh" not in raw and "'degrees' goes with 'mesh'",
+    }
     for key in raw:
         if key not in keys:
             raise ValueError(f"[{section}] unknown key '{key}': a {kind} study takes {', '.join(keys)}")
+        if unread.get(key):
+            raise ValueError(f"[{section}] unread key '{key}': {unread[key]}")
     if "sigma_rule" in raw:
         m = max((int(col) for col in _parse_list(raw.get("columns", "")) if col.isdigit()), default=0)
         try:
@@ -217,7 +225,7 @@ def _convergence(taus, norms, columns, reference_for, solve, error) -> Convergen
     every (label, spec) column down the tau chain, ref = reference_for(spec)
     made first.  The cells are solved finest first, so that each tau-free
     table of a column is built once, at its finest level, and the coarser
-    cells read prefixes of it (``corrections.study_tables``).  An error of a
+    cells read prefixes of it (``memory.study_tables``).  An error of a
     column's reference or cell is raised again with its label (and tau)."""
 
     def column(label, spec):
@@ -449,8 +457,8 @@ _KINDS = {
 def run_study(config: StudyConfig, out: str | None = None):
     """Run one study; returns its table and writes the CSV when ``out`` (or
     the config's own ``out`` key) names a target.  Its tau-free tables are
-    built once per study (``corrections.study_tables``)."""
-    from .corrections import study_tables
+    built once per study (``memory.study_tables``)."""
+    from .memory import study_tables
 
     with study_tables():
         table = _KINDS[config.kind][0](config)

@@ -20,10 +20,16 @@ a run as one lower-triangular Toeplitz system per history column, its lags
 shared or per column (``known_run``, ``run_inverse``, ``solve_run``):
 ``linear_march`` is that march for a diagonal per column, which the
 subdiffusion (one column per mode) and a linear FODE (one column) share.
+
+A study (``study_tables``) keeps, read-only, the tau-free tables by key
+(``shared_table``) and the run inverses by the bytes of their float64 inputs
+(``study_value``), so that its cells build each once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,12 +37,44 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 __all__ = ["RUN", "Term", "History", "check_march", "convolve", "linear_march", "reciprocal", "run_inverse",
-           "runs", "solve_run", "startup_matrix"]
+           "runs", "shared_table", "solve_run", "startup_matrix", "study_tables", "study_value"]
 
 _BASE = 32  # lags summed directly at each level; longer lags go through the far field
 RUN = _BASE  # the most levels in one run
 _CHUNK = 1 << 16  # elements of a far-field block transformed at once
 _DIRECT = 1 << 14  # entries of the largest lag-Toeplitz block a node multiplies
+_study = ContextVar("study_tables", default=None)  # the open study's kept arrays by key
+
+
+@contextmanager
+def study_tables():
+    """Scope of one study (``harness.run_study``), in which ``study_value`` keeps
+    what it builds; it belongs to the calling context, so another thread sees none."""
+    token = _study.set({})
+    try:
+        yield
+    finally:
+        _study.reset(token)
+
+
+def study_value(key, build, fits=lambda value: True):
+    """``build()``, an array, built anew outside ``study_tables``; inside, kept
+    read-only under ``key`` and handed out again while ``fits`` holds of it."""
+    values = _study.get()
+    if values is None:
+        return build()
+    value = values.get(key)
+    if value is None or not fits(value):
+        value = values[key] = build()
+        value.flags.writeable = False
+    return value
+
+
+def shared_table(key, n_max: int, build) -> np.ndarray:
+    """Rows 0..n_max of ``build(n_max)``, a table whose rows do not depend on
+    its length: inside ``study_tables`` a read-only prefix of the longest
+    table built for ``key``, which a longer request replaces."""
+    return study_value(key, lambda: build(n_max), lambda table: len(table) > n_max)[: n_max + 1]
 
 
 @dataclass(frozen=True)
@@ -187,16 +225,18 @@ def runs(start: int, stop: int):
         start = end
 
 
-def run_inverse(c: np.ndarray, d: np.ndarray, dense: bool = True) -> np.ndarray:
+def run_inverse(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The inverses of the lower-triangular Toeplitz matrices of one run, one
     per history column k, for ``solve_run``: d[k] on the diagonal and the lags
     c[1], ..., c[RUN-1] below it, shared by every column (c of shape (lags,))
     or c[k, 1], ..., c[k, RUN-1] per column (shape (columns, lags)); lags past
     the end of c are zero.  Each inverse is Toeplitz; its first column is
     forward substitution, y_0 = 1 / d, y_i = -(c_i y_0 + ... + c_1 y_{i-1}) / d,
-    in the precision of c and d, rounded to double once.  ``dense`` gives one
-    contiguous (columns, RUN, RUN) array, else a read-only strided view of
-    that shape on the first columns, (columns, 2 RUN - 1) in memory."""
+    in the precision of c and d, rounded to double once.  The inverses are a
+    read-only strided (columns, RUN, RUN) view on the first columns, (columns,
+    2 RUN - 1) in memory, allocated first: a study keeps them, and kept below
+    the substitution's temporaries they leave the heap those free reusable."""
+    first = np.empty((len(d), 2 * _BASE - 1))
     dtype = np.result_type(c, d)
     lags = np.zeros(c.shape[:-1] + (_BASE,), dtype)
     lags[..., : min(c.shape[-1], _BASE)] = c[..., :_BASE]
@@ -206,13 +246,14 @@ def run_inverse(c: np.ndarray, d: np.ndarray, dense: bool = True) -> np.ndarray:
         window = y[:, _BASE - 1 : _BASE - 1 + i]
         dots = window @ lags[i:0:-1] if lags.ndim == 1 else np.vecdot(window, lags[:, i:0:-1])
         y[:, _BASE - 1 + i] = -dots / d
-    return _toeplitz(y.astype(float, copy=False), _BASE, _BASE, copy=dense)
+    first[...] = y
+    return _toeplitz(first, _BASE, _BASE, copy=False)
 
 
 def solve_run(inverse: np.ndarray, loads: np.ndarray) -> np.ndarray:
     """Levels s..e-1 of a linear field march from the loads of their run,
     shape (e-s, columns): every column's Toeplitz system at once, one batched
-    product with the leading blocks of ``run_inverse``, dense or strided.  A
+    product with the leading blocks of ``run_inverse`` or a dense copy.  A
     march whose level n reads d x^n + known(n) = b^n has the loads
     b[s:e] - known_run(s, e) and the inverse ``run_inverse(c, d)``."""
     r = len(loads)
@@ -224,9 +265,9 @@ def linear_march(hist: History, shift, m: int, solver: str, tau: float, error=Va
     history x of ``hist``, shape (levels,) or (levels, columns), one shift
     per column; each level enters holding its load b^n.  Levels 1..m couple
     through the starting weights: one m x m system per column.  Then one
-    ``run_inverse``, and per run its loads less ``known_run`` times the
-    inverse (``solve_run``) and one feed.  ``check_march`` names a
-    non-finite level, raised as ``error``, as is a singular startup block."""
+    ``run_inverse`` (``study_value``), copied dense, and per run its loads
+    less ``known_run`` times it (``solve_run``) and one feed.  ``check_march``
+    names a non-finite level, raised as ``error``, as is a singular startup block."""
     x = hist.x.reshape(len(hist.x), -1)
     finite = np.isfinite(x).all(axis=1)
     if m >= 1:
@@ -235,7 +276,8 @@ def linear_march(hist: History, shift, m: int, solver: str, tau: float, error=Va
             x[1 : m + 1] = np.linalg.solve(A, x[1 : m + 1].T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError as exc:
             raise error(f"{solver}: steps 1..{m}, t <= {m * tau:g}: singular startup block") from exc
-    inverse = run_inverse(hist.c, hist.c[0] + shift)
+    d = hist.c[0] + shift
+    inverse = study_value(("run", hist.c[:RUN].tobytes(), d.tobytes()), lambda: run_inverse(hist.c, d)).copy()
     for k in range(m + 1):
         hist.feed(k)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level is named below

@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .corrections import CorrectionSet, check_terms, d1_weight_table, l1_terms, wsgl_terms
 from .glweights import step_count
-from .memory import RUN, History, check_march, linear_march, run_inverse, runs, solve_run, startup_matrix
+from .memory import RUN, History, check_march, linear_march, run_inverse, runs, solve_run, startup_matrix, study_value
 from .sem import SpectralMesh, h1_projection
 
 __all__ = [
@@ -114,16 +115,21 @@ class SubdiffusionProblem:
 @dataclass(frozen=True)
 class FieldHistory:
     """Per-step full-space coefficient vectors (boundary entries exactly
-    zero); the wave scheme also stores the time-derivative field."""
+    zero); the wave's time-derivative field ``v`` is kept as ``modal_v`` =
+    (Phi, modal levels, shift) and mapped to full space on its first read."""
 
     mesh: SpectralMesh
     tau: float
     u: np.ndarray
-    v: np.ndarray | None = None
+    modal_v: tuple | None = None
 
     @property
     def n_steps(self) -> int:
         return len(self.u) - 1
+
+    @cached_property
+    def v(self) -> np.ndarray | None:
+        return None if self.modal_v is None else _physical(self.mesh, *self.modal_v)
 
 
 def _space(problem, n_t: int, tau: float, solver: str, *fields):
@@ -221,7 +227,7 @@ def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = 
     D = 1.0 / tau + 0.5 * nu * sc * g[0] + (mu * tau / 4.0) * lam
     P = 1.0 / tau - 0.5 * nu * sc * g[0] - (mu * tau / 4.0) * lam
     _march_wave(History(mem, vh), uh, vh, m, tau, D, P, -mu * lam, 0.5 * nu)
-    return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh), _physical(problem.mesh, Phi, vh, v0_x))
+    return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh), (Phi, vh, v0_x))
 
 
 def _march_wave(hist: History, uh, vh, start: int, tau: float, D, P, Q, s) -> None:
@@ -235,7 +241,7 @@ def _march_wave(hist: History, uh, vh, start: int, tau: float, D, P, Q, s) -> No
     D (primes), its V unknowns solve one unit lower-triangular Toeplitz
     system per mode, U's trapezoid sum written into the lags: -P' - Q' tau / 2
     + s' c_1 at lag 1, -Q' tau + s' (c_l + c_{l-1}) at lag l >= 2.  The lags
-    and the inverses (``memory.run_inverse``, kept as their first columns)
+    and the inverses (``memory.run_inverse``, kept per study: ``study_value``)
     are formed in extended precision and rounded to double once: rounded
     lags perturb every run alike, which over 2^13 levels of the forced wave
     at alpha = 0.6 moved U by 7.3e-14 and V by 8.0e-14 relative from the
@@ -253,11 +259,13 @@ def _march_wave(hist: History, uh, vh, start: int, tau: float, D, P, Q, s) -> No
     # the load of level i > start reads F^{i-1} and G^a..G^{i-1}; each G^n is
     # built from v^0 and the startup levels, which F^n holds too, so F names it
     finite = np.isfinite(vh).all(axis=1)
-    ext = np.longdouble
-    c, Qtau = hist.c[:RUN].astype(ext), Q.astype(ext) * tau
-    lags = np.multiply.outer(s, np.append(c[:2], c[2:] + c[1:-1])) - Qtau[:, None]
-    lags[:, 1] += Qtau / 2 - P
-    inverse = run_inverse(lags, np.ones_like(Qtau), dense=False)
+
+    def inverses():  # kept by their double inputs: equal long doubles may differ in their padding bytes
+        c, Qtau = hist.c[:RUN].astype(np.longdouble), Q.astype(np.longdouble) * tau
+        lags = np.multiply.outer(s, np.append(c[:2], c[2:] + c[1:-1])) - Qtau[:, None]
+        lags[:, 1] += Qtau / 2 - P
+        return run_inverse(lags, np.ones_like(Qtau))
+    inverse = study_value(("wave", *(x.tobytes() for x in (hist.c[:RUN], P, Q, s)), tau), inverses)
     for k in range(start + 1):
         hist.feed(k)
     for a, e in runs(start + 1, len(vh)):

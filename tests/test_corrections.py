@@ -5,16 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracstep import corrections
 from fracstep.corrections import (
     CorrectionSet,
     _fractional_rhs,
     d1_weight_table,
-    shared_table,
     starting_weight_table,
-    study_tables,
     vandermonde_diagnostics,
 )
 from fracstep.glweights import rl_deriv_power, wsgl_weights
+from fracstep.memory import shared_table, study_tables
 from fracstep.specfun import gamma
 from oracles import (
     apply_wsgl_pair,
@@ -117,6 +117,22 @@ def test_study_tables_hand_out_prefixes_of_one_table():
         assert built == [5, 8]  # a longer request builds anew and is kept
     assert shared_table("k", 3, build).flags.writeable and built == [5, 8, 3]
     assert starting_weight_table(0.3, cset, 100).flags.writeable
+
+
+def test_condition_is_checked_once_per_table_built(monkeypatch):
+    # every call used to check its Vandermonde system (an SVD), also when the
+    # study handed out a prefix of a table already built and checked
+    checks, check = [], corrections._checked_power_matrix
+    monkeypatch.setattr(corrections, "_checked_power_matrix", lambda sigmas: checks.append(sigmas) or check(sigmas))
+    cset, wave = CorrectionSet((0.3, 0.6)), CorrectionSet((2.0, 2.5))
+    with study_tables():
+        for n in (300, 100, 50):
+            starting_weight_table(0.3, cset, n)
+            d1_weight_table(wave, n)
+    assert checks == [cset.sigmas, wave.sigmas]
+    starting_weight_table(0.3, cset, 50)
+    starting_weight_table(0.3, cset, 50)
+    assert len(checks) == 4  # outside a study every call builds, so every call checks
 
 
 def test_bdf2_starting_weight_decay():

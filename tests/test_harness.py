@@ -398,8 +398,19 @@ def test_repeated_column_is_rejected_before_any_solve(tmp_path, monkeypatch, kin
         # every column a baseline: the rule is still checked, before the reference is solved
         (CUBIC_STUDY.replace("l1", "l1 trap").replace("list: 0.7 0.9", "bogus"), "[cubic] unknown sigma rule 'bogus'"),
         (FODE_STUDY.replace("(k+1)*alpha", "list: 1.0"), "[table] sigma_rule = list: 1.0: fewer than m = 2 exponents"),
+        # keys that the section's variant of its kind does not read, each of which used to be ignored
+        (
+            FIELD_STUDY.format("wave") + FIELD_STUDIES["wave"][1] + "alphas = 0.4 0.6\n",
+            "[f] unread key 'alpha': the wave's orders are its 'alphas'",
+        ),
+        (FODE_STUDY + "alphas = 0.9 0.1\n", "[table] unread key 'alphas': problem two_term_ml reads 'alpha'"),
+        (
+            FIELD_STUDY.format("subdiff") + FIELD_STUDIES["subdiff"][1].replace("mesh = 0 0.5 1\n", ""),
+            "[f] unread key 'degrees': 'degrees' goes with 'mesh'",
+        ),
     ],
-    ids=["fode-norm", "fode-typo", "subdiff-alphas", "forced-wave-nu", "baselines-bogus-rule", "short-list"],
+    ids=["fode-norm", "fode-typo", "subdiff-alphas", "forced-wave-nu", "baselines-bogus-rule", "short-list",
+         "wave-alpha-beside-alphas", "two-term-alphas", "degrees-without-mesh"],
 )
 def test_unread_key_and_bad_sigma_rule_are_rejected_before_any_solve(tmp_path, monkeypatch, text, what):
     # each of these used to write a table: the key was never read, or the rule
@@ -408,6 +419,36 @@ def test_unread_key_and_bad_sigma_rule_are_rejected_before_any_solve(tmp_path, m
     with pytest.raises(ValueError, match=f"^{re.escape(what)}"):
         for study in parse_config(_write(tmp_path, "s.ini", text)):
             run_study(study)
+
+
+MEMO_STUDIES = {
+    # kind -> (a study with two columns or more at each tau, its distinct
+    # (kernel, shift) run inverses: one per tau, and for a subdiff study one
+    # per tau for its L1 column and one for its WSGL columns)
+    "wave": (FIELD_STUDY.format("wave") + FIELD_STUDIES["wave"][1], 3),
+    "subdiff": (FIELD_STUDY.format("subdiff") + "columns = l1 1 2\nsigma_rule = list: 0.75 1.0\nmesh = 0 0.5 1\n", 6),
+    "fode": (FODE_STUDY, 2),
+}
+
+
+@pytest.mark.parametrize("kind", MEMO_STUDIES)
+def test_study_builds_one_run_inverse_per_kernel_and_shift(tmp_path, monkeypatch, kind):
+    # each cell used to build its run inverse again, the same at one tau
+    from fracstep import memory, tfpde
+
+    text, distinct = MEMO_STUDIES[kind]
+    built, build = [], memory.run_inverse
+
+    def counting(c, d):
+        built.append((c, d))
+        return build(c, d)
+
+    monkeypatch.setattr(memory, "run_inverse", counting)
+    monkeypatch.setattr(tfpde, "run_inverse", counting)
+    (study,) = parse_config(_write(tmp_path, "s.ini", text))
+    run_study(study)
+    same = lambda a, b: a[0].shape == b[0].shape and all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert len(built) == distinct and not any(same(a, b) for i, a in enumerate(built) for b in built[:i])
 
 
 def test_benchmark_configs_pass_the_parse_checks(tmp_path, monkeypatch):

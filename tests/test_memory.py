@@ -348,6 +348,12 @@ def test_reciprocal_matches_gl_pair(alpha, n):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def _dense_or_view(inverse: np.ndarray, dense: bool) -> np.ndarray:
+    """``run_inverse``'s strided view as the wave march reads it, or the dense
+    copy that ``linear_march`` reads."""
+    return inverse.copy() if dense else inverse
+
+
 @st.composite
 def _runs(draw):
     """A run [s, e) that does not cross a multiple of 32, after level 0."""
@@ -386,7 +392,7 @@ def test_run_solve_matches_substitution(kind, alpha, exponents, run, dense):
         stiff[-1] = 1.0
         lags = _wave_lags(wsgl_weights(alpha, 32) * 1e-2, 1.0 - 2.0 * stiff, -4.0 * stiff, 1.0 - stiff)
         b = rng.standard_normal((e - s, len(stiff)))
-        got = memory.solve_run(memory.run_inverse(lags, np.ones(len(stiff)), dense), b)
+        got = memory.solve_run(_dense_or_view(memory.run_inverse(lags, np.ones(len(stiff))), dense), b)
         want = np.zeros_like(b)
         for k in range(e - s):
             want[k] = b[k] - np.einsum("cl,lc->c", lags[:, k:0:-1], want[:k])
@@ -399,7 +405,7 @@ def test_run_solve_matches_substitution(kind, alpha, exponents, run, dense):
         hist = History([Term(1.0, c)], x)
         for k in range(s):
             hist.feed(k)
-        got = memory.solve_run(memory.run_inverse(hist.c, d, dense), b - hist.known_run(s, e))
+        got = memory.solve_run(_dense_or_view(memory.run_inverse(hist.c, d), dense), b - hist.known_run(s, e))
         for k in range(s, e):
             x[k] = (b[k - s] - hist.known(k)) / d
         want = x[s:e]
@@ -426,3 +432,66 @@ def test_march_matches_direct_sum_march(solver, monkeypatch):
     monkeypatch.setattr(tfpde, "History", DirectHistory)
     direct = SOLVES[solver]()
     assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def _kept_inverses(monkeypatch) -> list:
+    """(key, inverse) of every run inverse that the study store hands out, with
+    a fresh build of it, made beside the store."""
+    kept, value = [], memory.study_value
+
+    def keeping(key, build, *fits):
+        got = value(key, build, *fits)
+        if got.ndim == 3:  # a run inverse; the tau-free tables are 2-D
+            kept.append((key, got, build()))
+        return got
+
+    monkeypatch.setattr(memory, "study_value", keeping)
+    monkeypatch.setattr(tfpde, "study_value", keeping)
+    return kept
+
+
+MEMO_MESH = SpectralMesh([-1.0, 0.0, 1.0], (6, 6))
+MEMO_SOLVES = [  # two cells per march at one tau, which differ in their corrections only
+    lambda m: solve_wave(wave_forced_problem(0.5, MEMO_MESH), 2.0**-5, (2.0, 2.5), m, m, m).u,
+    lambda m: solve_subdiffusion(subdiffusion_forced_problem(MEMO_MESH), 2.0**-5, (0.75, 1.0)[:m]).u,
+    lambda m: solve_corrected_wsgl(two_term_ml_problem(0.5), 2.0**-6, (0.5, 1.0)[:m]).values,
+]
+
+
+def test_study_keeps_each_run_inverse_once_read_only_as_first_columns(monkeypatch):
+    # every cell at one tau and kernel used to build its run inverse again
+    outside = [solve(m) for solve in MEMO_SOLVES for m in (0, 2)]
+    kept = _kept_inverses(monkeypatch)
+    with memory.study_tables():
+        inside = [solve(m) for solve in MEMO_SOLVES for m in (0, 2)]
+    assert all(np.array_equal(a, b) for a, b in zip(inside, outside))
+    keys = [key for key, *_ in kept]
+    assert len(keys) == 6 and len(set(keys)) == 3 and keys[0::2] == keys[1::2]
+    for key, got, fresh in kept:
+        assert np.array_equal(got, fresh) and not got.flags.writeable
+        assert got.base.shape == (len(got), 2 * memory.RUN - 1)  # its first columns, nothing dense
+    assert kept[0][1] is kept[1][1]
+
+
+def test_l1_and_wsgl_at_one_tau_keep_different_inverses(monkeypatch):
+    problem = subdiffusion_forced_problem(MEMO_MESH)
+    kept = _kept_inverses(monkeypatch)
+    with memory.study_tables():
+        solve_subdiffusion_l1_baseline(problem, 2.0**-5)
+        solve_subdiffusion(problem, 2.0**-5, (0.75,))
+    (l1_key, l1, _), (wsgl_key, wsgl, _) = kept
+    assert l1_key != wsgl_key and not np.array_equal(l1, wsgl)
+
+
+def test_nothing_is_kept_outside_a_study(monkeypatch):
+    built, build = [], memory.run_inverse
+    monkeypatch.setattr(memory, "run_inverse", lambda *args, **kw: built.append(1) or build(*args, **kw))
+    monkeypatch.setattr(tfpde, "run_inverse", memory.run_inverse)
+    for solve in MEMO_SOLVES:
+        del built[:]
+        solve(0), solve(0)
+        with memory.study_tables():
+            solve(0), solve(0)
+        solve(0)
+        assert len(built) == 4  # two outside, one inside, and one after the scope dropped it
+    assert memory.study_value("k", lambda: np.zeros(2)).flags.writeable

@@ -101,6 +101,18 @@ def test_zero_wave_history(small_mesh):
     assert np.all(hist.v == 0.0)
 
 
+def test_wave_maps_v_on_its_first_read(small_mesh, monkeypatch):
+    # V used to be mapped to full space on every solve, and no study reads it
+    mapped, physical = [], tfpde._physical
+    monkeypatch.setattr(tfpde, "_physical", lambda *args: mapped.append(args) or physical(*args))
+    hist = solve_wave(wave_forced_problem(0.5, small_mesh), 2.0**-4, (2.0, 2.5), 1, 2, 2)
+    assert len(mapped) == 1  # U
+    v = hist.v
+    assert len(mapped) == 2 and hist.v is v and v.shape == hist.u.shape
+    Phi, vh, v0 = hist.modal_v
+    assert np.array_equal(v, physical(small_mesh, Phi, vh, v0))
+
+
 def test_zero_subdiffusion_history(unit_mesh):
     prob = SubdiffusionProblem((1.0, 1.0), (0.75, 0.5), 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
     hist = solve_subdiffusion(prob, 2.0**-4, (0.75, 1.0))
