@@ -21,9 +21,9 @@ _SUBMODULE = {
         ("corrections", "CorrectionSet VandermondeDiagnostics d1_weight_table starting_weight_table "
          "vandermonde_diagnostics"),
         ("fode", "ConvergenceError MultiTermProblem error_report solve_corrected_wsgl solve_l1 solve_trapezoidal"),
-        ("glweights", "SampledPath gl_weights rl_deriv_power wsgl_weights"),
+        ("glweights", "SampledPath rl_deriv_power wsgl_weights"),
         ("harness", "ConvergenceTable StudyConfig observed_order parse_config run_study"),
-        ("sem", "AssembledForms SpectralMesh assemble h1_projection interpolate lgl_nodes"),
+        ("sem", "SpectralMesh h1_projection"),
         ("specfun", "gamma mittag_leffler"),
         ("tfpde", "FieldHistory SubdiffusionProblem WaveProblem l2_error solve_subdiffusion "
          "solve_subdiffusion_l1_baseline solve_wave"),

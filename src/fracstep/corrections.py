@@ -130,10 +130,9 @@ def starting_weight_table(alpha: float, cset: CorrectionSet, n_max: int) -> np.n
     reads only node sizes L <= n and the weights to lag 2L - 1.  Except: the
     last node of a size L > 128 that is clipped to r <= 2^14 / L rows is
     summed directly (``memory._direct``), where a longer table transforms
-    that node whole, so those r rows differ in rounding (a 520-row table
-    from a 5120-row one in rows 512..520).  That is also where a cell of a
-    study, which reads a prefix of its column's longest table
-    (``memory.study_tables``), can differ from a call on its own."""
+    that node whole, so those r rows differ in rounding.  That is also
+    where a cell of a study, which reads a prefix of its column's longest
+    table (``memory.study_tables``), can differ from a call on its own."""
     if cset.m == 0:
         return np.zeros((n_max + 1, 0))
     return shared_table((alpha, cset.sigmas), n_max, lambda n: _starting_weights(alpha, cset.sigmas, n))

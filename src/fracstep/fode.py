@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import CorrectionSet, check_terms, l1_terms, wsgl_terms
-from .glweights import SampledPath, step_count
+from .glweights import SampledPath, reference_stride, step_count
 from .memory import History, Term, convolve, linear_march, reciprocal, runs, shared_table, startup_matrix
 from .specfun import gamma
 
@@ -291,16 +291,10 @@ def solve_trapezoidal(problem: MultiTermProblem, tau: float) -> SampledPath:
 def error_report(path: SampledPath, exact) -> dict:
     """The errors {"max", "final", "avg"}: max, final-time and averaged
     (tau * sum_{n>=1} |e^n|^2)^(1/2), against an exact callable or a finer
-    reference path (whose resolution must be an integer multiple of the
-    path's).  The callable is called once with the array of times; a scalar
-    result is broadcast."""
+    reference path, read at the path's ``reference_stride``.  The callable
+    is called once with the array of times; a scalar result is broadcast."""
     if isinstance(exact, SampledPath):
-        ratio = path.tau / exact.tau
-        r = int(round(ratio))
-        if r < 1 or abs(ratio - r) > 1e-9:
-            raise ValueError("reference resolution must be an integer multiple")
-        if (len(path.values) - 1) * r > len(exact.values) - 1:
-            raise ValueError("reference path too short")
+        r = reference_stride(path.tau, path.n_steps, exact.tau, exact.n_steps)
         ref = exact.values[:: r][: len(path.values)]
     else:
         ref = np.broadcast_to(np.asarray(exact(path.times), dtype=float), path.values.shape)

@@ -23,10 +23,10 @@ from .specfun import gamma
 
 __all__ = [
     "SampledPath",
-    "gl_weights",
     "wsgl_weights",
     "l1_weights",
     "step_count",
+    "reference_stride",
     "rl_deriv_power",
 ]
 
@@ -67,6 +67,20 @@ def step_count(tau: float, T: float, m: int = 0, solver: str = "step_count") -> 
     if n_t < m:
         raise ValueError(f"{solver}: n_T = {n_t} < m = {m}: horizon too short for the correction stencil")
     return n_t
+
+
+def reference_stride(tau: float, n: int, ref_tau: float, ref_n: int) -> int:
+    """The stride r = tau / ref_tau at which a finer reference of ``ref_n``
+    steps samples a grid of ``n`` steps: an integer >= 1 (to 1e-9), with the
+    reference reaching level n r."""
+    ratio = tau / ref_tau
+    r = round(ratio)
+    if r < 1 or abs(ratio - r) > 1e-9 or n * r > ref_n:
+        raise ValueError(
+            f"a reference at tau = {ref_tau:g} with {ref_n} steps cannot sample tau = {tau:g} with {n} steps: "
+            "tau must be an integer multiple of the reference's, and the reference must reach the last level"
+        )
+    return r
 
 
 def gl_weights(alpha: float, K: int) -> np.ndarray:

@@ -315,13 +315,16 @@ def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
 
 def _decimated(ref: FieldHistory, taus) -> FieldHistory:
     """A copy of the reference's U at every g-th level, g the gcd of the
-    cells' ratios tau / ref.tau, its tau scaled to match; g = 1 unless every
-    ratio is an integer as ``l2_error`` takes it, which then rejects the cell."""
+    cells' strides tau / ref.tau, its tau scaled to match; g = 1 unless every
+    tau has a stride (``reference_stride``), and ``l2_error`` then rejects the
+    cell that has none."""
+    from .glweights import reference_stride
     from .tfpde import FieldHistory
 
-    ratios = [tau / ref.tau for tau in taus]
-    whole = all(round(r) >= 1 and abs(r - round(r)) <= 1e-9 for r in ratios)
-    g = math.gcd(*(round(r) for r in ratios)) if whole else 1
+    try:
+        g = math.gcd(*(reference_stride(tau, 0, ref.tau, ref.n_steps) for tau in taus))
+    except ValueError:
+        g = 1
     return FieldHistory(ref.mesh, ref.tau * g, ref.u[::g].copy())
 
 

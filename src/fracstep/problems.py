@@ -114,7 +114,7 @@ def wave_smooth_problem(alpha: float, nu: float = 2.0, mesh: SpectralMesh | None
     given memory coefficient nu.
 
     The published convergence table for this solution corresponds to nu = 2
-    (kept as the default so the study reproduces those numbers); any nu >= 0
+    (kept as the default so the study reproduces those numbers); any nu > 0
     yields a consistent manufactured problem.
     """
     mesh = mesh if mesh is not None else three_zone_mesh()
@@ -138,7 +138,7 @@ def wave_smooth_problem(alpha: float, nu: float = 2.0, mesh: SpectralMesh | None
 
     s2pi = lambda x: np.sin(2.0 * np.pi * np.asarray(x))
     return WaveProblem(
-        nu=nu, mu=1.0, source=source, phi0=s2pi, psi0=s2pi, alpha=alpha, T=1.0, mesh=mesh
+        nu=(nu,), alphas=(alpha,), mu=1.0, source=source, phi0=s2pi, psi0=s2pi, T=1.0, mesh=mesh
     )
 
 
@@ -152,12 +152,12 @@ def wave_forced_problem(alpha: float = 0.5, mesh: SpectralMesh | None = None) ->
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return WaveProblem(
-        nu=1.0,
+        nu=(1.0,),
+        alphas=(alpha,),
         mu=1.0,
         source=lambda x, t: np.exp(-t) * np.sin(np.pi * np.asarray(x)),
         phi0=zero,
         psi0=zero,
-        alpha=alpha,
         T=1.0,
         mesh=mesh,
     )

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["lgl_nodes", "SpectralMesh", "AssembledForms", "assemble", "interpolate", "h1_projection", "spd_inverse"]
+__all__ = ["SpectralMesh", "h1_projection", "spd_inverse"]
 
 
 def lgl_nodes(N: int) -> tuple[np.ndarray, np.ndarray]:

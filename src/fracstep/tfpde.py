@@ -2,13 +2,13 @@
 
 Two schemes:
 
-* diffusion-wave (order 1 + alpha): the equation is split into the pair
-  (U, V = dU/dt); V is advanced by a Crank-Nicolson-type step whose fractional
-  memory term is the two-level average of corrected WSGL operators applied to
-  V - V(0), and U follows by the trapezoid update.  Starting weights may
-  correct the fractional term (m3, exponents sigma_r - 1) and the two
-  averaged-difference identities (m1 on U with sigma_r, m2 on V with
-  sigma_r - 1).
+* diffusion-wave: d2U/dt2 + sum_j nu_j D^{1+alpha_j} U = mu U_xx + f,
+  split into the pair (U, V = dU/dt); V is advanced by a Crank-Nicolson-type
+  step whose memory term is the two-level average of one corrected WSGL
+  operator per fractional term applied to V - V(0), and U follows by the
+  trapezoid update.  Starting weights may correct the fractional terms (m3,
+  exponents sigma_r - 1) and the two averaged-difference identities (m1 on
+  U with sigma_r, m2 on V with sigma_r - 1).
 
 * multi-term subdiffusion: one corrected WSGL operator per fractional term,
   applied to U - U(0), implicit in space; any number of terms, as the FODE's.
@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .corrections import CorrectionSet, check_terms, d1_weight_table, l1_terms, wsgl_terms
-from .glweights import step_count
+from .glweights import reference_stride, step_count
 from .memory import RUN, History, check_march, linear_march, run_inverse, runs, solve_run, startup_matrix, study_value
 from .sem import SpectralMesh, h1_projection
 
@@ -56,38 +56,36 @@ __all__ = [
 ]
 
 
-def _check_coefficients(mu, T) -> None:
-    """Reject a bad field-problem coefficient by name; each check is written
-    so that NaN fails it."""
-    if not mu > 0:
-        raise ValueError(f"mu > 0 required, got mu = {mu!r}")
-    if not 0 < T < math.inf:
-        raise ValueError(f"finite T > 0 required, got T = {T!r}")
+def _check_field_problem(problem) -> None:
+    """Check a field problem's terms (``check_terms``, kept as float tuples)
+    and its coefficients by name; each check is written so that NaN fails it."""
+    nu, alphas = check_terms(problem.nu, problem.alphas)
+    if not problem.mu > 0:
+        raise ValueError(f"mu > 0 required, got mu = {problem.mu!r}")
+    if not 0 < problem.T < math.inf:
+        raise ValueError(f"finite T > 0 required, got T = {problem.T!r}")
+    object.__setattr__(problem, "nu", nu)
+    object.__setattr__(problem, "alphas", alphas)
 
 
 @dataclass(frozen=True)
 class WaveProblem:
     """Diffusion-wave problem
-    d2U/dt2 + nu * D_c^{1+alpha} U = mu * d2U/dx2 + f(x,t)
-    with homogeneous Dirichlet data, U(.,0) = phi0, dU/dt(.,0) = psi0.
-    ``source`` is f, called once per solve on broadcasting arrays x and t
-    (module docstring)."""
+    d2U/dt2 + sum_j nu_j D_c^{1+alpha_j} U = mu * d2U/dx2 + f(x,t)
+    with homogeneous Dirichlet data, U(.,0) = phi0, dU/dt(.,0) = psi0, and
+    the term weights and orders of ``MultiTermProblem``.  ``source`` is f,
+    called once per solve on broadcasting arrays x and t (module docstring)."""
 
-    nu: float
+    nu: tuple
+    alphas: tuple
     mu: float
     source: callable
     phi0: callable
     psi0: callable
-    alpha: float
     T: float
     mesh: SpectralMesh
 
-    def __post_init__(self):
-        _check_coefficients(self.mu, self.T)
-        if not self.nu >= 0:
-            raise ValueError(f"nu >= 0 required, got nu = {self.nu!r}")
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha in (0, 1] required, got alpha = {self.alpha!r}")
+    __post_init__ = _check_field_problem
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,7 @@ class SubdiffusionProblem:
     T: float
     mesh: SpectralMesh
 
-    def __post_init__(self):
-        nu, alphas = check_terms(self.nu, self.alphas)
-        _check_coefficients(self.mu, self.T)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "alphas", alphas)
+    __post_init__ = _check_field_problem
 
 
 @dataclass(frozen=True)
@@ -195,23 +189,21 @@ def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = 
     """
     sigma = CorrectionSet(sigma)
     _validate_wave_corrections(sigma, m1, m2, m3)
-    alpha, nu, mu = problem.alpha, problem.nu, problem.mu
-    m = max(m1, m2, m3)
+    mu, m = problem.mu, max(m1, m2, m3)
     n_t = step_count(tau, problem.T, m, "solve_wave")
     Phi, lam, fh, (u0_x, u0), (v0_x, v0) = _space(problem, n_t, tau, "solve_wave", problem.phi0, problem.psi0)
 
-    mem = wsgl_terms((1.0,), (alpha,), tau, n_t + 1, sigma.truncated(m3).shifted(-1.0))
-    sc, g = mem[0].scale, mem[0].kernel
+    mem = wsgl_terms(problem.nu, problem.alphas, tau, n_t + 1, sigma.truncated(m3).shifted(-1.0))
     Wu1 = d1_weight_table(sigma.truncated(m1), n_t)
     Wv2 = d1_weight_table(sigma.truncated(m2).shifted(-1.0), n_t)
     uh, vh = np.zeros((2, n_t + 1, len(lam)))  # vh = v - v^0, which the memory acts on
     uh[0] = u0
     if m >= 1:
-        _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, problem.mesh, u0_x, v0_x)
-    # D vh^{n+1} = (1/tau - nu sc g_0 / 2 - mu tau lam / 4) vh^n - mu lam u^n - nu (K_n + K_{n+1}) / 2 + F^n,
-    # K_n the known memory at level n; vh^{n+1} enters holding F^n: the averaged
-    # source, the V-correction and the v^0 and U-correction parts of the stiffness term,
-    # formed in place to hold no full-size temporary besides the V-correction's
+        _wave_startup_block(uh, vh, m, tau, mu, mem, Wu1, Wv2, fh, problem.mesh, u0_x, v0_x)
+    # D vh^{n+1} = (1/tau - c_0 / 2 - mu tau lam / 4) vh^n - mu lam u^n - (K_n + K_{n+1}) / 2 + F^n,
+    # c_0 the memory's implicit coefficient and K_n its known part at level n; vh^{n+1} enters
+    # holding F^n: the averaged source, the V-correction and the v^0 and U-correction parts of
+    # the stiffness term, formed in place to hold no full-size temporary besides the V-correction's
     F = vh[m + 1 :]
     np.add(fh[m:-1], fh[m + 1 :], out=F)
     del fh
@@ -224,37 +216,36 @@ def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = 
         uh[m + 1 :] = -(Wu1[m:n_t] @ (uh[1 : m1 + 1] - u0 - np.outer(np.arange(1, m1 + 1) * tau, v0)))
         vh[m + 1 :] -= 0.5 * mu * lam * uh[m + 1 :]
     uh[m + 1 :] += tau * v0
-    D = 1.0 / tau + 0.5 * nu * sc * g[0] + (mu * tau / 4.0) * lam
-    P = 1.0 / tau - 0.5 * nu * sc * g[0] - (mu * tau / 4.0) * lam
-    _march_wave(History(mem, vh), uh, vh, m, tau, D, P, -mu * lam, 0.5 * nu)
+    hist = History(mem, vh)
+    D = 1.0 / tau + 0.5 * hist.c[0] + (mu * tau / 4.0) * lam
+    P = 1.0 / tau - 0.5 * hist.c[0] - (mu * tau / 4.0) * lam
+    _march_wave(hist, uh, vh, m, tau, D, P, -mu * lam)
     return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh), (Phi, vh, v0_x))
 
 
-def _march_wave(hist: History, uh, vh, start: int, tau: float, D, P, Q, s) -> None:
+def _march_wave(hist: History, uh, vh, start: int, tau: float, D, P, Q) -> None:
     """Steps start..n_T-1 of the wave scheme in modal coordinates, whose levels
     vh^{n+1} and uh^{n+1} enter holding their fixed parts F^n and G^n:
-    D vh^{n+1} = P vh^n + Q uh^n + F^n - s K, K the known memory at levels n
-    and n + 1 summed, and the trapezoid uh^{n+1} = G^n + uh^n
+    D vh^{n+1} = P vh^n + Q uh^n + F^n - K / 2, K the known memory at levels
+    n and n + 1 summed, and the trapezoid uh^{n+1} = G^n + uh^n
     + tau (vh^{n+1} + vh^n) / 2.
 
     Each run [a, e) of levels (``memory.runs``) is solved whole.  Divided by
-    D (primes), its V unknowns solve one unit lower-triangular Toeplitz
-    system per mode, U's trapezoid sum written into the lags: -P' - Q' tau / 2
-    + s' c_1 at lag 1, -Q' tau + s' (c_l + c_{l-1}) at lag l >= 2.  The lags
+    D (primes, s' = 1 / (2 D)), its V unknowns solve one unit lower-triangular
+    Toeplitz system per mode, U's trapezoid sum written into the lags:
+    -P' - Q' tau / 2 + s' c_1 at lag 1, -Q' tau + s' (c_l + c_{l-1}) at lag
+    l >= 2.  The lags
     and the inverses (``memory.run_inverse``, kept per study: ``study_value``)
-    are formed in extended precision and rounded to double once: rounded
-    lags perturb every run alike, which over 2^13 levels of the forced wave
-    at alpha = 0.6 moved U by 7.3e-14 and V by 8.0e-14 relative from the
-    march level by level, against 1.2e-15 and 4.9e-15 in extended
-    precision.  The load of level i is F'^{i-1} + Q' u_known^{i-1} - s'
-    times the memory known from the levels below a (``known_run`` plus
-    ``known(a-1)``), plus P' v^{a-1} at i = a, where u_known^n = u^{a-1}
-    + G^a + ... + G^n + tau v^{a-1} / 2 for n >= a.  The loads times the
+    are formed in extended precision and rounded to double once, since
+    rounded lags would perturb every run alike.  The load of level i is
+    F'^{i-1} + Q' u_known^{i-1} - s' times the memory known from the levels
+    below a (``known_run`` plus ``known(a-1)``), plus P' v^{a-1} at i = a,
+    where u_known^n = u^{a-1} + G^a + ... + G^n + tau v^{a-1} / 2 for n >= a.  The loads times the
     inverses give the run's V in one product, U follows by one cumulative sum
     of the trapezoid, and the history is fed once per run."""
     if not np.all(D > 0):
         raise ValueError("solve_wave: step matrix is not positive definite")
-    P, Q, s = P / D, Q / D, s / D
+    P, Q, s = P / D, Q / D, 0.5 / D
     vh[start + 1 :] /= D
     # the load of level i > start reads F^{i-1} and G^a..G^{i-1}; each G^n is
     # built from v^0 and the startup levels, which F^n holds too, so F names it
@@ -292,7 +283,7 @@ def _levels(W: np.ndarray, m: int) -> np.ndarray:
     return C
 
 
-def _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, mesh, u0, v0):
+def _wave_startup_block(uh, vh, m, tau, mu, mem, Wu1, Wv2, fh, mesh, u0, v0):
     """Solve steps 1..m of the wave scheme, which couple through the starting
     weights, for the modal levels U = (u^1..u^m) and V = (v^1..v^m).  Each
     equation row n (step n -> n+1) is a level-coefficient matrix over the
@@ -310,7 +301,7 @@ def _wave_startup_block(uh, vh, m, tau, nu, mu, mem, Wu1, Wv2, fh, mesh, u0, v0)
     P = startup_matrix(mem, m)
     # V-equation: V step, memory at both levels and V-correction, and the
     # averaged stiffness term (times mu lam)
-    v_on_v = step / tau + 0.5 * nu * _levels(P[:-1] + P[1:], m) + _levels(Wv2[:m], m) / tau
+    v_on_v = step / tau + 0.5 * _levels(P[:-1] + P[1:], m) + _levels(Wv2[:m], m) / tau
     v_on_u = avg
     # U-trapezoid: u^{n+1} - u^n + U-correction = tau (v^{n+1} + v^n) / 2
     # + sum_r u_{n,r} t_r v^0
@@ -375,7 +366,7 @@ def l2_error(history: FieldHistory, reference, at="final"):
     """L2-in-space error of the primary field against an exact function
     U(x, t), called once per element as ``reference(x[None, :], t[:, None])``
     on its quadrature points and the levels' times, or a finer FieldHistory
-    on the same mesh.
+    on the same mesh, read at the history's ``reference_stride``.
 
     at = "final" gives the error at t = T, and "average" gives
     (tau * sum_{n=0}^{n_T} ||e^n||^2)^(1/2).
@@ -389,12 +380,7 @@ def l2_error(history: FieldHistory, reference, at="final"):
 
     # one quadrature pass over the (levels, dofs) stack of the steps
     if isinstance(reference, FieldHistory):
-        ratio = history.tau / reference.tau
-        r = int(round(ratio))
-        if r < 1 or abs(ratio - r) > 1e-9:
-            raise ValueError("reference resolution must be an integer multiple")
-        if history.n_steps * r > reference.n_steps:
-            raise ValueError("reference history too short")
+        r = reference_stride(history.tau, history.n_steps, reference.tau, reference.n_steps)
         errors = history.mesh.l2_norm_against(history.u[steps] - reference.u[[n * r for n in steps]])
     else:
         exact = lambda x: _on_grid(reference, x, np.array(steps) * history.tau, "l2_error", "reference", "points")

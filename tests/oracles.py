@@ -214,16 +214,20 @@ def _level_columns(W: np.ndarray, m: int) -> np.ndarray:
 def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int = 0):
     """Interior (u, v) levels of the corrected diffusion-wave scheme in
     physical space: the startup block by the V-reduced md x md system, then
-    one Cholesky-inverse mat-vec per step."""
+    one Cholesky-inverse mat-vec per step.  The memory is one term
+    nu_j tau^-alpha_j (WSGL weights + starting weights on sigma_r - 1) per
+    fractional term, c_0 their summed implicit coefficient."""
     sigma = sigma if isinstance(sigma, CorrectionSet) else CorrectionSet(tuple(sigma))
-    alpha, nu, mu = problem.alpha, problem.nu, problem.mu
+    mu = problem.mu
     n_t = step_count(tau, problem.T)
     m = max(m1, m2, m3)
     Md, S, I, fr = _physical_space(problem, n_t, tau)
-    g = wsgl_weights(alpha, n_t + 1)
-    sc = tau ** (-alpha)
-    Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1) if m3 else None
-    mem = [Term(sc, g, Wv3)]
+    cset = sigma.truncated(m3).shifted(-1.0)
+    mem = [
+        Term(v * tau ** (-a), wsgl_weights(a, n_t + 1), starting_weight_table(a, cset, n_t + 1) if m3 else None)
+        for v, a in zip(problem.nu, problem.alphas)
+    ]
+    c0 = sum(t.scale * t.kernel[0] for t in mem)
     Wu1 = d1_weight_table(sigma.truncated(m1), n_t)
     Wv2 = d1_weight_table(sigma.truncated(m2).shifted(-1.0), n_t)
     u = np.zeros((n_t + 1, len(I)))
@@ -234,7 +238,7 @@ def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int 
         step = np.eye(m, m + 1, 1) - np.eye(m, m + 1)
         avg = 0.5 * (np.eye(m, m + 1, 1) + np.eye(m, m + 1))
         P = startup_matrix(mem, m)
-        v_on_v = step / tau + 0.5 * nu * _level_columns(P[:-1] + P[1:], m) + _level_columns(Wv2[:m], m) / tau
+        v_on_v = step / tau + 0.5 * _level_columns(P[:-1] + P[1:], m) + _level_columns(Wv2[:m], m) / tau
         u_on_u = step + _level_columns(Wu1[:m], m)
         u_on_v = -tau * avg
         u_on_v[:, 0] -= Wu1[:m] @ (np.arange(1, Wu1.shape[1] + 1) * tau)
@@ -248,17 +252,17 @@ def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int 
         v[1 : m + 1] = V
         u[1 : m + 1] = Kuu_inv @ (b_u - u_on_v[:, 1:] @ V)
     vh = v - v[0]
-    fixed = Md * (0.5 * (fr[:-1] + fr[1:]) - (Wv2[:n_t] @ vh[1 : m2 + 1]) / tau + 0.5 * nu * sc * g[0] * v[0])
+    fixed = Md * (0.5 * (fr[:-1] + fr[1:]) - (Wv2[:n_t] @ vh[1 : m2 + 1]) / tau + 0.5 * c0 * v[0])
     if m1:
         u[m + 1 :] = -(Wu1[m:n_t] @ (u[1 : m1 + 1] - u[0] - np.outer(np.arange(1, m1 + 1) * tau, v[0])))
         fixed[m:] -= 0.5 * mu * (u[m + 1 :] @ S.T)
-    step_inv = spd_inverse(np.diag((1.0 / tau + 0.5 * nu * sc * g[0]) * Md) + (mu * tau / 4.0) * S)
+    step_inv = spd_inverse(np.diag((1.0 / tau + 0.5 * c0) * Md) + (mu * tau / 4.0) * S)
     hist = History(mem, vh)
     for k in range(m + 1):
         hist.feed(k)
     for n in range(m, n_t):
-        frac = hist.known(n) + sc * g[0] * vh[n] + hist.known(n + 1)
-        rhs = Md * (v[n] / tau - 0.5 * nu * frac) + fixed[n] - S @ (mu * u[n] + (mu * tau / 4.0) * v[n])
+        frac = hist.known(n) + c0 * vh[n] + hist.known(n + 1)
+        rhs = Md * (v[n] / tau - 0.5 * frac) + fixed[n] - S @ (mu * u[n] + (mu * tau / 4.0) * v[n])
         v[n + 1] = step_inv @ rhs
         vh[n + 1] = v[n + 1] - v[0]
         hist.feed(n + 1)
@@ -266,12 +270,12 @@ def wave_march(problem, tau: float, sigma=(), m1: int = 0, m2: int = 0, m3: int 
     return u, v
 
 
-def wave_march_by_level(hist, uh, vh, start: int, tau: float, D, P, Q, s) -> None:
+def wave_march_by_level(hist, uh, vh, start: int, tau: float, D, P, Q) -> None:
     """``fracstep.tfpde._march_wave`` one level at a time, as a drop-in for
-    it: D vh^{n+1} = P vh^n + Q uh^n + F^n - s K, K the known memory at levels
-    n and n + 1 summed, then the trapezoid uh^{n+1} = G^n + uh^n
+    it: D vh^{n+1} = P vh^n + Q uh^n + F^n - K / 2, K the known memory at
+    levels n and n + 1 summed, then the trapezoid uh^{n+1} = G^n + uh^n
     + tau (vh^{n+1} + vh^n) / 2, with the history fed every level."""
-    P, Q, s = P / D, Q / D, s / D
+    P, Q, s = P / D, Q / D, 0.5 / D
     vh[start + 1 :] /= D
     for k in range(start + 1):
         hist.feed(k)

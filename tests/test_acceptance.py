@@ -2,6 +2,7 @@
 qualitative operator behavior at their stated tolerances.  One pass/fail line
 prints per criterion (run with -s to watch them)."""
 
+import dataclasses
 import math
 import warnings
 
@@ -341,7 +342,7 @@ def test_criterion_property_suite():
     )
     wv = wave_forced_problem(0.5)
     zero_wave = solve_wave(
-        type(wv)(wv.nu, wv.mu, lambda x, t: np.zeros_like(x), wv.phi0, wv.psi0, wv.alpha, wv.T, wv.mesh),
+        dataclasses.replace(wv, source=lambda x, t: np.zeros_like(x)),
         2.0**-4,
         tuple((3 + k) * 0.5 for k in range(1, 3)),
         2,

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import json
 import math
 import os
@@ -740,6 +741,25 @@ def test_decimated_reference_gives_bit_identical_errors():
         l2_error(solve_subdiffusion(prob, 0.1, (0.75, 1.0)), full)
 
 
+def test_short_or_misaligned_reference_is_rejected_alike_for_paths_and_fields():
+    # fode's error_report and tfpde's l2_error take a finer reference by one
+    # stride rule, so a path and a field history fail with the same message
+    from fracstep.fode import error_report
+    from fracstep.glweights import SampledPath
+    from fracstep.problems import two_zone_unit_mesh
+    from fracstep.tfpde import FieldHistory, l2_error
+
+    mesh = two_zone_unit_mesh(4)
+    field = lambda tau, n: FieldHistory(mesh, tau, np.zeros((n + 1, mesh.n_dofs)))
+    path = lambda tau, n: SampledPath(tau, np.zeros(n + 1))
+    for ref_tau, ref_n in ((0.125, 6), (0.1, 10)):  # too short; not a divisor of 0.25
+        with pytest.raises(ValueError, match=f"tau = {ref_tau:g} with {ref_n} steps") as path_error:
+            error_report(path(0.25, 4), path(ref_tau, ref_n))
+        with pytest.raises(ValueError, match="tau = 0.25 with 4 steps") as field_error:
+            l2_error(field(0.25, 4), field(ref_tau, ref_n))
+        assert str(path_error.value) == str(field_error.value)
+
+
 def test_package_has_no_cross_module_private_imports():
     # weights and helpers are shared through public names only, and every
     # exported name resolves
@@ -787,12 +807,13 @@ def test_import_path_loads_neither_scipy_nor_mpmath(tmp_path):
         "print(json.dumps([rc, imported, parsed, loaded()]))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
+    tables = {"fode": "two_term_alpha_half", "wave": "wave_smooth", "subdiff": "subdiffusion"}
     runs = {
         kind: subprocess.Popen(
-            [sys.executable, "-c", code, kind, str(src.parent / "studies" / ini), str(tmp_path / f"{kind}.csv")],
+            [sys.executable, "-c", code, kind, str(src.parent / "studies" / f"{stem}.ini"), str(tmp_path / f"{stem}.csv")],
             env=env, stdout=subprocess.PIPE, text=True,
         )
-        for kind, ini in (("fode", "two_term_alpha_half.ini"), ("wave", "wave_smooth.ini"), ("subdiff", "subdiffusion.ini"))
+        for kind, stem in tables.items()
     }
     cli = {f"fracstep.{m}" for m in ("cli", "harness", "problems", "specfun")}
     core = cli | {f"fracstep.{m}" for m in ("corrections", "glweights", "memory")}
@@ -803,6 +824,55 @@ def test_import_path_loads_neither_scipy_nor_mpmath(tmp_path):
         assert proc.returncode == 0
         rc, imported, parsed, ran = json.loads(out.splitlines()[-1])
         assert rc == 0 and set(imported) == cli and set(parsed) == kinds[kind] and ran == parsed, kind
+        _assert_table_as_shipped(f"{tables[kind]}.csv", tmp_path / f"{tables[kind]}.csv")
+
+
+EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "studies" / "expected"
+# README's all-tables loop, which rewrites studies/expected/ from the repository root
+REFRESH = (
+    "for cfg in studies/*.ini; do kind=$(sed -n 's/^kind *= *//p' \"$cfg\" | head -n 1); "
+    "[ \"$kind\" = operator ] && kind=operator-study; PYTHONPATH=src python -m fracstep.cli \"$kind\" "
+    "--config \"$cfg\" --out \"studies/expected/$(basename \"$cfg\" .ini).csv\"; done"
+)
+
+
+def _assert_table_as_shipped(table: str, written: pathlib.Path) -> None:
+    """``written`` holds the bytes of studies/expected/<table>; a mismatch
+    names the table, the first differing row and column, and both values."""
+    expected, got = (EXPECTED / table).read_text(), written.read_text()
+    if got == expected:
+        return
+    cells = lambda text: [line.split(",") for line in text.splitlines()]
+    want, have = cells(expected), cells(got)
+    rows = enumerate(itertools.zip_longest(want, have, fillvalue=[]))
+    diffs = ((r, c, x, y) for r, (a, b) in rows for c, (x, y) in enumerate(itertools.zip_longest(a, b)) if x != y)
+    cell = next(diffs, None)
+    where = "a line ending"
+    if cell:
+        row, col, x, y = cell
+        key = f" ({want[0][0]} = {want[row][0]})" if 0 < row < len(want) else ""
+        where = f"row {row}{key}, column {want[0][col] if col < len(want[0]) else col}: expected {x!r}, got {y!r}"
+    pytest.fail(
+        f"{table}: {where}.  The expected bytes were written with numpy 2.4.6 and OpenBLAS 0.3.31 "
+        f"(x86-64, Haswell kernels; this run has numpy {np.__version__}), and another numpy or BLAS build "
+        "may round a digit differently.  If the change is meant, refresh the tables from the repository "
+        f"root with\n{REFRESH}\nand list each changed cell in CHANGES.md."
+    )
+
+
+def test_shipped_tables_match_the_expected_bytes(tmp_path):
+    # the five tables that test_import_path_loads_neither_scipy_nor_mpmath does
+    # not write, regenerated in-process and named as the CLI names them
+    checked = {"two_term_alpha_half.csv", "wave_smooth.csv", "subdiffusion.csv"}  # by that test
+    for stem in ("diagnostics", "operator_pointwise", "two_term_alpha_tenth", "wave_forced"):
+        studies = parse_config(EXPECTED.parent / f"{stem}.ini")
+        for study in studies:
+            table = f"{stem}.csv" if len(studies) == 1 else f"{stem}-{study.name}.csv"
+            run_study(study, str(tmp_path / table))
+            _assert_table_as_shipped(table, tmp_path / table)
+            checked.add(table)
+    assert checked == {p.name for p in EXPECTED.glob("*.csv")}
+    assert REFRESH in (EXPECTED.parents[1] / "README.md").read_text()
 
 
 def test_package_names_load_their_submodule_on_access():

@@ -97,30 +97,37 @@ def test_three_term_subdiffusion_exact_on_power_span(tau):
     assert _subdiffusion_power_span_error(tau, 0, **span) >= 1e-4
 
 
-def _wave_power_span_error(tau, counts):
-    alpha, nu, mu = 0.5, 1.0, 1.0
+def _wave_power_span_error(tau, counts, nu=(1.0,), alphas=(0.5,)):
+    mu = 1.0
 
     def time_part(t):
         return t**2 + t**2.5
 
     def source(x, t):
         dtt = 2.0 + 2.5 * 1.5 * t**0.5
-        frac = 2.0 * rl_deriv_power(alpha, 1.0, t) + 2.5 * rl_deriv_power(alpha, 1.5, t)
-        return (dtt + nu * frac) * (1.0 - np.asarray(x) ** 2) + 2.0 * mu * time_part(t)
+        frac = sum(v * (2.0 * rl_deriv_power(a, 1.0, t) + 2.5 * rl_deriv_power(a, 1.5, t)) for v, a in zip(nu, alphas))
+        return (dtt + frac) * (1.0 - np.asarray(x) ** 2) + 2.0 * mu * time_part(t)
 
     mesh = SpectralMesh([-1.0, 0.0, 1.0], (4, 4))
-    problem = WaveProblem(nu, mu, source, _zero, _zero, alpha, 1.0, mesh)
+    problem = WaveProblem(nu, alphas, mu, source, _zero, _zero, 1.0, mesh)
     hist = solve_wave(problem, tau, (2.0, 2.5, 3.0), *counts)
     x = mesh.nodes
     exact = np.array([time_part(t) * (1.0 - x**2) for t in np.arange(len(hist.u)) * hist.tau])
     return float(np.max(np.abs(hist.u - exact)))
 
 
-@pytest.mark.parametrize("counts", [(2, 2, 2), (2, 3, 2)])
+_Q2 = {"nu": (1.0, 0.5), "alphas": (0.5, 0.3)}  # Q = 2 takes no code of its own: each weight sits in its term's scale
+
+
+@pytest.mark.parametrize(
+    "counts, span",
+    [((2, 2, 2), {}), ((2, 3, 2), {}), ((2, 2, 2), _Q2), ((2, 3, 2), _Q2)],
+    ids=["counts0", "counts1", "q2-counts0", "q2-counts1"],
+)
 @pytest.mark.parametrize("tau", TAUS)
-def test_wave_exact_on_power_span(tau, counts):
-    assert _wave_power_span_error(tau, counts) <= 1e-12
-    assert _wave_power_span_error(tau, (0, 0, 0)) >= 1e-5
+def test_wave_exact_on_power_span(tau, counts, span):
+    assert _wave_power_span_error(tau, counts, **span) <= 1e-13
+    assert _wave_power_span_error(tau, (0, 0, 0), **span) >= 1e-5
 
 
 def test_l1_value_form_matches_difference_form():

@@ -53,12 +53,13 @@ def unit_mesh():
 
 @pytest.mark.parametrize(
     "field, match",
-    [("nu", r"nu = nan"), ("mu", r"mu = nan"), ("T", r"T = nan"), ("alpha", r"alpha = nan")],
+    [("nu", r"nu = \(nan,\)"), ("mu", r"mu = nan"), ("T", r"T = nan"), ("alphas", r"alphas = \(nan,\)")],
 )
 def test_wave_problem_rejects_nan_parameters_by_name(small_mesh, field, match):
-    prob = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
+    prob = WaveProblem((1.0,), (0.5,), 1.0, lambda x, t: _zero(x), _zero, _zero, 1.0, small_mesh)
+    value = (math.nan,) if field in ("nu", "alphas") else math.nan
     with pytest.raises(ValueError, match=match):
-        dataclasses.replace(prob, **{field: math.nan})
+        dataclasses.replace(prob, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -88,14 +89,17 @@ def test_subdiffusion_problem_rejects_nan_parameters_by_name(unit_mesh, field, m
     ids=["increasing-orders", "nu1-zero", "nan-nu", "nan-alpha"],
 )
 def test_subdiffusion_problem_checks_terms_as_the_fode_does(unit_mesh, nu, alphas, match):
+    # and so does the wave, whose nu_1 = 0 is rejected too
     with pytest.raises(ValueError, match=match) as fode_error:
         MultiTermProblem(nu, alphas, lambda t, y: 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=re.escape(str(fode_error.value))):
         SubdiffusionProblem(nu, alphas, 1.0, lambda x, t: _zero(x), _zero, 1.0, unit_mesh)
+    with pytest.raises(ValueError, match=re.escape(str(fode_error.value))):
+        WaveProblem(nu, alphas, 1.0, lambda x, t: _zero(x), _zero, _zero, 1.0, unit_mesh)
 
 
 def test_zero_wave_history(small_mesh):
-    prob = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
+    prob = WaveProblem((1.0,), (0.5,), 1.0, lambda x, t: _zero(x), _zero, _zero, 1.0, small_mesh)
     hist = solve_wave(prob, 2.0**-4, (2.0, 3.0), 1, 1, 2)
     assert np.all(hist.u == 0.0)
     assert np.all(hist.v == 0.0)
@@ -137,7 +141,7 @@ def test_nan_source_names_solver_step_and_time(small_mesh, unit_mesh):
             solve_subdiffusion(sub, tau, (0.75, 1.0))
         with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline: " + where):
             solve_subdiffusion_l1_baseline(sub, tau)
-        wave = WaveProblem(1.0, 1.0, _nan_after(t0), _zero, _zero, 0.5, 1.0, small_mesh)
+        wave = WaveProblem((1.0,), (0.5,), 1.0, _nan_after(t0), _zero, _zero, 1.0, small_mesh)
         for counts in ((0, 0, 0), (2, 2, 2), (2, 3, 2)):
             with pytest.raises(ValueError, match="solve_wave: " + where):
                 solve_wave(wave, tau, (2.0, 2.5, 3.0), *counts)
@@ -166,7 +170,7 @@ def test_indefinite_step_matrix_names_solver(small_mesh, unit_mesh, monkeypatch)
         solve_subdiffusion(sub, tau)
     with pytest.raises(ValueError, match="solve_subdiffusion_l1_baseline" + what):
         solve_subdiffusion_l1_baseline(sub, tau)
-    wave = WaveProblem(1.0, 1.0, source, _zero, _zero, 0.5, 1.0, small_mesh)
+    wave = WaveProblem((1.0,), (0.5,), 1.0, source, _zero, _zero, 1.0, small_mesh)
     with pytest.raises(ValueError, match="solve_wave" + what):
         solve_wave(wave, tau)
 
@@ -221,7 +225,7 @@ def _assert_wave_scheme_residual(prob, tau, sigma, m1, m2, m3):
     n_t = hist.n_steps
     u = hist.u[:, I]
     v = hist.v[:, I]
-    alpha, nu, mu = prob.alpha, prob.nu, prob.mu
+    (alpha,), (nu,), mu = prob.alphas, prob.nu, prob.mu
     g = wsgl_weights(alpha, n_t + 1)
     sc = tau**-alpha
     Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1)
@@ -262,7 +266,7 @@ def test_wave_energy_boundedness(small_mesh):
     s2 = lambda x: np.sin(2.0 * np.pi * np.asarray(x, dtype=float))
     for alpha in (0.3, 0.7):
         for p in (4, 6):
-            prob = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), s2, s2, alpha, 1.0, small_mesh)
+            prob = WaveProblem((1.0,), (alpha,), 1.0, lambda x, t: _zero(x), s2, s2, 1.0, small_mesh)
             hist = solve_wave(prob, 2.0**-p)
             forms = small_mesh.forms()
             I = small_mesh.interior
@@ -420,7 +424,7 @@ def test_wave_startup_block_matches_refined_solution(make, m, tau):
     Md, S = mesh.forms().mass0(), mesh.forms().stiffness0()
     d = len(I)
     n_t = round(1.0 / tau)
-    alpha, nu, mu = prob.alpha, prob.nu, prob.mu
+    (alpha,), (nu,), mu = prob.alphas, prob.nu, prob.mu
     g = wsgl_weights(alpha, n_t + 1)
     sc = tau ** (-alpha)
     Wv3 = starting_weight_table(alpha, sigma.truncated(m3).shifted(-1.0), n_t + 1)
@@ -512,14 +516,14 @@ def test_singular_wave_startup_block_raises(small_mesh, monkeypatch):
         return W
 
     monkeypatch.setattr(tfpde, "d1_weight_table", cancelling)
-    wave = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
+    wave = WaveProblem((1.0,), (0.5,), 1.0, lambda x, t: _zero(x), _zero, _zero, 1.0, small_mesh)
     with pytest.raises(RuntimeError, match="wave startup block is singular"):
         solve_wave(wave, 2.0**-5, (2.0, 2.5), 2, 2, 2)
 
 
 def _each_field_solve(small_mesh, unit_mesh, source):
     tau = 2.0**-5
-    wave = WaveProblem(1.0, 1.0, source, _zero, _zero, 0.5, 1.0, small_mesh)
+    wave = WaveProblem((1.0,), (0.5,), 1.0, source, _zero, _zero, 1.0, small_mesh)
     sub = SubdiffusionProblem((1.0, 1.0), (0.75, 0.5), 1.0, source, _zero, 1.0, unit_mesh)
     return [
         ("solve_wave", lambda: solve_wave(wave, tau, (2.0, 2.5), 2, 2, 2)),
@@ -583,9 +587,14 @@ def three_zone():
     return three_zone_mesh()
 
 
+def two_term_forced_wave(alpha, mesh=None):
+    """The forced wave with a second, lighter fractional term of order 0.3."""
+    return dataclasses.replace(wave_forced_problem(alpha, mesh), nu=(1.0, 0.5), alphas=(alpha, 0.3))
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.4, 0.5, 0.6])
-@pytest.mark.parametrize("make", [wave_forced_problem, wave_smooth_problem])
+@pytest.mark.parametrize("make", [wave_forced_problem, wave_smooth_problem, two_term_forced_wave])
 def test_wave_march_matches_physical_space_march(three_zone, make, alpha, m):
     # the modal march against the physical-space one, which solves each step
     # by a Cholesky-inverse mat-vec; V's bound is 4x the 1.25e-12 relative by
@@ -672,7 +681,7 @@ def test_exact_reference_called_once_per_element():
 
 
 def test_scalar_only_reference_names_the_contract(small_mesh):
-    prob = WaveProblem(1.0, 1.0, lambda x, t: _zero(x), _zero, _zero, 0.5, 1.0, small_mesh)
+    prob = WaveProblem((1.0,), (0.5,), 1.0, lambda x, t: _zero(x), _zero, _zero, 1.0, small_mesh)
     hist = solve_wave(prob, 2.0**-4)
     what = r"l2_error: the reference failed on an array t; reference\(x, t\) must broadcast"
     with pytest.raises(ValueError, match=what):
