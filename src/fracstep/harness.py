@@ -93,8 +93,9 @@ def parse_config(path) -> list[StudyConfig]:
 
 def _check(section: str, kind: str, raw: dict) -> None:
     """Reject a key that the kind does not take or that the section's variant
-    of it does not read, and a sigma rule that does not expand to the study's
-    largest correction count, before any solve."""
+    of it does not read, a degree that is not an integer >= 1, and a sigma
+    rule that does not expand to the study's largest correction count, before
+    any solve."""
     keys = _KINDS[kind][2].split() + ["out"]
     unread = {  # a key that the kind takes: why this section does not read it, if it does not
         "alpha": kind == "wave" and "alphas" in raw and "the wave's orders are its 'alphas'",
@@ -106,6 +107,9 @@ def _check(section: str, kind: str, raw: dict) -> None:
             raise ValueError(f"[{section}] unknown key '{key}': a {kind} study takes {', '.join(keys)}")
         if unread.get(key):
             raise ValueError(f"[{section}] unread key '{key}': {unread[key]}")
+    for tok in _parse_list(raw.get("degrees", "")):
+        if not (tok.isdecimal() and int(tok) >= 1):
+            raise ValueError(f"[{section}] degrees = {raw['degrees']}: {tok} is not an integer >= 1")
     if "sigma_rule" in raw:
         m = max((int(col) for col in _parse_list(raw.get("columns", "")) if col.isdigit()), default=0)
         try:
@@ -314,10 +318,10 @@ def _mesh_from(cfg: StudyConfig, default) -> SpectralMesh:
 
 
 def _decimated(ref: FieldHistory, taus) -> FieldHistory:
-    """A copy of the reference's U at every g-th level, g the gcd of the
-    cells' strides tau / ref.tau, its tau scaled to match; g = 1 unless every
-    tau has a stride (``reference_stride``), and ``l2_error`` then rejects the
-    cell that has none."""
+    """A copy of the reference's modal U at every g-th level, g the gcd of
+    the cells' strides tau / ref.tau, its tau scaled to match; g = 1 unless
+    every tau has a stride (``reference_stride``), and ``l2_error`` then
+    rejects the cell that has none."""
     from .glweights import reference_stride
     from .tfpde import FieldHistory
 
@@ -325,7 +329,8 @@ def _decimated(ref: FieldHistory, taus) -> FieldHistory:
         g = math.gcd(*(reference_stride(tau, 0, ref.tau, ref.n_steps) for tau in taus))
     except ValueError:
         g = 1
-    return FieldHistory(ref.mesh, ref.tau * g, ref.u[::g].copy())
+    Phi, uh, shift = ref.modal_u
+    return FieldHistory(ref.mesh, ref.tau * g, (Phi, uh[::g].copy(), shift))
 
 
 def _field_study(cfg: StudyConfig, columns, solve, default_norm: str, exact=None) -> ConvergenceTable:

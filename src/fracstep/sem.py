@@ -8,7 +8,9 @@ degree stays within the rule.
 
 LGL nodes follow the classical Newton iteration on (1-x^2) P_N'(x) with
 Chebyshev-Gauss-Lobatto starting guesses; see Canuto, Hussaini, Quarteroni &
-Zang, "Spectral Methods in Fluid Dynamics", Sec. 2.3.
+Zang, "Spectral Methods in Fluid Dynamics", Sec. 2.3.  A mesh builds every
+rule it needs, those of its elements and the finer ones of its error norms,
+in one Newton pass over its distinct degrees (``lgl_rules``).
 """
 
 from __future__ import annotations
@@ -21,33 +23,52 @@ import numpy as np
 __all__ = ["SpectralMesh", "h1_projection", "spd_inverse"]
 
 
-def lgl_nodes(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre-Gauss-Lobatto nodes and quadrature weights on [-1, 1].
+def lgl_rules(degrees) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Legendre-Gauss-Lobatto nodes and quadrature weights on [-1, 1] of each
+    degree N in ``degrees`` (>= 1), keyed by N, from one Newton pass.
 
-    Returns N+1 nodes (the roots of (1-x^2) P_N'(x), endpoints included) and
-    weights w_j = 2 / (N (N+1) P_N(x_j)^2).  Exact for polynomials of degree
-    <= 2N-1.
+    Rule N has N+1 nodes (the roots of (1-x^2) P_N'(x), endpoints included)
+    and weights w_j = 2 / (N (N+1) P_N(x_j)^2); it is exact for polynomials
+    of degree <= 2N-1.  The nodes of all the distinct degrees are iterated as
+    one vector, sorted by degree: each iteration runs the recurrence once, up
+    to the largest live degree, and reads each degree's P_N and P_{N-1} at
+    k = N, and a degree stops at its own convergence step (at most 50), so
+    each rule has the bits of a pass over that degree alone.
     """
-    if N < 1:
-        raise ValueError("degree N >= 1 required")
-    if N == 1:
-        return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
+    degs = sorted({int(N) for N in degrees})
+    if not degs or degs[0] < 1:
+        raise ValueError(f"degrees N >= 1 required, got {degs}")
+    sizes = [N + 1 for N in degs]
+    ends = np.cumsum(sizes)
+    N, start = np.repeat(degs, sizes), np.repeat(ends - sizes, sizes)  # each node's degree and rule
+    j = np.arange(len(N)) - start  # each node's index in its rule
     # Chebyshev-Gauss-Lobatto initial guess, then Newton on the Legendre
     # recurrence, which carries P_{k-1} and P_k at the nodes
-    x = -np.cos(np.pi * np.arange(N + 1) / N)
+    x = -np.cos(np.pi * j / N)
+    P = np.empty_like(x)
+    live = np.arange(len(x))  # the nodes of the degrees still iterating, in degree order
     for _ in range(50):
-        x_old = x.copy()
-        prev, P = np.ones(N + 1), x
-        for k in range(2, N + 1):
-            prev, P = P, ((2 * k - 1) * x * P - (k - 1) * prev) / k
-        x = x_old - (x * P - prev) / ((N + 1) * P)
-        if np.max(np.abs(x - x_old)) < 1e-15:
+        xl, Nl = x[live], N[live]
+        first = np.flatnonzero(np.diff(Nl, prepend=0))  # where each live degree's nodes start
+        rule = {int(Nl[a]): slice(a, e) for a, e in zip(first, [*first[1:], len(Nl)])}
+        prev, Pk = np.ones(len(xl)), xl
+        PN, PN1 = xl.copy(), prev.copy()  # P_N and P_{N-1} of each node's own N
+        for k in range(2, Nl[-1] + 1):
+            prev, Pk = Pk, ((2 * k - 1) * xl * Pk - (k - 1) * prev) / k
+            if k in rule:
+                PN[rule[k]], PN1[rule[k]] = Pk[rule[k]], prev[rule[k]]
+        x[live] = xl - (xl * PN - PN1) / ((Nl + 1) * PN)
+        P[live] = PN
+        moving = ~(np.maximum.reduceat(np.abs(x[live] - xl), first) < 1e-15)
+        live = live[np.repeat(moving, np.diff(first, append=len(Nl)))]
+        if not live.size:
             break
     w = 2.0 / (N * (N + 1) * P**2)
-    # enforce exact symmetry of the computed rule
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    return x, w
+    # enforce exact symmetry of each computed rule
+    mirror = start + N - j  # the node at -x
+    x = 0.5 * (x - x[mirror])
+    w = 0.5 * (w + w[mirror])
+    return {d: (x[e - n : e], w[e - n : e]) for d, n, e in zip(degs, sizes, ends)}
 
 
 def _off_diagonal(A: np.ndarray) -> np.ndarray:
@@ -96,22 +117,25 @@ class SpectralMesh:
     def __init__(self, breakpoints, degrees):
         brk = np.asarray(breakpoints, dtype=float)
         degs = tuple(int(d) for d in degrees)
-        if len(brk) < 2 or np.any(np.diff(brk) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if len(brk) < 2 or not np.all(np.isfinite(brk)) or np.any(np.diff(brk) <= 0):
+            raise ValueError(f"breakpoints must be finite and strictly increasing, got {brk.tolist()}")
         if len(degs) != len(brk) - 1:
             raise ValueError("one degree per element required")
         if any(d < 1 for d in degs):
             raise ValueError("element degrees must be >= 1")
+        if sum(degs) < 2:
+            raise ValueError(f"breakpoints {brk.tolist()} with degrees {degs} leave no interior degree of freedom")
         self.breakpoints = brk
         self.degrees = degs
-        self._ref = [lgl_nodes(N) for N in degs]
-        self._dref = [_diff_matrix(r[0]) for r in self._ref]
+        # the element rules and the N + 16 rules of the error norms, from one Newton pass
+        self._rules = lgl_rules(degs + tuple(N + 16 for N in degs))
+        self._dref = {N: _diff_matrix(self._rules[N][0]) for N in set(degs)}
 
         nodes: list[float] = []
         self.element_dofs: list[np.ndarray] = []
         for i, N in enumerate(degs):
             a, b = brk[i], brk[i + 1]
-            xe = a + (self._ref[i][0] + 1.0) * (b - a) / 2.0
+            xe = a + (self._rules[N][0] + 1.0) * (b - a) / 2.0
             idx = []
             for k in range(N + 1):
                 if i > 0 and k == 0:
@@ -126,6 +150,9 @@ class SpectralMesh:
         self.interior = np.arange(1, self.n_dofs - 1, dtype=int)
         self._forms: AssembledForms | None = None
         self._dense_rules: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+
+    def __repr__(self) -> str:
+        return f"SpectralMesh({self.breakpoints.tolist()}, {self.degrees})"
 
     def element_nodes(self, i: int) -> np.ndarray:
         return self.nodes[self.element_dofs[i]]
@@ -142,7 +169,7 @@ class SpectralMesh:
             rules = []
             for i, N in enumerate(self.degrees):
                 a, b = self.breakpoints[i], self.breakpoints[i + 1]
-                xq, wq = lgl_nodes(N + 16)
+                xq, wq = self._rules[N + 16]
                 xp = a + (xq + 1.0) * (b - a) / 2.0
                 wp = wq * (b - a) / 2.0
                 E = _lagrange_eval_matrix(self.element_nodes(i), xp)
@@ -211,8 +238,8 @@ def assemble(mesh: SpectralMesh) -> AssembledForms:
     for i, N in enumerate(mesh.degrees):
         h = mesh.breakpoints[i + 1] - mesh.breakpoints[i]
         idx = mesh.element_dofs[i]
-        xr, wr = mesh._ref[i]
-        D = mesh._dref[i]
+        _, wr = mesh._rules[N]
+        D = mesh._dref[N]
         Md[idx] += wr * h / 2.0
         Se = (2.0 / h) * (D.T * wr) @ D
         S[np.ix_(idx, idx)] += Se

@@ -29,7 +29,10 @@ called with x of shape (1, dofs) and t of shape (levels, 1), and its result
 must broadcast to (levels, dofs).
 The subdiffusion also has an L1-in-time baseline with the same spatial
 kernel, for comparison studies; it shares the corrected scheme's march.
-Every fractional term, WSGL or L1, is a ``fracstep.memory`` term.
+Every fractional term, WSGL or L1, is a ``fracstep.memory`` term.  A solve
+returns its levels modal (``FieldHistory``): U, and the wave's V, are mapped
+to full space on their first read, and ``l2_error`` maps only the U levels
+it reads.
 """
 
 from __future__ import annotations
@@ -108,22 +111,32 @@ class SubdiffusionProblem:
 
 @dataclass(frozen=True)
 class FieldHistory:
-    """Per-step full-space coefficient vectors (boundary entries exactly
-    zero); the wave's time-derivative field ``v`` is kept as ``modal_v`` =
-    (Phi, modal levels, shift) and mapped to full space on its first read."""
+    """Per-step fields U and, for the wave, its time derivative V, each kept
+    modal as (Phi, modal levels xh, shift) and mapped to full-space
+    coefficient vectors Phi xh + shift (boundary entries exactly zero) on its
+    first read of ``u`` or ``v``; ``u_at`` maps only the U levels it is given."""
 
     mesh: SpectralMesh
     tau: float
-    u: np.ndarray
+    modal_u: tuple
     modal_v: tuple | None = None
 
     @property
     def n_steps(self) -> int:
-        return len(self.u) - 1
+        return len(self.modal_u[1]) - 1
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _physical(self.mesh, *self.modal_u)
 
     @cached_property
     def v(self) -> np.ndarray | None:
         return None if self.modal_v is None else _physical(self.mesh, *self.modal_v)
+
+    def u_at(self, steps) -> np.ndarray:
+        """The full-space U at the levels ``steps``, mapped from the modal ones."""
+        Phi, uh, shift = self.modal_u
+        return _physical(self.mesh, Phi, uh[steps], shift)
 
 
 def _space(problem, n_t: int, tau: float, solver: str, *fields):
@@ -220,7 +233,7 @@ def solve_wave(problem: WaveProblem, tau: float, sigma: CorrectionSet | tuple = 
     D = 1.0 / tau + 0.5 * hist.c[0] + (mu * tau / 4.0) * lam
     P = 1.0 / tau - 0.5 * hist.c[0] - (mu * tau / 4.0) * lam
     _march_wave(hist, uh, vh, m, tau, D, P, -mu * lam)
-    return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh), (Phi, vh, v0_x))
+    return FieldHistory(problem.mesh, tau, (Phi, uh, 0.0), (Phi, vh, v0_x))
 
 
 def _march_wave(hist: History, uh, vh, start: int, tau: float, D, P, Q) -> None:
@@ -342,7 +355,7 @@ def _march_subdiffusion(problem: SubdiffusionProblem, tau: float, terms, m: int,
         raise ValueError(f"{solver}: step matrix is not positive definite")
     linear_march(hist, mu * lam, m, solver, tau)
     del hist
-    return FieldHistory(problem.mesh, tau, _physical(problem.mesh, Phi, uh, u0_x))
+    return FieldHistory(problem.mesh, tau, (Phi, uh, u0_x))
 
 
 def solve_subdiffusion(problem: SubdiffusionProblem, tau: float, sigma: CorrectionSet | tuple = ()) -> FieldHistory:
@@ -366,7 +379,8 @@ def l2_error(history: FieldHistory, reference, at="final"):
     """L2-in-space error of the primary field against an exact function
     U(x, t), called once per element as ``reference(x[None, :], t[:, None])``
     on its quadrature points and the levels' times, or a finer FieldHistory
-    on the same mesh, read at the history's ``reference_stride``.
+    on the same mesh, read at the history's ``reference_stride``.  Only the
+    levels read are mapped to full space (``FieldHistory.u_at``).
 
     at = "final" gives the error at t = T, and "average" gives
     (tau * sum_{n=0}^{n_T} ||e^n||^2)^(1/2).
@@ -379,12 +393,15 @@ def l2_error(history: FieldHistory, reference, at="final"):
         raise ValueError(f"unknown error mode {at!r}")
 
     # one quadrature pass over the (levels, dofs) stack of the steps
+    mesh = history.mesh
     if isinstance(reference, FieldHistory):
+        if repr(reference.mesh) != repr(mesh):  # the breakpoints' reprs read back exactly
+            raise ValueError(f"l2_error: the reference is on {reference.mesh!r}, the history on {mesh!r}")
         r = reference_stride(history.tau, history.n_steps, reference.tau, reference.n_steps)
-        errors = history.mesh.l2_norm_against(history.u[steps] - reference.u[[n * r for n in steps]])
+        errors = mesh.l2_norm_against(history.u_at(steps) - reference.u_at([n * r for n in steps]))
     else:
         exact = lambda x: _on_grid(reference, x, np.array(steps) * history.tau, "l2_error", "reference", "points")
-        errors = history.mesh.l2_norm_against(history.u[steps], exact)
+        errors = mesh.l2_norm_against(history.u_at(steps), exact)
 
     if at == "average":
         return math.sqrt(history.tau * float(np.sum(errors**2)))

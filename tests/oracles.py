@@ -328,8 +328,9 @@ def trap_memory(a1: float, a2: float, n_t: int, tau: float):
 
 
 def lgl_nodes_by_table(N: int):
-    """``fracstep.sem.lgl_nodes`` with the Legendre recurrence filling the
-    whole (N + 1)^2 Vandermonde table, column by column (N >= 2)."""
+    """The LGL rule of degree N (``fracstep.sem.lgl_rules``), one degree at
+    a time, with the Legendre recurrence filling the whole (N + 1)^2
+    Vandermonde table, column by column."""
     x = -np.cos(np.pi * np.arange(N + 1) / N)
     P = np.zeros((N + 1, N + 1))
     for _ in range(50):

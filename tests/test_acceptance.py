@@ -20,7 +20,7 @@ from fracstep.problems import (
     wave_smooth_exact,
     wave_smooth_problem,
 )
-from fracstep.sem import lgl_nodes
+from fracstep.sem import lgl_rules
 from fracstep.tfpde import (
     l2_error,
     solve_subdiffusion,
@@ -320,8 +320,7 @@ def test_criterion_property_suite():
         )
 
     # LGL closed forms
-    x2, w2 = lgl_nodes(2)
-    x4, w4 = lgl_nodes(4)
+    (x2, w2), (x4, w4) = lgl_rules((2, 4)).values()
     r = math.sqrt(3.0 / 7.0)
     ok2 = np.allclose(x2, [-1, 0, 1], atol=1e-14) and np.allclose(
         w2, [1 / 3, 4 / 3, 1 / 3], atol=1e-14

@@ -409,9 +409,18 @@ def test_repeated_column_is_rejected_before_any_solve(tmp_path, monkeypatch, kin
             FIELD_STUDY.format("subdiff") + FIELD_STUDIES["subdiff"][1].replace("mesh = 0 0.5 1\n", ""),
             "[f] unread key 'degrees': 'degrees' goes with 'mesh'",
         ),
+        # a degree that used to fail at run time, with "invalid literal for int()"
+        (
+            FIELD_STUDY.format("wave").replace("degrees = 8 8", "degrees = 8.5 8") + FIELD_STUDIES["wave"][1],
+            "[f] degrees = 8.5 8: 8.5 is not an integer >= 1",
+        ),
+        (
+            FIELD_STUDY.format("subdiff").replace("degrees = 8 8", "degrees = 8 0") + FIELD_STUDIES["subdiff"][1],
+            "[f] degrees = 8 0: 0 is not an integer >= 1",
+        ),
     ],
     ids=["fode-norm", "fode-typo", "subdiff-alphas", "forced-wave-nu", "baselines-bogus-rule", "short-list",
-         "wave-alpha-beside-alphas", "two-term-alphas", "degrees-without-mesh"],
+         "wave-alpha-beside-alphas", "two-term-alphas", "degrees-without-mesh", "fractional-degree", "zero-degree"],
 )
 def test_unread_key_and_bad_sigma_rule_are_rejected_before_any_solve(tmp_path, monkeypatch, text, what):
     # each of these used to write a table: the key was never read, or the rule
@@ -750,7 +759,8 @@ def test_short_or_misaligned_reference_is_rejected_alike_for_paths_and_fields():
     from fracstep.tfpde import FieldHistory, l2_error
 
     mesh = two_zone_unit_mesh(4)
-    field = lambda tau, n: FieldHistory(mesh, tau, np.zeros((n + 1, mesh.n_dofs)))
+    k = len(mesh.interior)
+    field = lambda tau, n: FieldHistory(mesh, tau, (np.eye(k), np.zeros((n + 1, k)), 0.0))
     path = lambda tau, n: SampledPath(tau, np.zeros(n + 1))
     for ref_tau, ref_n in ((0.125, 6), (0.1, 10)):  # too short; not a divisor of 0.25
         with pytest.raises(ValueError, match=f"tau = {ref_tau:g} with {ref_n} steps") as path_error:

@@ -9,20 +9,20 @@ from fracstep.sem import (
     assemble,
     h1_projection,
     interpolate,
-    lgl_nodes,
+    lgl_rules,
 )
 
 import oracles
 
 
 def test_lgl_degree_two_closed_form():
-    x, w = lgl_nodes(2)
+    x, w = lgl_rules([2])[2]
     np.testing.assert_allclose(x, [-1.0, 0.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(w, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
 
 def test_lgl_degree_four_closed_form():
-    x, w = lgl_nodes(4)
+    x, w = lgl_rules([4])[4]
     r = math.sqrt(3.0 / 7.0)
     np.testing.assert_allclose(x, [-1.0, -r, 0.0, r, 1.0], atol=1e-14)
     np.testing.assert_allclose(
@@ -32,14 +32,14 @@ def test_lgl_degree_four_closed_form():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 16, 32])
 def test_lgl_weights_sum_to_two(N):
-    _, w = lgl_nodes(N)
+    _, w = lgl_rules([N])[N]
     assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("N", [3, 6, 11])
 def test_lgl_quadrature_exactness(N):
     rng = np.random.default_rng(42 + N)
-    x, w = lgl_nodes(N)
+    x, w = lgl_rules([N])[N]
     for _ in range(10):
         coeffs = rng.normal(size=2 * N)  # degree 2N-1
         p = np.polynomial.Polynomial(coeffs)
@@ -49,7 +49,7 @@ def test_lgl_quadrature_exactness(N):
 
 
 def test_lgl_symmetry():
-    x, w = lgl_nodes(9)
+    x, w = lgl_rules([9])[9]
     np.testing.assert_allclose(x, -x[::-1], atol=0.0)
     np.testing.assert_allclose(w, w[::-1], atol=0.0)
 
@@ -66,6 +66,16 @@ def test_mesh_validation():
         SpectralMesh([0.0, 1.0], (2, 2))
     with pytest.raises(ValueError):
         SpectralMesh([0.0, 1.0], (0,))
+    # each of these used to fail only inside a solve, with a message that
+    # named neither the breakpoints nor the degrees
+    with pytest.raises(ValueError, match=r"finite and strictly increasing, got \[0\.0, nan, 1\.0\]"):
+        SpectralMesh([0.0, math.nan, 1.0], (8, 8))
+    with pytest.raises(ValueError, match=r"finite and strictly increasing, got \[0\.0, 0\.5, inf\]"):
+        SpectralMesh([0.0, 0.5, math.inf], (8, 8))
+    with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\] with degrees \(1,\) leave no interior degree of freedom"):
+        SpectralMesh([0.0, 1.0], (1,))
+    SpectralMesh([0.0, 1.0], (2,))  # one interior dof
+    SpectralMesh([0.0, 0.5, 1.0], (1, 1))
 
 
 def test_mesh_shared_interface_dofs(paper_mesh):
@@ -112,7 +122,7 @@ def _h1_seminorm_defect(mesh, coeffs, fprime):
     total = 0.0
     for i, N in enumerate(mesh.degrees):
         a, b = mesh.breakpoints[i], mesh.breakpoints[i + 1]
-        xq, wq = lgl_nodes(N + 20)
+        xq, wq = lgl_rules([N + 20])[N + 20]
         xp = a + (xq + 1.0) * (b - a) / 2.0
         wp = wq * (b - a) / 2.0
         nodes = mesh.element_nodes(i)
@@ -147,7 +157,7 @@ def test_projection_orthogonality():
     rhs = np.zeros(mesh.n_dofs)
     for i, N in enumerate(mesh.degrees):
         a, b = mesh.breakpoints[i], mesh.breakpoints[i + 1]
-        xq, wq = lgl_nodes(N + 20)
+        xq, wq = lgl_rules([N + 20])[N + 20]
         xp = a + (xq + 1.0) * (b - a) / 2.0
         wp = wq * (b - a) / 2.0
         idx = mesh.element_dofs[i]
@@ -230,16 +240,29 @@ def test_modal_basis_diagonalises_the_pencil(mesh):
 
 
 def test_element_setup_matches_loops_bitwise():
-    # the array forms keep every sum and product in the loops' order
+    # the array forms keep every sum and product in the loops' order; the LGL
+    # rules of many degrees, built in one Newton pass, each have the bits of
+    # a pass over that degree alone
     from fracstep.sem import _barycentric_weights, _diff_matrix, _lagrange_eval_matrix
 
+    rules = lgl_rules(range(1, 60))
+    assert sorted(rules) == list(range(1, 60))
     for N in range(1, 60):
-        x, w = lgl_nodes(N)
-        if N >= 2:
-            xt, wt = oracles.lgl_nodes_by_table(N)
-            assert np.array_equal(x, xt) and np.array_equal(w, wt), N
+        x, w = rules[N]
+        xt, wt = oracles.lgl_nodes_by_table(N)
+        assert np.array_equal(x, xt) and np.array_equal(w, wt), N
+        assert all(np.array_equal(a, b) for a, b in zip(lgl_rules([N])[N], rules[N])), N
         assert np.array_equal(_barycentric_weights(x), oracles.barycentric_weights_by_loop(x)), N
         assert np.array_equal(_diff_matrix(x), oracles.diff_matrix_by_loop(x)), N
         # dense points as the error norms use them, plus nodes hit exactly
-        pts = np.concatenate((lgl_nodes(N + 16)[0], x[::2], [0.3, -0.7]))
+        pts = np.concatenate((lgl_rules([N + 16])[N + 16][0], x[::2], [0.3, -0.7]))
         assert np.array_equal(_lagrange_eval_matrix(x, pts), oracles.lagrange_eval_matrix_by_loop(x, pts)), N
+    # a mesh with repeated degrees: its element rules and its error norms'
+    # N + 16 rules, mapped to each element, as the per-degree oracle gives them
+    mesh = SpectralMesh([-1.0, -0.5, 0.5, 1.0], (24, 32, 24))
+    for i, (N, (xp, wp, _)) in enumerate(zip(mesh.degrees, mesh._dense_quadrature())):
+        a, b = mesh.breakpoints[i : i + 2]
+        x, _ = oracles.lgl_nodes_by_table(N)
+        assert np.array_equal(mesh.element_nodes(i), a + (x + 1.0) * (b - a) / 2.0), N
+        xq, wq = oracles.lgl_nodes_by_table(N + 16)
+        assert np.array_equal(xp, a + (xq + 1.0) * (b - a) / 2.0) and np.array_equal(wp, wq * (b - a) / 2.0), N

@@ -105,15 +105,36 @@ def test_zero_wave_history(small_mesh):
     assert np.all(hist.v == 0.0)
 
 
-def test_wave_maps_v_on_its_first_read(small_mesh, monkeypatch):
-    # V used to be mapped to full space on every solve, and no study reads it
+def test_wave_maps_v_on_its_first_read(small_mesh, unit_mesh, monkeypatch):
+    # U and V used to be mapped to full space at every level of every solve,
+    # and no study reads V, or U at more levels than its error norm reads
     mapped, physical = [], tfpde._physical
-    monkeypatch.setattr(tfpde, "_physical", lambda *args: mapped.append(args) or physical(*args))
-    hist = solve_wave(wave_forced_problem(0.5, small_mesh), 2.0**-4, (2.0, 2.5), 1, 2, 2)
-    assert len(mapped) == 1  # U
-    v = hist.v
-    assert len(mapped) == 2 and hist.v is v and v.shape == hist.u.shape
-    Phi, vh, v0 = hist.modal_v
+    monkeypatch.setattr(tfpde, "_physical", lambda *args: mapped.append(len(args[2])) or physical(*args))
+    wave = solve_wave(wave_forced_problem(0.5, small_mesh), 2.0**-4, (2.0, 2.5), 1, 2, 2)
+    subdiff = solve_subdiffusion(subdiffusion_forced_problem(unit_mesh), 2.0**-4, (0.75, 1.0))
+    assert mapped == []
+    for hist in (wave, subdiff):
+        n = hist.n_steps
+        # the error norms map the levels they read: one final level, all
+        # levels for the average, and as many of a reference
+        for at, levels in (("final", 1), ("average", n + 1)):
+            mapped.clear()
+            l2_error(hist, lambda x, t: _zero(x) + t, at=at)
+            l2_error(hist, hist, at=at)
+            assert mapped == [levels] * 3, at
+        mapped.clear()
+        u = hist.u
+        assert mapped == [n + 1] and hist.u is u and u.shape == (n + 1, hist.mesh.n_dofs)
+        # the map the solves made eagerly, every level in one product
+        Phi, uh, shift = hist.modal_u
+        assert np.array_equal(u, physical(hist.mesh, Phi, uh, shift))
+        assert np.all(u[:, [0, -1]] == 0.0)
+        assert np.allclose(hist.u_at([n, 0]), u[[n, 0]], rtol=0.0, atol=1e-15 * np.max(np.abs(u)))
+    assert subdiff.v is None and subdiff.modal_v is None
+    mapped.clear()
+    v = wave.v
+    assert mapped == [wave.n_steps + 1] and wave.v is v and v.shape == wave.u.shape
+    Phi, vh, v0 = wave.modal_v
     assert np.array_equal(v, physical(small_mesh, Phi, vh, v0))
 
 
@@ -566,20 +587,47 @@ def test_source_of_wrong_shape_names_solver_and_contract(small_mesh, unit_mesh):
             solve()
 
 
+def _history(mesh, tau, u):
+    """A FieldHistory of the full-space levels u (zero on the boundary), kept
+    modal in the identity basis, which maps them back exactly."""
+    return FieldHistory(mesh, tau, (np.eye(len(mesh.interior)), u[:, mesh.interior], 0.0))
+
+
 def test_l2_error_modes_and_projected_exact(small_mesh):
     U = lambda x, t: (1.0 + t) * np.sin(np.pi * np.asarray(x))
     # projected exact data measured against itself: spatial error only
     proj = np.array([h1_projection(lambda x: U(x, t), small_mesh) for t in (0.0, 0.5, 1.0)])
-    hist = FieldHistory(small_mesh, 0.5, proj)
+    hist = _history(small_mesh, 0.5, proj)
+    assert np.array_equal(hist.u, proj)
     assert l2_error(hist, U) <= 1e-9
-    zero_hist = FieldHistory(small_mesh, 0.5, np.zeros_like(proj))
+    zero_hist = _history(small_mesh, 0.5, np.zeros_like(proj))
     assert l2_error(zero_hist, lambda x, t: _zero(x)) == 0.0
     assert l2_error(zero_hist, zero_hist) == 0.0
     with pytest.raises(ValueError):
-        l2_error(hist, FieldHistory(small_mesh, 0.3, proj))
+        l2_error(hist, _history(small_mesh, 0.3, proj))
     for at in ("bogus", 1):  # a step index is not a mode
         with pytest.raises(ValueError, match=f"unknown error mode {at!r}"):
             l2_error(hist, U, at=at)
+
+
+def test_l2_error_rejects_a_reference_on_another_mesh():
+    # with the same dof count, the two meshes' coefficients used to be
+    # subtracted as if their nodes were the same: 8.9e-3 where the error on
+    # one mesh is 2.3e-5
+    coarse, fine = (SpectralMesh([0.0, split, 1.0], (8, 8)) for split in (0.5, 0.25))
+    hist = solve_subdiffusion(subdiffusion_forced_problem(coarse), 2.0**-4, (0.75, 1.0))
+    ref = solve_subdiffusion(subdiffusion_forced_problem(fine), 2.0**-6, (0.75, 1.0))
+    assert ref.mesh.n_dofs == hist.mesh.n_dofs
+    what = re.escape(
+        "the reference is on SpectralMesh([0.0, 0.25, 1.0], (8, 8)), "
+        "the history on SpectralMesh([0.0, 0.5, 1.0], (8, 8))"
+    )
+    for at in ("final", "average"):
+        with pytest.raises(ValueError, match=what):
+            l2_error(hist, ref, at=at)
+    # an equal mesh built apart is the same mesh
+    same = solve_subdiffusion(subdiffusion_forced_problem(SpectralMesh([0.0, 0.5, 1.0], (8, 8))), 2.0**-6, (0.75, 1.0))
+    assert l2_error(hist, same) < 1e-4
 
 
 @pytest.fixture(scope="module")
