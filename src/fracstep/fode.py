@@ -10,8 +10,9 @@ couple through the starting weights and are solved as one block.  A problem
 that declares f = lam y (``MultiTermProblem.lam``) then marches run by run,
 each run one lower-triangular Toeplitz solve (``memory.linear_march``), and
 never calls f.  Any other f goes step by step, each step one scalar equation
-solved by a secant iteration that carries its slope from step to step:
-about three evaluations of f per step.
+solved by a secant iteration from the cubic extrapolation of the last four
+levels, which carries its slope from step to step: about two evaluations of
+f per step.
 L1 and product-trapezoidal discretizations are provided as baselines and
 reference generators.  All three schemes share one march over one history of
 y - y0 (``fracstep.memory``); the trapezoid gets there by the inverse of its
@@ -62,6 +63,8 @@ class MultiTermProblem:
         nu, al = check_terms(self.nu, self.alphas)
         if not 0 < self.T < math.inf:
             raise ValueError(f"finite T > 0 required, got T = {self.T!r}")
+        if not abs(self.y0) < math.inf:
+            raise ValueError(f"finite y0 required, got y0 = {self.y0!r}")
         if self.lam is not None:
             if not abs(self.lam) < math.inf:
                 raise ValueError(f"finite lam required, got lam = {self.lam!r}")
@@ -85,17 +88,17 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
                    d: float) -> tuple[float, float]:
     """Solve r(x) = a*x + known - b*f(t_n, y0 + x) = 0 for x by a chord/secant
     iteration from ``guess``: the first iterate uses the slope ``d`` the previous
-    step ended with, each later one the secant slope of the last two iterates
-    (taken when their step is well above rounding).  An iterate that does not
-    halve |r| is dropped for a finite-difference slope at the current x; if that
-    fails too, or an iterate is not finite, ``_picard`` takes over from
-    ``guess``.  An iterate is accepted when its residual or its step is within
-    _STEP_TOL relative.  Returns (x, d).  A linear f declared by ``lam`` never
+    step ended with, each later one the secant slope of the last two iterates.
+    An iterate that does not halve |r| is dropped for a finite-difference slope
+    at the current x; if that fails too, or an iterate is not finite,
+    ``_picard`` takes over from ``guess``.  An iterate is accepted when its
+    residual is within _STEP_TOL relative, or its step is, which is tested
+    before f is evaluated there: a step whose chord iterate from the guess
+    lands within the tolerance costs two evaluations.  Returns (x, d).  A linear f declared by ``lam`` never
     reaches it: its march solves whole runs (``_march``)."""
     isfinite, tol = math.isfinite, _STEP_TOL  # locals: the accepted path calls only f and isfinite
     x = guess
-    fx = f(t_n, y0 + x)
-    r = a * x + known - b * fx
+    r = a * x + known - b * f(t_n, y0 + x)
     abs_r = r if r >= 0.0 else -r
     scale = x if x > 1.0 else -x if x < -1.0 else 1.0  # max(1, |x|)
     refreshed = False
@@ -105,20 +108,17 @@ def _implicit_step(f, t_n: float, y0: float, a: float, known: float, b: float, g
         x_new = x - r / d
         if not isfinite(x_new):
             break
-        f_new = f(t_n, y0 + x_new)
-        r_new = a * x_new + known - b * f_new
-        if not isfinite(r_new):
-            break
         dx = x_new - x
         scale_new = x_new if x_new > 1.0 else -x_new if x_new < -1.0 else 1.0
-        abs_dx = dx if dx >= 0.0 else -dx
-        if abs_dx <= tol * scale_new:
+        if (dx if dx >= 0.0 else -dx) <= tol * scale_new:
             return x_new, d
+        r_new = a * x_new + known - b * f(t_n, y0 + x_new)
+        if not isfinite(r_new):
+            break
         abs_r_new = r_new if r_new >= 0.0 else -r_new
         if abs_r_new <= 0.5 * abs_r:
-            if abs_dx > 1e-9 * scale_new:
-                d = (r_new - r) / dx
-            x, fx, r, abs_r, scale, refreshed = x_new, f_new, r_new, abs_r_new, scale_new, False
+            d = (r_new - r) / dx
+            x, r, abs_r, scale, refreshed = x_new, r_new, abs_r_new, scale_new, False
         elif refreshed:
             break
         else:
@@ -191,15 +191,18 @@ def _march(problem: MultiTermProblem, tau: float, terms, m: int, solver: str,
     a = d = float(mem.c[0])
     for k in range(m + 1):
         mem.feed(k)
-    y1 = float(yhat[m])  # the last two levels, for the linear extrapolation 2 y1 - y2
-    y2 = float(yhat[m - 1]) if m else y1
+    y1, y2, y3, y4 = (float(yhat[max(m - k, 0)]) for k in range(4))  # the last four levels, newest first
     try:
         for s, e in runs(m + 1, n_t + 1):
             for n, far in zip(range(s, e), mem.far_run(s, e)):
                 known = far + float(mem.near(n))
-                x, d = _implicit_step(f, n * tau, y0, a, known, b, 2.0 * y1 - y2, d)
+                if n > 3:  # the cubic through the last four levels
+                    guess = 4.0 * (y1 + y3) - 6.0 * y2 - y4
+                else:  # over steps 1..3, the polynomial through the n levels 0..n-1
+                    guess = (y1, 2.0 * y1 - y2, 3.0 * (y1 - y2) + y3)[n - 1]
+                x, d = _implicit_step(f, n * tau, y0, a, known, b, guess, d)
                 yhat[n] = x
-                y1, y2 = x, y1
+                y1, y2, y3, y4 = x, y1, y2, y3
             mem.feed(e - 1)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{solver}: step {n}, t = {n * tau:g}: {exc}") from exc

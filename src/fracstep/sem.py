@@ -116,13 +116,15 @@ class SpectralMesh:
 
     def __init__(self, breakpoints, degrees):
         brk = np.asarray(breakpoints, dtype=float)
-        degs = tuple(int(d) for d in degrees)
+        degs = tuple(degrees)
         if len(brk) < 2 or not np.all(np.isfinite(brk)) or np.any(np.diff(brk) <= 0):
             raise ValueError(f"breakpoints must be finite and strictly increasing, got {brk.tolist()}")
         if len(degs) != len(brk) - 1:
             raise ValueError("one degree per element required")
-        if any(d < 1 for d in degs):
-            raise ValueError("element degrees must be >= 1")
+        for d in degs:
+            if not (d >= 1 and d % 1 == 0):
+                raise ValueError(f"degrees {degs}: {d!r} is not an integer >= 1")
+        degs = tuple(int(d) for d in degs)
         if sum(degs) < 2:
             raise ValueError(f"breakpoints {brk.tolist()} with degrees {degs} leave no interior degree of freedom")
         self.breakpoints = brk

@@ -66,6 +66,11 @@ def test_mesh_validation():
         SpectralMesh([0.0, 1.0], (2, 2))
     with pytest.raises(ValueError):
         SpectralMesh([0.0, 1.0], (0,))
+    # a degree that is not an integer >= 1 is named; 8.5 used to build a degree-8 mesh
+    for degrees, bad in (((8.5,), "8.5"), ((8, 0.5), "0.5"), ((math.nan,), "nan"), ((math.inf,), "inf"), ((-2,), "-2")):
+        with pytest.raises(ValueError, match=rf"degrees \(.*\): {bad} is not an integer >= 1"):
+            SpectralMesh(np.linspace(0.0, 1.0, len(degrees) + 1), degrees)
+    assert SpectralMesh([0.0, 1.0], (np.int64(8),)).degrees == SpectralMesh([0.0, 1.0], (8.0,)).degrees == (8,)
     # each of these used to fail only inside a solve, with a message that
     # named neither the breakpoints nor the degrees
     with pytest.raises(ValueError, match=r"finite and strictly increasing, got \[0\.0, nan, 1\.0\]"):
